@@ -1,8 +1,9 @@
 """Command-line entry point: one subcommand per experiment family.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error. Outputs land
-under the output directory as ``{subcommand}/{variant}/{seed}.csv`` traces
-next to a ``summary.json``; the deletion ablation adds its checkpoint table.
+Exit codes: 0 success, 1 configuration error, 2 runtime error or a sweep in
+which any (variant, seed) pair failed. Outputs land under the output
+directory as ``{subcommand}/{variant}/{seed}.csv`` traces next to a
+``summary.json``; the deletion ablation adds its checkpoint table.
 """
 
 from __future__ import annotations
@@ -100,15 +101,30 @@ def _trailing(summary: dict, variant: str):
     return [v for v in vals if v is not None]
 
 
-def _cmd_run(args) -> int:
+def _sweep_exit_code(cmd):
+    """Wrap a pair-running subcommand: it reports whatever finished, then the
+    exit code is 2 when any (variant, seed) pair failed."""
+    def run(args) -> int:
+        result = cmd(args)
+        failed = [f"{variant} seed {seed}: {error}"
+                  for variant, block in result.summary["variants"].items()
+                  for seed, error in block["failed"].items()]
+        if failed:
+            log.error("%d pair(s) failed: %s", len(failed), "; ".join(failed))
+            return 2
+        return 0
+    return run
+
+
+def _cmd_run(args):
     cfg = _experiment_config(args, "run")
     result = run_experiment(cfg)
     log.info("run finished: %d variants x %d seeds", len(cfg.variants), len(cfg.seeds))
     print(json.dumps(result.summary, indent=2))
-    return 0
+    return result
 
 
-def _cmd_ablate_deletion(args) -> int:
+def _cmd_ablate_deletion(args):
     variants = ("f1", "f2", "f3", "f4", "f5", "f6")
     cfg = _experiment_config(args, "ablate-deletion", variants)
     if cfg.horizon < max(DELETION_CHECKPOINTS):
@@ -126,10 +142,10 @@ def _cmd_ablate_deletion(args) -> int:
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     log.info("wrote %s", out)
     print("\n".join(lines))
-    return 0
+    return result
 
 
-def _cmd_ablate_grouping(args) -> int:
+def _cmd_ablate_grouping(args):
     cfg = _experiment_config(args, "ablate-grouping", ("default", "no-grouping", "set-based"))
     result = run_experiment(cfg)
     s = result.summary["variants"]
@@ -144,16 +160,16 @@ def _cmd_ablate_grouping(args) -> int:
         "acceleration_ratios": ratios,
         "median_acceleration": float(np.median(reached)) if reached else None,
         "grouping_seconds": {
-            "graph": s["default"]["timing_seconds"]["grouping"],
-            "set": s["set-based"]["timing_seconds"]["grouping"],
+            "graph": s["default"].get("timing_seconds", {}).get("grouping"),
+            "set": s["set-based"].get("timing_seconds", {}).get("grouping"),
         },
     }
     _report(result, Path(cfg.output_dir) / "grouping_ablation.json", payload)
     print(json.dumps(payload, indent=2))
-    return 0
+    return result
 
 
-def _cmd_ablate_combining(args) -> int:
+def _cmd_ablate_combining(args):
     cfg = _experiment_config(args, "ablate-combining", ("default", "no-combining"))
     result = run_experiment(cfg)
     with_c = _trailing(result.summary, "default")
@@ -165,10 +181,10 @@ def _cmd_ablate_combining(args) -> int:
     }
     _report(result, Path(cfg.output_dir) / "combining_ablation.json", payload)
     print(json.dumps(payload, indent=2))
-    return 0
+    return result
 
 
-def _cmd_ablate_perspective(args) -> int:
+def _cmd_ablate_perspective(args):
     cfg = _experiment_config(args, "ablate-perspective",
                              ("default", "no-perspective", "greedy"))
     result = run_experiment(cfg)
@@ -182,10 +198,10 @@ def _cmd_ablate_perspective(args) -> int:
         payload[f"mean_{key}"] = float(np.mean(vals)) if vals else None
     _report(result, Path(cfg.output_dir) / "perspective_ablation.json", payload)
     print(json.dumps(payload, indent=2))
-    return 0
+    return result
 
 
-def _cmd_compare_greedy(args) -> int:
+def _cmd_compare_greedy(args):
     cfg = _experiment_config(args, "compare-greedy", ("default", "greedy"))
     result = run_experiment(cfg)
     payload = {
@@ -196,7 +212,7 @@ def _cmd_compare_greedy(args) -> int:
     }
     _report(result, Path(cfg.output_dir) / "greedy_comparison.json", payload)
     print(json.dumps(payload, indent=2))
-    return 0
+    return result
 
 
 def _cmd_theory(args) -> int:
@@ -237,12 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json-logs", action="store_true", help="emit JSON log lines")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    for name, fn in (("run", _cmd_run),
-                     ("ablate-deletion", _cmd_ablate_deletion),
-                     ("ablate-grouping", _cmd_ablate_grouping),
-                     ("ablate-combining", _cmd_ablate_combining),
-                     ("ablate-perspective", _cmd_ablate_perspective),
-                     ("compare-greedy", _cmd_compare_greedy),
+    for name, fn in (("run", _sweep_exit_code(_cmd_run)),
+                     ("ablate-deletion", _sweep_exit_code(_cmd_ablate_deletion)),
+                     ("ablate-grouping", _sweep_exit_code(_cmd_ablate_grouping)),
+                     ("ablate-combining", _sweep_exit_code(_cmd_ablate_combining)),
+                     ("ablate-perspective", _sweep_exit_code(_cmd_ablate_perspective)),
+                     ("compare-greedy", _sweep_exit_code(_cmd_compare_greedy)),
                      ("theory", _cmd_theory)):
         p = sub.add_parser(name)
         _add_common(p)

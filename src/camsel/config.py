@@ -22,8 +22,7 @@ _WORLD_KEYS = ("n_groups", "n_cameras", "dimension", "gamma", "n_models", "group
                "unit_norm_features", "edge_fraction", "payoff_mode", "accuracy_threshold",
                "noise_sigma", "link", "max_rejections")
 _AGENT_KEYS = ("alpha", "beta", "zeta", "p0", "k_max", "link", "f_id", "reconnect_mode",
-               "cascade_order", "no_grouping", "no_perspective", "no_combining",
-               "grouping_mode", "regret_oracle_k")
+               "cascade_order", "grouping", "no_combining", "regret_oracle_k")
 _EXPERIMENT_KEYS = ("variants", "horizon", "seeds", "window", "target", "eta",
                     "greedy_profile_rounds", "workers", "output_dir")
 _TOP_KEYS = ("schema_version", "world", "world_path", "world_seed", "agent",

@@ -72,7 +72,6 @@ class World:
         feats.setflags(write=False)
         self.features = feats
         self.bandwidth_costs = np.array([m.bandwidth_cost for m in self.catalog])
-        self.latency_costs = np.array([m.latency_cost for m in self.catalog])
         self.tiers = np.array([m.tier for m in self.catalog])
         self.validate()
 
@@ -133,9 +132,6 @@ class World:
     def success_probs(self, camera: int) -> np.ndarray:
         """True per-model success probabilities for this camera."""
         return self.group_success_probs(int(self.camera_groups[camera]))
-
-    def success_prob_matrix(self) -> np.ndarray:
-        return np.stack([self.success_probs(c) for c in range(self.n_cameras)])
 
     def with_camera_groups(self, assignment: np.ndarray) -> "World":
         return replace(self, camera_groups=np.asarray(assignment, dtype=int))

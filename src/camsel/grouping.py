@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
@@ -90,11 +89,6 @@ class CameraGraph:
     @classmethod
     def edgeless(cls, n: int) -> "CameraGraph":
         return cls(n)
-
-    def copy(self) -> "CameraGraph":
-        g = CameraGraph(self.n, self.adj.copy())
-        g._labels = None if self._labels is None else self._labels.copy()
-        return g
 
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
@@ -239,17 +233,3 @@ def format_partition(labels: np.ndarray) -> str:
     """Dump format: one line per component, sorted member ids."""
     return "\n".join(" ".join(str(m) for m in comp) for comp in partition_sets(labels))
 
-
-def kmeans_warm_start(estimates: np.ndarray, k: int, rng) -> CameraGraph:
-    """Cluster prior estimates with k-means (k-means++ seeding, 50 iterations)
-    and return the disjoint union of complete graphs, one per cluster."""
-    estimates = np.asarray(estimates, dtype=float)
-    n = estimates.shape[0]
-    if k < 1 or k > n:
-        raise ConfigError(f"k must lie in 1..{n}, got {k}")
-    if k == 1:
-        return CameraGraph.complete(n)
-    _, labels = kmeans2(estimates, k, iter=50, minit="++", seed=rng)
-    adj = labels[:, None] == labels[None, :]
-    np.fill_diagonal(adj, False)
-    return CameraGraph(n, adj)

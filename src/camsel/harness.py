@@ -29,10 +29,10 @@ TRACE_HEADER = ("t,camera,inferred_group,true_group,tried_models,payoffs,aggrega
 
 AGENT_VARIANTS = {
     "default": {},
-    "no-grouping": {"no_grouping": True},
-    "no-perspective": {"no_perspective": True},
+    "no-grouping": {"grouping": "singletons"},
+    "no-perspective": {"grouping": "pooled"},
     "no-combining": {"no_combining": True},
-    "set-based": {"grouping_mode": "set"},
+    "set-based": {"grouping": "set"},
     "tier-first": {"cascade_order": "tier-then-ucb"},
     "f1": {"f_id": "f1"},
     "f2": {"f_id": "f2"},

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (LinkFunctionSpec, cascade_payoff, expected_cascade_payoff,
-                   link_callables, link_eval)
+                   link_callables)
 from .environment import PerspectiveSchedule, World
 from .errors import ConfigError
 from .estimator import GroupStats, confidence_widths, solve_mle_weighted
@@ -29,7 +29,9 @@ from .grouping import (CameraGraph, DeletionRule, ReconnectPolicy, delete_edges,
                        reconnect, set_based_groups)
 
 CASCADE_ORDERS = ("ucb-desc", "tier-then-ucb")
-GROUPING_MODES = ("graph", "set")
+# How cameras share statistics: graph components, from-scratch set-based
+# components, every camera alone, or all cameras in one pool.
+GROUPINGS = ("graph", "set", "singletons", "pooled")
 
 # Sub-stream tags hung off the run seed.
 _ARRIVAL_TAG = 1
@@ -55,10 +57,8 @@ class AgentConfig:
     f_id: str = "f1"
     reconnect_mode: str = "whole-graph-reset"
     cascade_order: str = "ucb-desc"
-    no_grouping: bool = False
-    no_perspective: bool = False
+    grouping: str = "graph"
     no_combining: bool = False
-    grouping_mode: str = "graph"
     regret_oracle_k: int | None = None   # None: compare against the top-k_max set
 
     def __post_init__(self):
@@ -72,10 +72,8 @@ class AgentConfig:
             raise ConfigError("k_max must be at least 1")
         if self.cascade_order not in CASCADE_ORDERS:
             raise ConfigError(f"unknown cascade order {self.cascade_order!r}")
-        if self.grouping_mode not in GROUPING_MODES:
-            raise ConfigError(f"unknown grouping mode {self.grouping_mode!r}")
-        if self.no_grouping and self.no_perspective:
-            raise ConfigError("no_grouping and no_perspective are mutually exclusive")
+        if self.grouping not in GROUPINGS:
+            raise ConfigError(f"unknown grouping {self.grouping!r}; expected one of {GROUPINGS}")
         # Constructed early so invalid ids/modes fail at config time.
         DeletionRule(self.beta, self.f_id)
         ReconnectPolicy(0.5 if self.p0 is None else self.p0, self.reconnect_mode)
@@ -97,6 +95,12 @@ class RoundRecord:
     bandwidth_spent: float
     edges_deleted: int
     graph_reset: bool
+
+
+def catalog_scores(mu, feats: np.ndarray, theta: np.ndarray, gs: GroupStats,
+                   alpha: float) -> np.ndarray:
+    """Optimistic score mu(x.theta) + alpha * sqrt(x^T M^{-1} x) per catalog row."""
+    return mu(feats @ theta) + alpha * confidence_widths(feats, gs)
 
 
 def plan_cascade(scores: np.ndarray, tier_ranks: np.ndarray, k_max: int, order: str,
@@ -147,28 +151,81 @@ def select_cascade(estimate, group_stats: GroupStats, catalog, k_max: int, alpha
     ``payoff_source``; scores are frozen for the round. Returns (tried, payoffs)."""
     if not catalog:
         raise ValueError("catalog must be non-empty")
-    link = link or LinkFunctionSpec()
+    mu = link_callables(link or LinkFunctionSpec())[0]
     feats = np.array([m.features for m in catalog], dtype=float)
     tier_ranks = np.array([0 if m.tier == "edge" else 1 for m in catalog])
-    scores = link_eval(link, feats @ estimate.theta_hat) \
-        + alpha * confidence_widths(feats, group_stats)
+    scores = catalog_scores(mu, feats, estimate.theta_hat, group_stats, alpha)
     intended = plan_cascade(scores, tier_ranks, k_max, order, rng, random_after_first)
     return execute_cascade(intended, payoff_source)
 
 
-class Agent:
+class _Episode:
+    """What a seed fixes before any decision is made: camera arrivals, the
+    payoff uniforms, each camera's true group as the schedule moves it, and
+    each group's oracle cascade payoff. The agent and the greedy baseline
+    build the same episode, so paired variants face the same world."""
+
+    def __init__(self, world: World, horizon: int, seed: int, oracle_k: int,
+                 schedule: PerspectiveSchedule | None):
+        n, m = world.n_cameras, world.n_models
+        self.world = world
+        self.arrival = np.random.default_rng(
+            np.random.SeedSequence([seed, _ARRIVAL_TAG])).integers(0, n, size=horizon)
+        self.payoff_u = np.random.default_rng(
+            np.random.SeedSequence([seed, _PAYOFF_TAG])).random((horizon, m))
+        self.assignment = world.camera_groups.copy()
+        self.group_probs = np.stack(
+            [world.group_success_probs(g) for g in range(world.n_groups)])
+        ids = np.arange(m)
+        self.oracle_expected = np.array([
+            expected_cascade_payoff(p[np.lexsort((ids, -p))[:min(oracle_k, m)]])
+            for p in self.group_probs])
+        if schedule is not None:
+            schedule.validate_against(world)
+        self.events = schedule.events if schedule is not None else ()
+        self._next_event = 0
+
+    def _advance_schedule(self, t: int):
+        while self._next_event < len(self.events) and self.events[self._next_event][0] <= t:
+            _, cam, grp = self.events[self._next_event]
+            self.assignment[cam] = grp
+            self._next_event += 1
+
+    def _record(self, t, camera, label, tried, payoffs, expected, component_count,
+                edges_deleted=0, graph_reset=False) -> RoundRecord:
+        true_group = int(self.assignment[camera])
+        oracle_expected = float(self.oracle_expected[true_group])
+        return RoundRecord(
+            t=t,
+            camera=camera,
+            inferred_group=label,
+            true_group=true_group,
+            tried_models=tuple(tried),
+            payoffs=tuple(payoffs),
+            aggregate_payoff=cascade_payoff(payoffs),
+            expected_payoff=expected,
+            oracle_expected_payoff=oracle_expected,
+            instantaneous_regret=oracle_expected - expected,
+            component_count=component_count,
+            bandwidth_spent=float(self.world.bandwidth_costs[tried].sum()),
+            edges_deleted=edges_deleted,
+            graph_reset=graph_reset,
+        )
+
+
+class Agent(_Episode):
     """Stateful executor of the selection loop over one world and one seed."""
 
     def __init__(self, config: AgentConfig, world: World, horizon: int, seed: int,
-                 schedule: PerspectiveSchedule | None = None,
-                 initial_graph: CameraGraph | None = None):
+                 schedule: PerspectiveSchedule | None = None):
         if config.k_max > world.n_models:
             raise ConfigError(
                 f"k_max={config.k_max} exceeds the catalog size {world.n_models}")
         if config.p0 is None:
             config = replace(config, p0=derive_p0(seed))
+        super().__init__(world, horizon, seed, config.regret_oracle_k or config.k_max,
+                         schedule)
         self.cfg = config
-        self.world = world
         self.horizon = horizon
         self.seed = seed
         n, m, d = world.n_cameras, world.n_models, world.dimension
@@ -179,101 +236,61 @@ class Agent:
         self.zeta = config.zeta
         self._eye = config.zeta * np.eye(d)
         self._mu = link_callables(config.link)[0]
-
-        self.arrival = np.random.default_rng(
-            np.random.SeedSequence([seed, _ARRIVAL_TAG])).integers(0, n, size=horizon)
-        self.payoff_u = np.random.default_rng(
-            np.random.SeedSequence([seed, _PAYOFF_TAG])).random((horizon, m))
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, _AGENT_TAG]))
 
-        self.assignment = world.camera_groups.copy()
-        self.group_probs = np.stack(
-            [world.group_success_probs(g) for g in range(world.n_groups)])
-        oracle_k = min(config.regret_oracle_k or config.k_max, m)
-        ids = np.arange(m)
-        self.oracle_sets = []
-        self.oracle_expected = np.zeros(world.n_groups)
-        for g in range(world.n_groups):
-            top = np.lexsort((ids, -self.group_probs[g]))[:oracle_k]
-            self.oracle_sets.append(top)
-            self.oracle_expected[g] = expected_cascade_payoff(self.group_probs[g][top])
-        if schedule is not None:
-            schedule.validate_against(world)
-            self.events = schedule.events
-        else:
-            self.events = ()
-        self._next_event = 0
-
-        # Learner state, all indexed by camera.
+        # Learner state, all indexed by camera: per-model tries and successes
+        # are the whole sufficient statistic.
         self.obs_counts = np.zeros((n, m))
         self.obs_success = np.zeros((n, m))
-        self.gramians = np.zeros((n, d, d))
-        self.responses = np.zeros((n, d))
-        self.counts = np.zeros(n, dtype=np.int64)
         self.camera_theta = np.zeros((n, d))
         self.group_theta_cache = {}
-
-        if config.no_perspective or config.grouping_mode == "set":
-            self.graph = None
-        elif config.no_grouping:
-            self.graph = CameraGraph.edgeless(n)
-        elif initial_graph is not None:
-            # e.g. a k-means warm start from offline prior estimates
-            if initial_graph.n != n:
-                raise ConfigError(
-                    f"initial graph covers {initial_graph.n} cameras, world has {n}")
-            self.graph = initial_graph.copy()
-        else:
-            self.graph = CameraGraph.complete(n)
+        self.graph = CameraGraph.complete(n) if config.grouping == "graph" else None
 
         self.time_selection = 0.0
         self.time_grouping = 0.0
         self.time_estimation = 0.0
 
-    def _advance_schedule(self, t: int):
-        while self._next_event < len(self.events) and self.events[self._next_event][0] <= t:
-            _, cam, grp = self.events[self._next_event]
-            self.assignment[cam] = grp
-            self._next_event += 1
+    @property
+    def counts(self) -> np.ndarray:
+        """Feedback count per camera."""
+        return self.obs_counts.sum(axis=1)
+
+    def inferred_labels(self) -> np.ndarray:
+        """Current partition labels under this agent's grouping."""
+        grouping = self.cfg.grouping
+        if grouping == "pooled":
+            return np.zeros(self.world.n_cameras, dtype=int)
+        if grouping == "singletons":
+            return np.arange(self.world.n_cameras)
+        if grouping == "set":
+            return set_based_groups(self.camera_theta, self.counts, self.rule)
+        return self.graph.component_labels()
 
     def _members_for(self, camera: int):
         """(inferred label, member ids, component count) for the current round."""
-        cfg = self.cfg
-        n = self.world.n_cameras
-        if cfg.no_perspective:
-            return 0, np.arange(n), 1
-        if cfg.no_grouping:
-            return camera, np.array([camera]), n
-        if cfg.grouping_mode == "set":
-            labels = set_based_groups(self.camera_theta, self.counts, self.rule)
-            return int(labels[camera]), np.flatnonzero(labels == labels[camera]), \
-                int(np.unique(labels).size)
-        label, members = self.graph.find_group(camera)
-        return label, members, self.graph.component_count()
+        labels = self.inferred_labels()
+        label = int(labels[camera])
+        return label, np.flatnonzero(labels == label), int(np.unique(labels).size)
+
+    def _stats(self, counts: np.ndarray, successes: np.ndarray) -> GroupStats:
+        """zeta*I + F^T diag(c) F, F^T s and the count, from per-model sums."""
+        feats = self.features
+        return GroupStats(gramian_reg=self._eye + (feats.T * counts) @ feats,
+                          response=feats.T @ successes, count=int(counts.sum()),
+                          zeta=self.zeta)
 
     def _group_estimate(self, label: int, members: np.ndarray):
         cg = self.obs_counts[members].sum(axis=0)
         sg = self.obs_success[members].sum(axis=0)
-        gs = GroupStats(
-            gramian_reg=self._eye + self.gramians[members].sum(axis=0),
-            response=self.responses[members].sum(axis=0),
-            count=int(self.counts[members].sum()),
-            zeta=self.zeta,
-        )
+        gs = self._stats(cg, sg)
         est = solve_mle_weighted(gs, self.cfg.link, self.features, cg, sg,
                                  theta0=self.group_theta_cache.get(label))
         self.group_theta_cache[label] = est.theta_hat
         return est, gs
 
     def _refresh_camera_estimate(self, camera: int):
-        gs = GroupStats(
-            gramian_reg=self._eye + self.gramians[camera],
-            response=self.responses[camera],
-            count=int(self.counts[camera]),
-            zeta=self.zeta,
-        )
-        est = solve_mle_weighted(gs, self.cfg.link, self.features,
-                                 self.obs_counts[camera], self.obs_success[camera],
+        c, s = self.obs_counts[camera], self.obs_success[camera]
+        est = solve_mle_weighted(self._stats(c, s), self.cfg.link, self.features, c, s,
                                  theta0=self.camera_theta[camera])
         self.camera_theta[camera] = est.theta_hat
 
@@ -293,8 +310,7 @@ class Agent:
         self.time_estimation += time.perf_counter() - clock
 
         clock = time.perf_counter()
-        scores = self._mu(self.features @ est.theta_hat) \
-            + cfg.alpha * confidence_widths(self.features, gs)
+        scores = catalog_scores(self._mu, self.features, est.theta_hat, gs, cfg.alpha)
         intended = plan_cascade(scores, self.tier_ranks, cfg.k_max, cfg.cascade_order,
                                 rng=self.rng, random_after_first=cfg.no_combining)
         u_row = self.payoff_u[t - 1]
@@ -302,71 +318,40 @@ class Agent:
         tried, payoffs = execute_cascade(intended, lambda m: int(u_row[m] < p_row[m]))
         self.time_selection += time.perf_counter() - clock
 
-        for m, r in zip(tried, payoffs):
-            x = self.features[m]
-            self.obs_counts[camera, m] += 1
-            self.obs_success[camera, m] += r
-            self.gramians[camera] += np.outer(x, x)
-            self.responses[camera] += r * x
-        self.counts[camera] += len(tried)
+        # tried ids are distinct, so fancy-index adds absorb every try
+        self.obs_counts[camera, tried] += 1
+        self.obs_success[camera, tried] += payoffs
 
         edges_deleted = 0
         graph_reset = False
-        if not cfg.no_perspective and not cfg.no_grouping:
+        if cfg.grouping in ("graph", "set"):
             clock = time.perf_counter()
             self._refresh_camera_estimate(camera)
             self.time_estimation += time.perf_counter() - clock
-            if cfg.grouping_mode == "graph":
-                clock = time.perf_counter()
-                before = self.graph.edge_count()
-                delete_edges(self.graph, camera, self.camera_theta, self.counts, self.rule)
-                after_delete = self.graph.edge_count()
-                edges_deleted = before - after_delete
-                reconnect(self.graph, self.reconnect_policy, t, self.rng)
-                graph_reset = self.graph.edge_count() > after_delete
-                self.time_grouping += time.perf_counter() - clock
+        if cfg.grouping == "graph":
+            clock = time.perf_counter()
+            before = self.graph.edge_count()
+            delete_edges(self.graph, camera, self.camera_theta, self.counts, self.rule)
+            after_delete = self.graph.edge_count()
+            edges_deleted = before - after_delete
+            reconnect(self.graph, self.reconnect_policy, t, self.rng)
+            graph_reset = self.graph.edge_count() > after_delete
+            self.time_grouping += time.perf_counter() - clock
 
-        true_group = int(self.assignment[camera])
-        expected = expected_cascade_payoff(p_row[intended])
-        oracle_expected = float(self.oracle_expected[true_group])
-        return RoundRecord(
-            t=t,
-            camera=camera,
-            inferred_group=label,
-            true_group=true_group,
-            tried_models=tuple(tried),
-            payoffs=tuple(payoffs),
-            aggregate_payoff=cascade_payoff(payoffs),
-            expected_payoff=expected,
-            oracle_expected_payoff=oracle_expected,
-            instantaneous_regret=oracle_expected - expected,
-            component_count=component_count,
-            bandwidth_spent=float(self.world.bandwidth_costs[tried].sum()),
-            edges_deleted=edges_deleted,
-            graph_reset=graph_reset,
-        )
+        return self._record(t, camera, label, tried, payoffs,
+                            expected_cascade_payoff(p_row[intended]), component_count,
+                            edges_deleted, graph_reset)
 
     def run(self) -> list[RoundRecord]:
         return [self.step(t) for t in range(1, self.horizon + 1)]
 
-    def inferred_labels(self) -> np.ndarray:
-        """Current partition labels under this agent's grouping mode."""
-        if self.cfg.no_perspective:
-            return np.zeros(self.world.n_cameras, dtype=int)
-        if self.cfg.no_grouping:
-            return np.arange(self.world.n_cameras)
-        if self.cfg.grouping_mode == "set":
-            return set_based_groups(self.camera_theta, self.counts, self.rule)
-        return self.graph.component_labels()
-
 
 def run_agent(config: AgentConfig, world: World, horizon: int, seed: int,
-              schedule: PerspectiveSchedule | None = None,
-              initial_graph: CameraGraph | None = None) -> list[RoundRecord]:
+              schedule: PerspectiveSchedule | None = None) -> list[RoundRecord]:
     """Run one agent for ``horizon`` sequential rounds; horizon 0 is an empty trace."""
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    return Agent(config, world, horizon, seed, schedule, initial_graph).run()
+    return Agent(config, world, horizon, seed, schedule).run()
 
 
 def baseline_greedy(world: World, profile_rounds: int, horizon: int, seed: int,
@@ -382,35 +367,16 @@ def baseline_greedy(world: World, profile_rounds: int, horizon: int, seed: int,
         raise ConfigError(f"profile_rounds must be at least 1, got {profile_rounds}")
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    n, m = world.n_cameras, world.n_models
-    arrival = np.random.default_rng(
-        np.random.SeedSequence([seed, _ARRIVAL_TAG])).integers(0, n, size=horizon)
-    payoff_u = np.random.default_rng(
-        np.random.SeedSequence([seed, _PAYOFF_TAG])).random((horizon, m))
-    assignment = world.camera_groups.copy()
-    group_probs = np.stack([world.group_success_probs(g) for g in range(world.n_groups)])
+    m = world.n_models
+    ep = _Episode(world, horizon, seed, oracle_k, schedule)
     ids = np.arange(m)
-    oracle_k = min(oracle_k, m)
-    oracle_expected = np.array([
-        expected_cascade_payoff(group_probs[g][np.lexsort((ids, -group_probs[g]))[:oracle_k]])
-        for g in range(world.n_groups)])
-    if schedule is not None:
-        schedule.validate_against(world)
-        events = schedule.events
-    else:
-        events = ()
-    next_event = 0
-
     tries = np.zeros(m)
     wins = np.zeros(m)
     committed = None
     records = []
     for t in range(1, horizon + 1):
-        while next_event < len(events) and events[next_event][0] <= t:
-            _, cam, grp = events[next_event]
-            assignment[cam] = grp
-            next_event += 1
-        camera = int(arrival[t - 1])
+        ep._advance_schedule(t)
+        camera = int(ep.arrival[t - 1])
         if t <= profile_rounds:
             model = (t - 1) % m
         else:
@@ -418,18 +384,9 @@ def baseline_greedy(world: World, profile_rounds: int, horizon: int, seed: int,
                 means = wins / np.maximum(tries, 1.0)
                 committed = int(np.lexsort((ids, -means))[0])
             model = committed
-        p_row = group_probs[assignment[camera]]
-        r = int(payoff_u[t - 1, model] < p_row[model])
+        p_row = ep.group_probs[ep.assignment[camera]]
+        r = int(ep.payoff_u[t - 1, model] < p_row[model])
         tries[model] += 1
         wins[model] += r
-        true_group = int(assignment[camera])
-        expected = float(p_row[model])
-        records.append(RoundRecord(
-            t=t, camera=camera, inferred_group=0, true_group=true_group,
-            tried_models=(model,), payoffs=(r,), aggregate_payoff=r,
-            expected_payoff=expected,
-            oracle_expected_payoff=float(oracle_expected[true_group]),
-            instantaneous_regret=float(oracle_expected[true_group]) - expected,
-            component_count=1, bandwidth_spent=float(world.bandwidth_costs[model]),
-            edges_deleted=0, graph_reset=False))
+        records.append(ep._record(t, camera, 0, [model], [r], float(p_row[model]), 1))
     return records

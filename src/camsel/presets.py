@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import LinkFunctionSpec
 from .environment import VisualModel, World, WorldConfig
-from .harness import ExperimentConfig
 from .policy import AgentConfig
 
 CANONICAL_SEEDS = tuple(range(10))
@@ -112,18 +111,3 @@ def timing_world_config(n_cameras: int = 308, n_models: int = 17) -> WorldConfig
     return WorldConfig(n_groups=4, n_cameras=n_cameras, dimension=5, gamma=0.5,
                        n_models=n_models, payoff_mode="bernoulli")
 
-
-def canonical_experiment(horizon: int = 2000, seeds=CANONICAL_SEEDS,
-                         variants=("default",), workers: int = 1,
-                         output_dir=None) -> ExperimentConfig:
-    """Experiment bundle on the generator-based default world (CLI default)."""
-    return ExperimentConfig(
-        agent=canonical_agent_config(),
-        world=WorldConfig(),
-        world_seed=7,
-        variants=variants,
-        horizon=horizon,
-        seeds=seeds,
-        workers=workers,
-        output_dir=output_dir,
-    )

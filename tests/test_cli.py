@@ -72,6 +72,22 @@ def test_runtime_error_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_failed_pairs_exit_2_with_partial_summary(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out_dir = tmp_path / "o"
+    code = main(["--quiet", "run", "--config", str(cfg), "--seeds", "0,1",
+                 "--set", "agent.k_max=25", "--output-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    failed = summary["variants"]["default"]["failed"]
+    assert set(failed) == {"0", "1"}
+    assert all("k_max=25" in msg for msg in failed.values())
+    assert "2 pair(s) failed" in captured.err
+    written = json.loads((out_dir / "run" / "summary.json").read_text())
+    assert written["variants"]["default"]["failed"] == failed
+
+
 def test_override_applies(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     code = main(["--quiet", "run", "--config", str(cfg),

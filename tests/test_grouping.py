@@ -4,8 +4,8 @@ import pytest
 from camsel.errors import ConfigError
 from camsel.grouping import (F_FUNCTIONS, CameraGraph, DeletionRule, ReconnectPolicy,
                              delete_edges, deletion_threshold, find_group,
-                             format_partition, init_graph, kmeans_warm_start,
-                             partition_sets, reconnect, set_based_groups)
+                             format_partition, init_graph, partition_sets, reconnect,
+                             set_based_groups)
 
 RULE = DeletionRule(beta=0.1, f_id="f1")
 
@@ -255,41 +255,6 @@ def test_graph_refines_set_partition(rng):
 def test_partition_dump_format():
     labels = np.array([0, 0, 2, 2, 4])
     assert format_partition(labels) == "0 1\n2 3\n4"
-
-
-def test_kmeans_warm_start(rng):
-    est = np.vstack([rng.standard_normal((4, 2)) * 0.05 + [3, 0],
-                     rng.standard_normal((4, 2)) * 0.05 + [-3, 0]])
-    g = kmeans_warm_start(est, 2, rng)
-    assert g.component_count() == 2
-    assert find_group(g, 0)[1].tolist() == [0, 1, 2, 3]
-    assert find_group(g, 7)[1].tolist() == [4, 5, 6, 7]
-
-    complete = kmeans_warm_start(est, 1, rng)
-    assert complete.edge_count() == 8 * 7 // 2
-
-    singletons = kmeans_warm_start(est, 8, rng)
-    assert singletons.edge_count() == 0
-
-    with pytest.raises(ConfigError):
-        kmeans_warm_start(est, 9, rng)
-
-
-def test_kmeans_matches_exhaustive_two_partition(rng):
-    # <= 8 points: compare against the exhaustive 2-partition minimizing the
-    # within-cluster sum of squares
-    pts = np.vstack([rng.standard_normal((3, 2)) * 0.2 + [2, 2],
-                     rng.standard_normal((3, 2)) * 0.2 + [-2, -2]])
-    best, best_cost = None, np.inf
-    for mask in range(1, 2 ** 6 - 1):
-        a = [i for i in range(6) if mask >> i & 1]
-        b = [i for i in range(6) if not mask >> i & 1]
-        cost = sum(((pts[idx] - pts[idx].mean(axis=0)) ** 2).sum() for idx in (a, b))
-        if cost < best_cost:
-            best_cost, best = cost, (tuple(sorted(a)), tuple(sorted(b)))
-    g = kmeans_warm_start(pts, 2, rng)
-    groups = {tuple(find_group(g, 0)[1].tolist()), tuple(find_group(g, 5)[1].tolist())}
-    assert groups == set(best)
 
 
 def test_graph_adjacency_validation():

@@ -158,7 +158,7 @@ def test_no_grouping_equals_default_on_single_camera():
                                    n_models=6), seed=4)
     base = AgentConfig()
     default_trace = run_agent(base, w, 300, seed=9)
-    solo_trace = run_agent(AgentConfig(no_grouping=True), w, 300, seed=9)
+    solo_trace = run_agent(AgentConfig(grouping="singletons"), w, 300, seed=9)
     for a, b in zip(default_trace, solo_trace):
         assert a.tried_models == b.tried_models
         assert a.payoffs == b.payoffs
@@ -166,13 +166,13 @@ def test_no_grouping_equals_default_on_single_camera():
 
 
 def test_ablation_flags_change_grouping_fields(world):
-    rec = run_agent(AgentConfig(no_grouping=True), world, 50, seed=0)[-1]
+    rec = run_agent(AgentConfig(grouping="singletons"), world, 50, seed=0)[-1]
     assert rec.component_count == world.n_cameras
     assert rec.edges_deleted == 0 and not rec.graph_reset
-    rec = run_agent(AgentConfig(no_perspective=True), world, 50, seed=0)[-1]
+    rec = run_agent(AgentConfig(grouping="pooled"), world, 50, seed=0)[-1]
     assert rec.component_count == 1 and rec.inferred_group == 0
     with pytest.raises(ConfigError):
-        AgentConfig(no_grouping=True, no_perspective=True)
+        AgentConfig(grouping="clusters")
 
 
 def test_no_combining_randomizes_tail(world):
@@ -185,26 +185,9 @@ def test_no_combining_randomizes_tail(world):
 
 
 def test_set_based_mode_runs(world):
-    records = run_agent(AgentConfig(grouping_mode="set"), world, 200, seed=0)
+    records = run_agent(AgentConfig(grouping="set"), world, 200, seed=0)
     assert len(records) == 200
     assert all(r.edges_deleted == 0 for r in records)
-
-
-def test_kmeans_warm_started_graph(world, rng):
-    # prior estimates near the truth give a two-component starting graph
-    from camsel.grouping import kmeans_warm_start
-
-    prior = world.group_thetas[world.camera_groups] \
-        + 0.05 * rng.standard_normal((8, 5))
-    start = kmeans_warm_start(prior, 2, rng)
-    agent = Agent(AgentConfig(), world, 5, seed=0, initial_graph=start)
-    assert agent.graph.component_count() == 2
-    rec = agent.step(1)
-    assert rec.component_count == 2
-    assert len(agent.graph.find_group(0)[1]) <= 4
-    with pytest.raises(ConfigError):
-        Agent(AgentConfig(), world, 5, seed=0,
-              initial_graph=kmeans_warm_start(prior[:5], 2, rng))
 
 
 def test_schedule_changes_true_group(world, agent_config):
