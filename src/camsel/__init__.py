@@ -14,14 +14,14 @@ from .environment import (PerspectiveSchedule, VisualModel, World, WorldConfig,
                           oracle_best_set, sample_camera, sample_payoff, save_world)
 from .errors import ConfigError, GenerationError, NumericError, ScheduleError
 from .estimator import (Estimate, GroupStats, SufficientStats, aggregate_group,
-                        confidence_width, solve_mle, solve_mle_weighted, ucb_score)
+                        confidence_width, solve_mle, solve_mle_weighted)
 from .grouping import (CameraGraph, DeletionRule, ReconnectPolicy, delete_edges,
                        deletion_threshold, find_group, init_graph, reconnect,
                        set_based_groups)
 from .harness import (ExperimentConfig, acceleration_ratio, checkpoints, read_trace,
                       rounds_to_threshold, run_experiment, run_pair, tradeoff_score,
                       write_trace)
-from .policy import Agent, AgentConfig, RoundRecord, baseline_greedy, run_agent, select_cascade
+from .policy import Agent, AgentConfig, RoundRecord, baseline_greedy, run_agent
 from .theory import (TheoryParams, lambda_tilde, regret_bound, theoretical_alpha,
                      theoretical_beta, theory_report, warmup_bound)
 

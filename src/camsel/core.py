@@ -59,13 +59,7 @@ def _check_finite(z):
 
 def link_eval(spec: LinkFunctionSpec, z):
     """Evaluate mu(z). Sigmoid maps to (0,1); clipped-linear clamps z to [0,1]."""
-    arr = _check_finite(z)
-    if spec.kind == "sigmoid":
-        out = expit(arr)
-    elif spec.kind == "identity":
-        out = arr
-    else:
-        out = np.clip(arr, 0.0, 1.0)
+    out = link_callables(spec)[0](_check_finite(z))
     return float(out) if np.isscalar(z) else out
 
 
@@ -75,14 +69,7 @@ def link_derivative(spec: LinkFunctionSpec, z):
     Clipped-linear returns 0 outside its clip interval, which is why it is
     rejected by :func:`link_constants`.
     """
-    arr = _check_finite(z)
-    if spec.kind == "sigmoid":
-        s = expit(arr)
-        out = s * (1.0 - s)
-    elif spec.kind == "identity":
-        out = np.ones_like(arr)
-    else:
-        out = np.where((arr >= 0.0) & (arr <= 1.0), 1.0, 0.0)
+    out = link_callables(spec)[1](_check_finite(z))
     return float(out) if np.isscalar(z) else out
 
 
@@ -104,11 +91,9 @@ def link_constants(spec: LinkFunctionSpec) -> LinkConstants:
 
 
 def link_callables(spec: LinkFunctionSpec):
-    """Unvalidated (mu, mu_prime) pair for hot loops.
-
-    Same values as :func:`link_eval` / :func:`link_derivative` without the
-    per-call finiteness checks; callers guarantee finite inputs.
-    """
+    """Unvalidated (mu, mu_prime) pair for hot loops; callers guarantee
+    finite inputs. :func:`link_eval` and :func:`link_derivative` add the
+    finiteness check."""
     if spec.kind == "sigmoid":
         def mu(z):
             return expit(z)

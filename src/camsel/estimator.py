@@ -1,4 +1,4 @@
-"""Sufficient statistics, penalized GLM estimation via damped Newton, UCB scores.
+"""Sufficient statistics, penalized GLM estimation via damped Newton, confidence widths.
 
 The estimating equation solved here is the zeta-penalized score
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinkFunctionSpec, link_callables, link_eval
+from .core import LinkFunctionSpec, link_callables
 from .errors import NumericError
 
 DEFAULT_TOL = 1e-8
@@ -185,17 +185,3 @@ def confidence_widths(X: np.ndarray, gs: GroupStats) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     solved = np.linalg.solve(gs.gramian_reg, X.T)
     return np.sqrt(np.einsum("ij,ji->i", X, solved))
-
-
-def ucb_score(x: np.ndarray, est: Estimate, gs: GroupStats, alpha: float,
-              link: LinkFunctionSpec) -> float:
-    """Optimistic score mu(x.theta_hat) + alpha * sqrt(x^T M^{-1} x)."""
-    x = np.asarray(x, dtype=float)
-    return float(link_eval(link, float(x @ est.theta_hat)) + alpha * confidence_width(x, gs))
-
-
-def ucb_scores(X: np.ndarray, est: Estimate, gs: GroupStats, alpha: float,
-               link: LinkFunctionSpec) -> np.ndarray:
-    """Vectorized :func:`ucb_score` over catalog rows."""
-    X = np.asarray(X, dtype=float)
-    return link_eval(link, X @ est.theta_hat) + alpha * confidence_widths(X, gs)

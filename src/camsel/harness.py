@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -120,6 +121,7 @@ class RunResult:
     total_bandwidth: float
     timing: dict
     records: list | None = None
+    nonconverged_solves: int = 0    # Newton fits that stopped short of tolerance
 
 
 def _records_arrays(records):
@@ -142,17 +144,22 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
                                   oracle_k=min(oracle_k, world.n_models), schedule=schedule)
         correct = np.zeros(horizon, dtype=bool)
         timing = {"selection": 0.0, "grouping": 0.0, "estimation": 0.0}
+        nonconverged = 0
     else:
         agent = Agent(variant_agent_config(base_agent, variant), world, horizon, seed, schedule)
         records = []
         correct = np.zeros(horizon, dtype=bool)
+        truth, truth_events = None, -1
         for t in range(1, horizon + 1):
             records.append(agent.step(t))
-            correct[t - 1] = np.array_equal(
-                canonical_labels(agent.inferred_labels()),
-                canonical_labels(agent.assignment))
+            if agent.events_applied != truth_events:
+                truth = canonical_labels(agent.assignment)
+                truth_events = agent.events_applied
+            # inferred labels already name each block by its smallest member
+            correct[t - 1] = np.array_equal(agent.inferred_labels(), truth)
         timing = {"selection": agent.time_selection, "grouping": agent.time_grouping,
                   "estimation": agent.time_estimation}
+        nonconverged = agent.nonconverged_solves
     timing["wall"] = time.perf_counter() - wall
     expected, inst, cum, comps, bandwidth = _records_arrays(records)
     if trace_path is not None:
@@ -160,7 +167,8 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
     return RunResult(variant=variant, seed=seed, expected=expected, inst_regret=inst,
                      cum_regret=cum, components=comps, correct=correct,
                      total_bandwidth=bandwidth, timing=timing,
-                     records=records if keep_records else None)
+                     records=records if keep_records else None,
+                     nonconverged_solves=nonconverged)
 
 
 def _run_pair_job(args):
@@ -168,9 +176,10 @@ def _run_pair_job(args):
         return run_pair(*args), None
     except Exception as exc:  # noqa: BLE001 - a failed pair must not kill the sweep
         variant, seed = args[0], args[1]
+        where = traceback.extract_tb(exc.__traceback__)[-1]
         return RunResult(variant, seed, np.zeros(0), np.zeros(0), np.zeros(0),
                          np.zeros(0, dtype=int), np.zeros(0, dtype=bool), 0.0, {}), \
-            f"{type(exc).__name__}: {exc}"
+            f"{type(exc).__name__}: {exc} (at {where.filename}:{where.lineno} in {where.name})"
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +376,7 @@ def run_experiment(cfg: ExperimentConfig, keep_records: bool = False) -> Experim
                 "rounds_to_threshold": rtt,
                 "grouping_correct_round": correct_rounds,
                 "total_bandwidth": [r.total_bandwidth for r in ok],
+                "nonconverged_solves": [r.nonconverged_solves for r in ok],
                 "timing_seconds": {
                     key: float(np.mean([r.timing.get(key, 0.0) for r in ok]))
                     for key in ("selection", "grouping", "estimation", "wall")

@@ -97,6 +97,16 @@ class RoundRecord:
     graph_reset: bool
 
 
+@dataclass(frozen=True)
+class _Fit:
+    """A memoised estimate: whose feedback it fits, how many observations
+    that was, and whether Newton converged on it."""
+    members: np.ndarray
+    count: int
+    theta: np.ndarray
+    converged: bool
+
+
 def catalog_scores(mu, feats: np.ndarray, theta: np.ndarray, gs: GroupStats,
                    alpha: float) -> np.ndarray:
     """Optimistic score mu(x.theta) + alpha * sqrt(x^T M^{-1} x) per catalog row."""
@@ -143,22 +153,6 @@ def execute_cascade(intended, payoff_source):
     return tried, payoffs
 
 
-def select_cascade(estimate, group_stats: GroupStats, catalog, k_max: int, alpha: float,
-                   order: str, payoff_source, rng=None, *,
-                   link: LinkFunctionSpec | None = None,
-                   random_after_first: bool = False):
-    """Rank the whole catalog by UCB score and run the cascade against
-    ``payoff_source``; scores are frozen for the round. Returns (tried, payoffs)."""
-    if not catalog:
-        raise ValueError("catalog must be non-empty")
-    mu = link_callables(link or LinkFunctionSpec())[0]
-    feats = np.array([m.features for m in catalog], dtype=float)
-    tier_ranks = np.array([0 if m.tier == "edge" else 1 for m in catalog])
-    scores = catalog_scores(mu, feats, estimate.theta_hat, group_stats, alpha)
-    intended = plan_cascade(scores, tier_ranks, k_max, order, rng, random_after_first)
-    return execute_cascade(intended, payoff_source)
-
-
 class _Episode:
     """What a seed fixes before any decision is made: camera arrivals, the
     payoff uniforms, each camera's true group as the schedule moves it, and
@@ -183,13 +177,13 @@ class _Episode:
         if schedule is not None:
             schedule.validate_against(world)
         self.events = schedule.events if schedule is not None else ()
-        self._next_event = 0
+        self.events_applied = 0     # the assignment changes only when this grows
 
     def _advance_schedule(self, t: int):
-        while self._next_event < len(self.events) and self.events[self._next_event][0] <= t:
-            _, cam, grp = self.events[self._next_event]
+        while self.events_applied < len(self.events) and self.events[self.events_applied][0] <= t:
+            _, cam, grp = self.events[self.events_applied]
             self.assignment[cam] = grp
-            self._next_event += 1
+            self.events_applied += 1
 
     def _record(self, t, camera, label, tried, payoffs, expected, component_count,
                 edges_deleted=0, graph_reset=False) -> RoundRecord:
@@ -243,8 +237,11 @@ class Agent(_Episode):
         self.obs_counts = np.zeros((n, m))
         self.obs_success = np.zeros((n, m))
         self.camera_theta = np.zeros((n, d))
-        self.group_theta_cache = {}
+        self._fits = {}
+        self.nonconverged_solves = 0
         self.graph = CameraGraph.complete(n) if config.grouping == "graph" else None
+        self.labels = np.zeros(n, dtype=int) if config.grouping == "pooled" else np.arange(n)
+        self._regroup()
 
         self.time_selection = 0.0
         self.time_grouping = 0.0
@@ -256,19 +253,20 @@ class Agent(_Episode):
         return self.obs_counts.sum(axis=1)
 
     def inferred_labels(self) -> np.ndarray:
-        """Current partition labels under this agent's grouping."""
-        grouping = self.cfg.grouping
-        if grouping == "pooled":
-            return np.zeros(self.world.n_cameras, dtype=int)
-        if grouping == "singletons":
-            return np.arange(self.world.n_cameras)
-        if grouping == "set":
-            return set_based_groups(self.camera_theta, self.counts, self.rule)
-        return self.graph.component_labels()
+        """This round's partition labels, each block labeled by its smallest member id."""
+        return self.labels
+
+    def _regroup(self):
+        """Recompute the partition of the graph and set groupings from the
+        current graph and camera estimates; the other two never change."""
+        if self.cfg.grouping == "set":
+            self.labels = set_based_groups(self.camera_theta, self.counts, self.rule)
+        elif self.cfg.grouping == "graph":
+            self.labels = self.graph.component_labels()
 
     def _members_for(self, camera: int):
         """(inferred label, member ids, component count) for the current round."""
-        labels = self.inferred_labels()
+        labels = self.labels
         label = int(labels[camera])
         return label, np.flatnonzero(labels == label), int(np.unique(labels).size)
 
@@ -279,20 +277,26 @@ class Agent(_Episode):
                           response=feats.T @ successes, count=int(counts.sum()),
                           zeta=self.zeta)
 
-    def _group_estimate(self, label: int, members: np.ndarray):
+    def _fit(self, label: int, members: np.ndarray):
+        """(theta, group stats) of the members' pooled feedback.
+
+        The memo keeps the last fit made under each label. Counts only grow,
+        so the same members with the same total count hold the same data and
+        a converged fit of it is reused; otherwise the solve warm-starts from
+        the label's last theta.
+        """
         cg = self.obs_counts[members].sum(axis=0)
         sg = self.obs_success[members].sum(axis=0)
         gs = self._stats(cg, sg)
+        last = self._fits.get(label)
+        if (last is not None and last.converged and last.count == gs.count
+                and np.array_equal(last.members, members)):
+            return last.theta, gs
         est = solve_mle_weighted(gs, self.cfg.link, self.features, cg, sg,
-                                 theta0=self.group_theta_cache.get(label))
-        self.group_theta_cache[label] = est.theta_hat
-        return est, gs
-
-    def _refresh_camera_estimate(self, camera: int):
-        c, s = self.obs_counts[camera], self.obs_success[camera]
-        est = solve_mle_weighted(self._stats(c, s), self.cfg.link, self.features, c, s,
-                                 theta0=self.camera_theta[camera])
-        self.camera_theta[camera] = est.theta_hat
+                                 theta0=None if last is None else last.theta)
+        self.nonconverged_solves += not est.converged
+        self._fits[label] = _Fit(members, gs.count, est.theta_hat, est.converged)
+        return est.theta_hat, gs
 
     def step(self, t: int) -> RoundRecord:
         if t < 1:
@@ -306,11 +310,11 @@ class Agent(_Episode):
         self.time_grouping += time.perf_counter() - clock
 
         clock = time.perf_counter()
-        est, gs = self._group_estimate(label, members)
+        theta, gs = self._fit(label, members)
         self.time_estimation += time.perf_counter() - clock
 
         clock = time.perf_counter()
-        scores = catalog_scores(self._mu, self.features, est.theta_hat, gs, cfg.alpha)
+        scores = catalog_scores(self._mu, self.features, theta, gs, cfg.alpha)
         intended = plan_cascade(scores, self.tier_ranks, cfg.k_max, cfg.cascade_order,
                                 rng=self.rng, random_after_first=cfg.no_combining)
         u_row = self.payoff_u[t - 1]
@@ -326,16 +330,17 @@ class Agent(_Episode):
         graph_reset = False
         if cfg.grouping in ("graph", "set"):
             clock = time.perf_counter()
-            self._refresh_camera_estimate(camera)
+            self.camera_theta[camera] = self._fit(camera, np.array([camera]))[0]
             self.time_estimation += time.perf_counter() - clock
-        if cfg.grouping == "graph":
             clock = time.perf_counter()
-            before = self.graph.edge_count()
-            delete_edges(self.graph, camera, self.camera_theta, self.counts, self.rule)
-            after_delete = self.graph.edge_count()
-            edges_deleted = before - after_delete
-            reconnect(self.graph, self.reconnect_policy, t, self.rng)
-            graph_reset = self.graph.edge_count() > after_delete
+            if cfg.grouping == "graph":
+                before = self.graph.edge_count()
+                delete_edges(self.graph, camera, self.camera_theta, self.counts, self.rule)
+                after_delete = self.graph.edge_count()
+                edges_deleted = before - after_delete
+                reconnect(self.graph, self.reconnect_policy, t, self.rng)
+                graph_reset = self.graph.edge_count() > after_delete
+            self._regroup()
             self.time_grouping += time.perf_counter() - clock
 
         return self._record(t, camera, label, tried, payoffs,

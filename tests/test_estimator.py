@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from camsel.core import LinkFunctionSpec, link_eval
-from camsel.estimator import (Estimate, GroupStats, SufficientStats, aggregate_group,
+from camsel.core import LinkFunctionSpec, link_callables, link_eval
+from camsel.estimator import (GroupStats, SufficientStats, aggregate_group,
                               confidence_width, confidence_widths, solve_mle,
-                              solve_mle_weighted, ucb_score, ucb_scores, update_stats)
+                              solve_mle_weighted, update_stats)
+from camsel.policy import catalog_scores
 
 SIGMOID = LinkFunctionSpec("sigmoid")
 IDENTITY = LinkFunctionSpec("identity")
+SIGMOID_MU = link_callables(SIGMOID)[0]
 
 
 def _stats_from(X, r, zeta=1.0):
@@ -221,11 +223,11 @@ def test_widths_shrink_under_updates(rng):
 
 def test_ucb_score_cold_start():
     gs = aggregate_group([], zeta=1.0, dim=2)
-    est = Estimate(np.zeros(2), True, 0, 0.0)
-    x = np.array([1.0, 0.0])
-    assert ucb_score(x, est, gs, alpha=0.25, link=SIGMOID) == pytest.approx(0.75)
-    assert ucb_score(x, est, gs, alpha=0.0, link=SIGMOID) == pytest.approx(0.5)
-    assert ucb_score(np.zeros(2), est, gs, alpha=5.0, link=SIGMOID) == pytest.approx(0.5)
+    catalog = np.array([[1.0, 0.0], [0.0, 0.0]])
+    theta = np.zeros(2)
+    assert catalog_scores(SIGMOID_MU, catalog, theta, gs, 0.25) == pytest.approx([0.75, 0.5])
+    assert catalog_scores(SIGMOID_MU, catalog, theta, gs, 0.0) == pytest.approx([0.5, 0.5])
+    assert catalog_scores(SIGMOID_MU, catalog[1:], theta, gs, 5.0) == pytest.approx([0.5])
 
 
 def test_ucb_scores_vectorized_consistent(rng):
@@ -233,8 +235,9 @@ def test_ucb_scores_vectorized_consistent(rng):
     gs = _stats_from(X, r)
     est = solve_mle(gs, SIGMOID, X, r)
     catalog = rng.standard_normal((7, 3))
-    batch = ucb_scores(catalog, est, gs, 0.25, SIGMOID)
-    single = [ucb_score(x, est, gs, 0.25, SIGMOID) for x in catalog]
+    batch = catalog_scores(SIGMOID_MU, catalog, est.theta_hat, gs, 0.25)
+    single = [link_eval(SIGMOID, float(x @ est.theta_hat)) + 0.25 * confidence_width(x, gs)
+              for x in catalog]
     assert np.allclose(batch, single)
     assert confidence_widths(catalog, gs) == pytest.approx(
         [confidence_width(x, gs) for x in catalog])
@@ -246,7 +249,7 @@ def test_argmax_invariance(rng):
         gs = _stats_from(X, r)
         est = solve_mle(gs, SIGMOID, X, r)
         catalog = rng.standard_normal((9, 3))
-        scores = ucb_scores(catalog, est, gs, 0.25, SIGMOID)
+        scores = catalog_scores(SIGMOID_MU, catalog, est.theta_hat, gs, 0.25)
         assert np.argmax(scores) == np.argmax(2.5 * scores)
         assert np.argmax(scores) == np.argmax(scores + 0.7)
 

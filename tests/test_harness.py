@@ -32,6 +32,7 @@ def test_smallest_run(tmp_path):
     assert summary["schema_version"] == 1
     assert summary["checkpoints"] == [10]
     assert len(summary["variants"]["default"]["cum_regret_mean"]) == 1
+    assert summary["variants"]["default"]["nonconverged_solves"] == [0]
 
 
 def test_paired_streams_across_variants():
@@ -166,7 +167,9 @@ def test_failed_pair_recorded_not_fatal(monkeypatch, tmp_path):
     result = run_experiment(cfg)
     assert ("default", 0) in result.runs
     assert ("greedy", 0) not in result.runs
-    assert "synthetic failure" in result.summary["variants"]["greedy"]["failed"]["0"]
+    message = result.summary["variants"]["greedy"]["failed"]["0"]
+    assert message.startswith("RuntimeError: synthetic failure (at ")
+    assert message.endswith(" in boom)") and "test_harness.py:" in message
     monkeypatch.setattr(harness, "baseline_greedy", original)
 
 
@@ -193,6 +196,33 @@ def test_config_validation():
         _cfg(window=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(agent=AgentConfig(), world=None, world_path=None)
+
+
+@pytest.mark.parametrize("variant", ["default", "set-based"])
+def test_correct_column_matches_hand_stepped_agent(variant):
+    from dataclasses import replace
+
+    from camsel.environment import PerspectiveSchedule
+    from camsel.harness import variant_agent_config
+    from camsel.policy import Agent
+    from camsel.presets import canonical_agent_config
+
+    # Every camera starts in group A and camera 0 moves to B at t = 100; at
+    # beta = 1 both groupings match the true partition before and after the
+    # move on seed 0, so the column holds both values.
+    events = ((100, 0, 1), (200, 5, 0))
+    world = canonical_world().with_camera_groups(np.zeros(8, dtype=int))
+    base = replace(canonical_agent_config(), beta=1.0)
+    res = run_pair(variant, 0, world, base, 300, schedule_events=events)
+    agent = Agent(variant_agent_config(base, variant), world, 300, 0,
+                  PerspectiveSchedule(events))
+    expected = []
+    for t in range(1, 301):
+        agent.step(t)
+        expected.append(np.array_equal(canonical_labels(agent.inferred_labels()),
+                                       canonical_labels(agent.assignment)))
+    assert res.correct.tolist() == expected
+    assert any(expected[:99]) and any(expected[100:])
 
 
 def test_canonical_labels():

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from camsel.core import LinkFunctionSpec, expected_cascade_payoff
+from camsel.core import LinkFunctionSpec, expected_cascade_payoff, link_callables
 from camsel.environment import (PerspectiveSchedule, VisualModel, World, WorldConfig,
                                 generate_world, oracle_best_set)
 from camsel.errors import ConfigError
-from camsel.estimator import Estimate, GroupStats, aggregate_group
-from camsel.policy import (Agent, AgentConfig, baseline_greedy, derive_p0,
-                           execute_cascade, plan_cascade, run_agent, select_cascade)
+from camsel.estimator import GroupStats, aggregate_group
+from camsel.harness import canonical_labels
+from camsel.policy import (GROUPINGS, Agent, AgentConfig, baseline_greedy, catalog_scores,
+                           derive_p0, execute_cascade, plan_cascade, run_agent)
 
 
 def _tiny_world(mus, tiers=None, link="identity"):
@@ -52,24 +55,27 @@ def test_execute_cascade_stops_at_first_success():
     assert payoffs == [0, 0]
 
 
-def test_select_cascade_first_success_and_exhaustion():
+def _plan_and_run(world, k_max, payoff_source):
+    """Score a tiny world's catalog at the true theta with alpha = 0, then
+    plan and run the cascade the way Agent.step does."""
+    gs = aggregate_group([], zeta=1.0, dim=2)
+    mu = link_callables(world.link)[0]
+    scores = catalog_scores(mu, world.features, np.array([1.0, 0.0]), gs, 0.0)
+    tiers = (world.tiers == "cloud").astype(int)
+    return execute_cascade(plan_cascade(scores, tiers, k_max, "ucb-desc"), payoff_source)
+
+
+def test_scored_cascade_first_success_and_exhaustion():
     world = _tiny_world([0.9, 0.5, 0.2])
-    gs = aggregate_group([], zeta=1.0, dim=2)
-    est = Estimate(np.array([1.0, 0.0]), True, 0, 0.0)
-    tried, payoffs = select_cascade(est, gs, world.catalog, 3, 0.0, "ucb-desc",
-                                    lambda m: 1, link=world.link)
+    tried, payoffs = _plan_and_run(world, 3, lambda m: 1)
     assert tried == [0] and payoffs == [1]
-    tried, payoffs = select_cascade(est, gs, world.catalog, 2, 0.0, "ucb-desc",
-                                    lambda m: 0, link=world.link)
-    assert len(tried) == 2 and payoffs == [0, 0]
+    tried, payoffs = _plan_and_run(world, 2, lambda m: 0)
+    assert tried == [0, 1] and payoffs == [0, 0]
 
 
-def test_select_cascade_tie_break_edge_first():
+def test_scored_cascade_tie_break_edge_first():
     world = _tiny_world([0.5, 0.5], tiers=["cloud", "edge"])
-    gs = aggregate_group([], zeta=1.0, dim=2)
-    est = Estimate(np.array([1.0, 0.0]), True, 0, 0.0)
-    tried, _ = select_cascade(est, gs, world.catalog, 1, 0.0, "ucb-desc",
-                              lambda m: 1, link=world.link)
+    tried, _ = _plan_and_run(world, 1, lambda m: 1)
     assert tried == [1]
 
 
@@ -98,8 +104,7 @@ def test_oracle_informed_zero_regret(world, agent_config, monkeypatch):
 
     def informed(label, members):
         theta = world.group_thetas[world.camera_groups[agent.arrival[agent._t - 1]]]
-        gs = GroupStats(np.eye(5), np.zeros(5), 0, 1.0)
-        return Estimate(theta, True, 0, 0.0), gs
+        return theta, GroupStats(np.eye(5), np.zeros(5), 0, 1.0)
 
     original_step = agent.step
 
@@ -107,12 +112,37 @@ def test_oracle_informed_zero_regret(world, agent_config, monkeypatch):
         agent._t = t
         return original_step(t)
 
-    monkeypatch.setattr(agent, "_group_estimate", informed)
+    monkeypatch.setattr(agent, "_fit", informed)
     monkeypatch.setattr(agent, "step", step_with_truth)
     for t in range(1, 301):
         rec = agent.step(t)
         assert rec.instantaneous_regret == pytest.approx(0.0, abs=1e-12)
         assert rec.tried_models[0] == oracle_best_set(world, rec.camera, 1)[0]
+
+
+def test_fit_memo_skips_repeats_but_never_reuses_unconverged(world, agent_config,
+                                                             monkeypatch):
+    import camsel.policy as policy
+
+    real = policy.solve_mle_weighted
+    calls = []
+
+    def counted(*args, converged=True, **kwargs):
+        calls.append(1)
+        return replace(real(*args, **kwargs), converged=converged)
+
+    monkeypatch.setattr(policy, "solve_mle_weighted", counted)
+    agent = Agent(agent_config, world, 200, seed=0)
+    agent.run()
+    assert len(calls) < 400 and agent.nonconverged_solves == 0
+
+    # graph grouping makes a group fit and a camera refit each round
+    calls.clear()
+    monkeypatch.setattr(policy, "solve_mle_weighted",
+                        lambda *args, **kwargs: counted(*args, converged=False, **kwargs))
+    agent = Agent(agent_config, world, 200, seed=0)
+    agent.run()
+    assert len(calls) == 400 and agent.nonconverged_solves == 400
 
 
 def test_determinism_identical_traces(world, agent_config):
@@ -188,6 +218,15 @@ def test_set_based_mode_runs(world):
     records = run_agent(AgentConfig(grouping="set"), world, 200, seed=0)
     assert len(records) == 200
     assert all(r.edges_deleted == 0 for r in records)
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
+def test_inferred_labels_are_canonical_after_every_step(world, grouping):
+    agent = Agent(AgentConfig(grouping=grouping), world, 150, seed=4)
+    for t in range(1, 151):
+        agent.step(t)
+        labels = agent.inferred_labels()
+        assert np.array_equal(labels, canonical_labels(labels)), (grouping, t)
 
 
 def test_schedule_changes_true_group(world, agent_config):
