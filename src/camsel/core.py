@@ -92,26 +92,27 @@ def link_constants(spec: LinkFunctionSpec) -> LinkConstants:
 
 def link_callables(spec: LinkFunctionSpec):
     """Unvalidated (mu, mu_prime) pair for hot loops; callers guarantee
-    finite inputs. :func:`link_eval` and :func:`link_derivative` add the
-    finiteness check."""
+    finite inputs. ``mu_prime(z, m)`` may be handed ``m = mu(z)`` when the
+    caller has it, so the sigmoid is not evaluated twice at one point.
+    :func:`link_eval` and :func:`link_derivative` add the finiteness check."""
     if spec.kind == "sigmoid":
         def mu(z):
             return expit(z)
 
-        def mu_prime(z):
-            s = expit(z)
+        def mu_prime(z, m=None):
+            s = expit(z) if m is None else m
             return s * (1.0 - s)
     elif spec.kind == "identity":
         def mu(z):
             return z
 
-        def mu_prime(z):
+        def mu_prime(z, m=None):
             return np.ones_like(z)
     else:
         def mu(z):
             return np.clip(z, 0.0, 1.0)
 
-        def mu_prime(z):
+        def mu_prime(z, m=None):
             return np.where((z >= 0.0) & (z <= 1.0), 1.0, 0.0)
     return mu, mu_prime
 
@@ -131,9 +132,7 @@ def cascade_payoff(payoffs) -> int:
 
 def expected_cascade_payoff(success_probs) -> float:
     """Expected aggregate payoff 1 - prod(1 - p_k) of independent attempts."""
-    probs = np.asarray(list(success_probs), dtype=float)
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
+    probs = np.asarray(success_probs, dtype=float)
+    if any(p < 0.0 or p > 1.0 for p in probs.tolist()):
         raise ValueError("success probabilities must lie in [0, 1]")
-    if probs.size == 0:
-        return 0.0
-    return float(1.0 - np.prod(1.0 - probs))
+    return float(1.0 - np.multiply.reduce(1.0 - probs))

@@ -63,7 +63,9 @@ class ReconnectPolicy:
 
 
 class CameraGraph:
-    """Undirected graph over cameras 0..n-1 with lazily cached components."""
+    """Undirected graph over cameras 0..n-1 with lazily cached components and
+    a kept edge count. Mutate it through its methods; after writing ``adj``
+    directly, call :meth:`_invalidate`."""
 
     def __init__(self, n: int, adjacency: np.ndarray | None = None):
         if n < 1:
@@ -79,7 +81,7 @@ class CameraGraph:
                 raise ValueError("adjacency must be symmetric")
         np.fill_diagonal(adjacency, False)
         self.adj = adjacency
-        self._labels = None
+        self._invalidate()
 
     @classmethod
     def complete(cls, n: int) -> "CameraGraph":
@@ -91,7 +93,7 @@ class CameraGraph:
         return cls(n)
 
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        return self._edges
 
     def has_edge(self, a: int, b: int) -> bool:
         return bool(self.adj[a, b])
@@ -100,6 +102,8 @@ class CameraGraph:
         return np.flatnonzero(self.adj[camera])
 
     def _invalidate(self):
+        """Recount the edges and drop the cached components."""
+        self._edges = int(np.count_nonzero(self.adj)) // 2
         self._labels = None
 
     def component_labels(self) -> np.ndarray:
@@ -121,13 +125,23 @@ class CameraGraph:
 
     def remove_edges(self, camera: int, targets: np.ndarray):
         if len(targets):
+            degree = np.count_nonzero(self.adj[camera])
             self.adj[camera, targets] = False
             self.adj[targets, camera] = False
+            self._edges -= int(degree - np.count_nonzero(self.adj[camera]))
+            self._labels = None
+
+    def restore_edges(self, rows: np.ndarray, cols: np.ndarray):
+        """Add the undirected edges (rows[i], cols[i]), i != j."""
+        if len(rows):
+            self.adj[rows, cols] = True
+            self.adj[cols, rows] = True
             self._invalidate()
 
     def reset_complete(self):
         self.adj[:] = True
         np.fill_diagonal(self.adj, False)
+        self._edges = self.n * (self.n - 1) // 2
         self._labels = None
 
 
@@ -190,11 +204,7 @@ def reconnect(graph: CameraGraph, policy: ReconnectPolicy, t: int, rng) -> Camer
     np.fill_diagonal(missing, False)
     iu = np.triu_indices(graph.n, k=1)
     restore = missing[iu] & (rng.random(iu[0].size) < p)
-    if restore.any():
-        rows, cols = iu[0][restore], iu[1][restore]
-        graph.adj[rows, cols] = True
-        graph.adj[cols, rows] = True
-        graph._invalidate()
+    graph.restore_edges(iu[0][restore], iu[1][restore])
     return graph
 
 

@@ -149,14 +149,19 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
         agent = Agent(variant_agent_config(base_agent, variant), world, horizon, seed, schedule)
         records = []
         correct = np.zeros(horizon, dtype=bool)
-        truth, truth_events = None, -1
+        truth, truth_events, inferred, match = None, -1, None, False
         for t in range(1, horizon + 1):
             records.append(agent.step(t))
             if agent.events_applied != truth_events:
                 truth = canonical_labels(agent.assignment)
-                truth_events = agent.events_applied
-            # inferred labels already name each block by its smallest member
-            correct[t - 1] = np.array_equal(agent.inferred_labels(), truth)
+                truth_events, inferred = agent.events_applied, None
+            # a new partition is a new array, so the comparison is redone only
+            # when the partition or the truth changed; inferred labels already
+            # name each block by its smallest member
+            labels = agent.inferred_labels()
+            if labels is not inferred:
+                inferred, match = labels, np.array_equal(labels, truth)
+            correct[t - 1] = match
         timing = {"selection": agent.time_selection, "grouping": agent.time_grouping,
                   "estimation": agent.time_estimation}
         nonconverged = agent.nonconverged_solves

@@ -99,10 +99,10 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class _Fit:
-    """A memoised estimate: whose feedback it fits, how many observations
-    that was, and whether Newton converged on it."""
+    """A memoised estimate: whose feedback it fits, the statistics of that
+    feedback (``stats.count`` observations), and whether Newton converged."""
     members: np.ndarray
-    count: int
+    stats: GroupStats
     theta: np.ndarray
     converged: bool
 
@@ -233,12 +233,15 @@ class Agent(_Episode):
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, _AGENT_TAG]))
 
         # Learner state, all indexed by camera: per-model tries and successes
-        # are the whole sufficient statistic.
+        # are the whole sufficient statistic; ``counts`` keeps their row sums.
         self.obs_counts = np.zeros((n, m))
         self.obs_success = np.zeros((n, m))
+        self.counts = np.zeros(n)
         self.camera_theta = np.zeros((n, d))
+        self._theta0 = np.zeros(d)
         self._fits = {}
         self.nonconverged_solves = 0
+        self._ids = np.arange(n)
         self.graph = CameraGraph.complete(n) if config.grouping == "graph" else None
         self.labels = np.zeros(n, dtype=int) if config.grouping == "pooled" else np.arange(n)
         self._regroup()
@@ -247,35 +250,26 @@ class Agent(_Episode):
         self.time_grouping = 0.0
         self.time_estimation = 0.0
 
-    @property
-    def counts(self) -> np.ndarray:
-        """Feedback count per camera."""
-        return self.obs_counts.sum(axis=1)
-
     def inferred_labels(self) -> np.ndarray:
         """This round's partition labels, each block labeled by its smallest member id."""
         return self.labels
 
     def _regroup(self):
         """Recompute the partition of the graph and set groupings from the
-        current graph and camera estimates; the other two never change."""
+        current graph and camera estimates (the other two never change), and
+        its component count."""
         if self.cfg.grouping == "set":
             self.labels = set_based_groups(self.camera_theta, self.counts, self.rule)
         elif self.cfg.grouping == "graph":
             self.labels = self.graph.component_labels()
+        # each block is labeled by its smallest member, which labels itself
+        self.component_count = int(np.count_nonzero(self.labels == self._ids))
 
     def _members_for(self, camera: int):
         """(inferred label, member ids, component count) for the current round."""
         labels = self.labels
         label = int(labels[camera])
-        return label, np.flatnonzero(labels == label), int(np.unique(labels).size)
-
-    def _stats(self, counts: np.ndarray, successes: np.ndarray) -> GroupStats:
-        """zeta*I + F^T diag(c) F, F^T s and the count, from per-model sums."""
-        feats = self.features
-        return GroupStats(gramian_reg=self._eye + (feats.T * counts) @ feats,
-                          response=feats.T @ successes, count=int(counts.sum()),
-                          zeta=self.zeta)
+        return label, np.flatnonzero(labels == label), self.component_count
 
     def _fit(self, label: int, members: np.ndarray):
         """(theta, group stats) of the members' pooled feedback.
@@ -283,20 +277,30 @@ class Agent(_Episode):
         The memo keeps the last fit made under each label. Counts only grow,
         so the same members with the same total count hold the same data and
         a converged fit of it is reused; otherwise the solve warm-starts from
-        the label's last theta.
+        the label's last theta. That theta is always a converged one (or the
+        cold start): a fit that stops short of tolerance is not used, for its
+        own round or as a warm start, and the label keeps its last theta.
         """
-        cg = self.obs_counts[members].sum(axis=0)
-        sg = self.obs_success[members].sum(axis=0)
-        gs = self._stats(cg, sg)
+        single = members.size == 1
+        count = int(self.counts[members[0]] if single else self.counts[members].sum())
         last = self._fits.get(label)
-        if (last is not None and last.converged and last.count == gs.count
+        if (last is not None and last.converged and last.stats.count == count
                 and np.array_equal(last.members, members)):
-            return last.theta, gs
-        est = solve_mle_weighted(gs, self.cfg.link, self.features, cg, sg,
-                                 theta0=None if last is None else last.theta)
+            return last.theta, last.stats
+        if single:      # the camera's own rows, read in place
+            cg, sg = self.obs_counts[members[0]], self.obs_success[members[0]]
+        else:
+            cg = self.obs_counts[members].sum(axis=0)
+            sg = self.obs_success[members].sum(axis=0)
+        feats = self.features
+        gs = GroupStats(gramian_reg=self._eye + (feats.T * cg) @ feats,
+                        response=feats.T @ sg, count=count, zeta=self.zeta)
+        start = self._theta0 if last is None else last.theta
+        est = solve_mle_weighted(gs, self.cfg.link, feats, cg, sg, theta0=start)
+        theta = est.theta_hat if est.converged else start
         self.nonconverged_solves += not est.converged
-        self._fits[label] = _Fit(members, gs.count, est.theta_hat, est.converged)
-        return est.theta_hat, gs
+        self._fits[label] = _Fit(members, gs, theta, est.converged)
+        return theta, gs
 
     def step(self, t: int) -> RoundRecord:
         if t < 1:
@@ -325,6 +329,7 @@ class Agent(_Episode):
         # tried ids are distinct, so fancy-index adds absorb every try
         self.obs_counts[camera, tried] += 1
         self.obs_success[camera, tried] += payoffs
+        self.counts[camera] += len(tried)
 
         edges_deleted = 0
         graph_reset = False

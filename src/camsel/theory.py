@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError
 
@@ -64,6 +63,8 @@ def lambda_tilde(lambda_min: float, sigma: float, K: int) -> float:
         raise ValueError(f"K must be at least 1, got {K}")
     if sigma == 0.0:
         return float(lambda_min)
+    # imported here: scipy.integrate adds a fifth of a second to `import camsel`
+    from scipy.integrate import quad
 
     def integrand(x):
         return (1.0 - math.exp(-((lambda_min - x) ** 2) / (2.0 * sigma * sigma))) ** K

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from camsel.core import LinkFunctionSpec, link_callables, link_eval
-from camsel.estimator import (GroupStats, SufficientStats, aggregate_group,
+from camsel.estimator import (MAX_HALVINGS, GroupStats, SufficientStats, aggregate_group,
                               confidence_width, confidence_widths, solve_mle,
                               solve_mle_weighted, update_stats)
 from camsel.policy import catalog_scores
@@ -271,3 +271,70 @@ def test_estimation_consistency(rng):
         if est.converged and np.linalg.norm(est.theta_hat - theta) < 0.1:
             hits += 1
     assert hits >= 95
+
+
+def _reference_newton(feats, weights, resp_sums, zeta, link, theta0, tol=1e-8, max_iter=100):
+    """The damped Newton loop written plainly: np.linalg.solve, the score and
+    the slope each recomputed from theta."""
+    mu, mu_prime = link_callables(link)
+    theta = np.zeros(feats.shape[1]) if theta0 is None else np.array(theta0, dtype=float)
+
+    def score(th):
+        return feats.T @ (resp_sums - weights * mu(feats @ th)) - zeta * th
+
+    g = score(theta)
+    gnorm = np.linalg.norm(g)
+    iters = 0
+    while gnorm > tol and iters < max_iter:
+        hess = zeta * np.eye(theta.size) + \
+            (feats * (weights * mu_prime(feats @ theta))[:, None]).T @ feats
+        delta = np.linalg.solve(hess, g)
+        step = 1.0
+        for _ in range(MAX_HALVINGS):
+            cand = theta + step * delta
+            gn = np.linalg.norm(score(cand))
+            if np.isfinite(gn) and gn < gnorm:
+                break
+            step *= 0.5
+        else:
+            break
+        theta, g, gnorm = cand, score(cand), gn
+        iters += 1
+    return theta, iters, gnorm <= tol
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "identity", "clipped-linear"])
+def test_lapack_newton_and_widths_match_reference(rng, kind):
+    link = LinkFunctionSpec(kind)
+    iterated = 0
+    for _ in range(40):
+        feats = rng.random((20, 5)) / 2.0
+        counts = rng.integers(0, 15, 20).astype(float)
+        succ = np.floor(rng.random(20) * (counts + 1))
+        gs = GroupStats(np.eye(5) + (feats.T * counts) @ feats, feats.T @ succ,
+                        int(counts.sum()), 1.0)
+        mask = counts > 0
+        cold = solve_mle_weighted(gs, link, feats, counts, succ)
+        for theta0 in (None, cold.theta_hat + rng.normal(0.0, 0.3, 5)):
+            est = solve_mle_weighted(gs, link, feats, counts, succ, theta0=theta0)
+            theta, iters, converged = _reference_newton(
+                feats[mask], counts[mask], succ[mask], 1.0, link, theta0)
+            assert (est.iterations, est.converged) == (iters, converged)
+            assert np.max(np.abs(est.theta_hat - theta)) <= 1e-12
+            iterated += iters > 0
+        reference = np.sqrt(np.einsum("ij,ji->i", feats, np.linalg.solve(gs.gramian_reg, feats.T)))
+        assert np.max(np.abs(confidence_widths(feats, gs) - reference)) <= 1e-12
+    assert iterated >= 40
+
+
+def test_singular_systems_raise():
+    gs = GroupStats(np.zeros((2, 2)), np.zeros(2), 0, 1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        confidence_widths(np.eye(2), gs)
+    with pytest.raises(np.linalg.LinAlgError):
+        confidence_width(np.ones(2), gs)
+    # zeta = 0 and one observed row leave the Newton system rank one
+    unpenalized = GroupStats(np.zeros((2, 2)), np.array([1.0, 0.0]), 1, 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_mle_weighted(unpenalized, IDENTITY, np.array([[1.0, 0.0]]), np.ones(1),
+                           np.ones(1))

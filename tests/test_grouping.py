@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camsel.errors import ConfigError
 from camsel.grouping import (F_FUNCTIONS, CameraGraph, DeletionRule, ReconnectPolicy,
-                             delete_edges, deletion_threshold, find_group,
+                             _min_labels, delete_edges, deletion_threshold, find_group,
                              format_partition, init_graph, partition_sets, reconnect,
                              set_based_groups)
 
@@ -264,3 +266,33 @@ def test_graph_adjacency_validation():
     asym[0, 1] = True
     with pytest.raises(ValueError):
         CameraGraph(3, asym)
+
+
+_GRAPH_OPS = st.lists(st.one_of(
+    st.tuples(st.just("remove"), st.integers(0, 7), st.lists(st.integers(0, 7), max_size=6)),
+    st.tuples(st.just("restore"), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                                           max_size=6)),
+    st.tuples(st.just("reconnect"), st.integers(1, 3), st.integers(0, 2 ** 16)),
+    st.tuples(st.just("reset")),
+), max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), mode=st.sampled_from(["whole-graph-reset", "per-edge"]),
+       ops=_GRAPH_OPS)
+def test_kept_edge_count_and_labels_track_adjacency(n, mode, ops):
+    g = CameraGraph.complete(n)
+    policy = ReconnectPolicy(0.9, mode)
+    for op in ops:
+        if op[0] == "remove":
+            g.remove_edges(op[1] % n, np.array([c % n for c in op[2]], dtype=int))
+        elif op[0] == "restore":
+            pairs = [(a % n, b % n) for a, b in op[1] if a % n != b % n]
+            g.restore_edges(np.array([a for a, _ in pairs], dtype=int),
+                            np.array([b for _, b in pairs], dtype=int))
+        elif op[0] == "reconnect":
+            reconnect(g, policy, op[1], np.random.default_rng(op[2]))
+        else:
+            g.reset_complete()
+        assert g.edge_count() == int(g.adj.sum()) // 2
+        assert np.array_equal(g.component_labels(), _min_labels(g.adj))

@@ -145,6 +145,47 @@ def test_fit_memo_skips_repeats_but_never_reuses_unconverged(world, agent_config
     assert len(calls) == 400 and agent.nonconverged_solves == 400
 
 
+def test_nonconverged_fit_falls_back_to_last_converged_theta(world, agent_config,
+                                                             monkeypatch):
+    import camsel.policy as policy
+
+    real = policy.solve_mle_weighted
+    starts = []          # the warm start of every solve, in call order
+    failing = 41         # this solve reports non-convergence with a wild theta
+
+    def flaky(*args, theta0, **kwargs):
+        starts.append(np.array(theta0))
+        est = real(*args, theta0=theta0, **kwargs)
+        if len(starts) == failing:
+            return replace(est, theta_hat=est.theta_hat + 5.0, converged=False)
+        return est
+
+    monkeypatch.setattr(policy, "solve_mle_weighted", flaky)
+    agent = Agent(agent_config, world, 200, seed=0)
+    fits = []            # (label, last fit before the call, returned theta, its solve or None)
+    fit = agent._fit
+
+    def recorded(label, members):
+        before, solves = agent._fits.get(label), len(starts)
+        theta, gs = fit(label, members)
+        fits.append((label, before, theta, solves if len(starts) > solves else None))
+        return theta, gs
+
+    monkeypatch.setattr(agent, "_fit", recorded)
+    agent.run()
+    assert agent.nonconverged_solves == 1
+
+    i = next(k for k, f in enumerate(fits) if f[3] == failing - 1)
+    label, before, theta, _ = fits[i]
+    assert before is not None and before.converged
+    # the failed fit's round uses the label's last converged theta ...
+    assert np.array_equal(theta, before.theta)
+    # ... and the label's next fit solves again, warm-started from it
+    later = next(f for f in fits[i + 1:] if f[0] == label)
+    assert later[3] is not None
+    assert np.array_equal(starts[later[3]], before.theta)
+
+
 def test_determinism_identical_traces(world, agent_config):
     a = run_agent(agent_config, world, 400, seed=5)
     b = run_agent(agent_config, world, 400, seed=5)

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,3 +150,11 @@ def test_theory_pure_functions(world):
     p = params_for_world(world, 3, 10_000)
     assert theoretical_alpha(p) == theoretical_alpha(p)
     assert lambda_tilde(0.7, 0.2, 3) == lambda_tilde(0.7, 0.2, 3)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, camsel; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
