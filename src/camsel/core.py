@@ -96,8 +96,7 @@ def link_callables(spec: LinkFunctionSpec):
     caller has it, so the sigmoid is not evaluated twice at one point.
     :func:`link_eval` and :func:`link_derivative` add the finiteness check."""
     if spec.kind == "sigmoid":
-        def mu(z):
-            return expit(z)
+        mu = expit
 
         def mu_prime(z, m=None):
             s = expit(z) if m is None else m
@@ -131,8 +130,13 @@ def cascade_payoff(payoffs) -> int:
 
 
 def expected_cascade_payoff(success_probs) -> float:
-    """Expected aggregate payoff 1 - prod(1 - p_k) of independent attempts."""
-    probs = np.asarray(success_probs, dtype=float)
-    if any(p < 0.0 or p > 1.0 for p in probs.tolist()):
-        raise ValueError("success probabilities must lie in [0, 1]")
-    return float(1.0 - np.multiply.reduce(1.0 - probs))
+    """Expected aggregate payoff 1 - prod(1 - p_k) of independent attempts.
+
+    The product is the left fold np.multiply.reduce makes, in one Python pass
+    that also range-checks each p_k (NaN fails the check)."""
+    miss = 1.0
+    for p in np.asarray(success_probs, dtype=float).tolist():
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("success probabilities must lie in [0, 1]")
+        miss *= 1.0 - p
+    return 1.0 - miss

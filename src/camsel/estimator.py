@@ -12,6 +12,7 @@ x_i x_i^T is always positive definite, so no invertibility guard is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,40 +109,55 @@ def aggregate_group(members, zeta: float, dim: int | None = None) -> GroupStats:
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^{-1} b by LAPACK gesv, called directly: at d = 5 most of the cost
     of np.linalg.solve is its per-call overhead, and the result is the same."""
-    _, _, x, info = dgesv(a, b)
+    x, info = dgesv(a, b)[2:]
     if info != 0:
         raise np.linalg.LinAlgError(f"gesv failed with info={info}: singular matrix")
     return x
+
+
+# resolved once per link and once per (zeta, d), not once per solve
+_links = functools.cache(link_callables)
+
+
+@functools.cache
+def _ridge(zeta: float, d: int) -> np.ndarray:
+    """zeta * I, shared read-only."""
+    ridge = zeta * np.eye(d)
+    ridge.flags.writeable = False
+    return ridge
 
 
 def _newton(feats, weights, resp_sums, zeta, link, theta0, tol, max_iter):
     """Damped Newton on the penalized score. ``resp_sums`` holds w_i * rbar_i.
 
     Each point is evaluated once: the accepted candidate's z = F theta and
-    mu(z) give both its score and the next Hessian.
+    mu(z) give both its score and the next Hessian. Products call the
+    ndarray ``dot`` method: the BLAS calls of ``@`` without its dispatch.
     """
     d = feats.shape[1]
     theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    mu, mu_prime = link_callables(link)
-    ridge = zeta * np.eye(d)
-    z = feats @ theta
+    mu, mu_prime = _links(link)
+    ridge = _ridge(zeta, d)
+    feats_t = feats.T
+    z = feats.dot(theta)
     m = mu(z)
-    g = feats.T @ (resp_sums - weights * m) - zeta * theta
+    g = feats_t.dot(resp_sums - weights * m) - zeta * theta
     gnorm = math.sqrt(g.dot(g))
     iters = 0
     while gnorm > tol and iters < max_iter:
-        slope = weights * mu_prime(z, m)
-        delta = _solve(ridge + (feats * slope[:, None]).T @ feats, g)
+        # feats_t * slope is (feats * slope[:, None]).T, element for element
+        delta = _solve(ridge + (feats_t * (weights * mu_prime(z, m))).dot(feats), g)
         step = 1.0
+        cand = theta + delta
         for _ in range(MAX_HALVINGS):
-            cand = theta + step * delta
-            z_new = feats @ cand
+            z_new = feats.dot(cand)
             m_new = mu(z_new)
-            g_new = feats.T @ (resp_sums - weights * m_new) - zeta * cand
+            g_new = feats_t.dot(resp_sums - weights * m_new) - zeta * cand
             gn = math.sqrt(g_new.dot(g_new))
             if math.isfinite(gn) and gn < gnorm:
                 break
             step *= 0.5
+            cand = theta + step * delta
         else:
             break
         theta, z, m, g, gnorm = cand, z_new, m_new, g_new, gn

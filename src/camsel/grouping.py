@@ -86,6 +86,7 @@ class CameraGraph:
     @classmethod
     def complete(cls, n: int) -> "CameraGraph":
         g = cls(n, np.ones((n, n), dtype=bool))
+        g._labels = np.zeros(n, dtype=int)     # one component, labeled 0
         return g
 
     @classmethod
@@ -142,7 +143,7 @@ class CameraGraph:
         self.adj[:] = True
         np.fill_diagonal(self.adj, False)
         self._edges = self.n * (self.n - 1) // 2
-        self._labels = None
+        self._labels = np.zeros(self.n, dtype=int)
 
 
 def _min_labels(adj: np.ndarray) -> np.ndarray:

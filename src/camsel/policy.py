@@ -168,6 +168,7 @@ class _Episode:
         self.payoff_u = np.random.default_rng(
             np.random.SeedSequence([seed, _PAYOFF_TAG])).random((horizon, m))
         self.assignment = world.camera_groups.copy()
+        self._bandwidth_costs = world.bandwidth_costs.tolist()
         self.group_probs = np.stack(
             [world.group_success_probs(g) for g in range(world.n_groups)])
         ids = np.arange(m)
@@ -201,7 +202,7 @@ class _Episode:
             oracle_expected_payoff=oracle_expected,
             instantaneous_regret=oracle_expected - expected,
             component_count=component_count,
-            bandwidth_spent=float(self.world.bandwidth_costs[tried].sum()),
+            bandwidth_spent=float(sum([self._bandwidth_costs[m] for m in tried])),
             edges_deleted=edges_deleted,
             graph_reset=graph_reset,
         )
@@ -224,6 +225,7 @@ class Agent(_Episode):
         self.seed = seed
         n, m, d = world.n_cameras, world.n_models, world.dimension
         self.features = world.features
+        self._features_t = world.features.T
         self.tier_ranks = (world.tiers == "cloud").astype(int)
         self.rule = DeletionRule(config.beta, config.f_id)
         self.reconnect_policy = ReconnectPolicy(config.p0, config.reconnect_mode)
@@ -242,13 +244,18 @@ class Agent(_Episode):
         self._fits = {}
         self.nonconverged_solves = 0
         self._ids = np.arange(n)
+        # one member array per camera, passed to every fit of that camera
+        # alone, so a memo hit on it is an identity test
+        self._single = [np.array([c]) for c in range(n)]
         self.graph = CameraGraph.complete(n) if config.grouping == "graph" else None
-        self.labels = np.zeros(n, dtype=int) if config.grouping == "pooled" else np.arange(n)
+        self._use_partition(
+            np.zeros(n, dtype=int) if config.grouping == "pooled" else np.arange(n))
         self._regroup()
 
         self.time_selection = 0.0
         self.time_grouping = 0.0
         self.time_estimation = 0.0
+        self.time_bookkeeping = 0.0
 
     def inferred_labels(self) -> np.ndarray:
         """This round's partition labels, each block labeled by its smallest member id."""
@@ -256,20 +263,35 @@ class Agent(_Episode):
 
     def _regroup(self):
         """Recompute the partition of the graph and set groupings from the
-        current graph and camera estimates (the other two never change), and
-        its component count."""
+        current graph and camera estimates; the other two never change."""
         if self.cfg.grouping == "set":
-            self.labels = set_based_groups(self.camera_theta, self.counts, self.rule)
+            labels = set_based_groups(self.camera_theta, self.counts, self.rule)
         elif self.cfg.grouping == "graph":
-            self.labels = self.graph.component_labels()
+            labels = self.graph.component_labels()    # the same array until the graph changes
+        else:
+            return
+        if labels is not self.labels:
+            self._use_partition(labels)
+
+    def _use_partition(self, labels: np.ndarray):
+        """Adopt a new partition: count its components, drop the member arrays."""
+        self.labels = labels
+        self._members = {}
         # each block is labeled by its smallest member, which labels itself
-        self.component_count = int(np.count_nonzero(self.labels == self._ids))
+        self.component_count = int(np.count_nonzero(labels == self._ids))
 
     def _members_for(self, camera: int):
-        """(inferred label, member ids, component count) for the current round."""
+        """(inferred label, member ids, component count) for the current round.
+        A label's member array is built once per partition."""
         labels = self.labels
         label = int(labels[camera])
-        return label, np.flatnonzero(labels == label), self.component_count
+        members = self._members.get(label)
+        if members is None:
+            members = np.flatnonzero(labels == label)
+            if members.size == 1:
+                members = self._single[label]
+            self._members[label] = members
+        return label, members, self.component_count
 
     def _fit(self, label: int, members: np.ndarray):
         """(theta, group stats) of the members' pooled feedback.
@@ -285,59 +307,68 @@ class Agent(_Episode):
         count = int(self.counts[members[0]] if single else self.counts[members].sum())
         last = self._fits.get(label)
         if (last is not None and last.converged and last.stats.count == count
-                and np.array_equal(last.members, members)):
+                and (last.members is members or np.array_equal(last.members, members))):
             return last.theta, last.stats
         if single:      # the camera's own rows, read in place
             cg, sg = self.obs_counts[members[0]], self.obs_success[members[0]]
         else:
             cg = self.obs_counts[members].sum(axis=0)
             sg = self.obs_success[members].sum(axis=0)
-        feats = self.features
-        gs = GroupStats(gramian_reg=self._eye + (feats.T * cg) @ feats,
-                        response=feats.T @ sg, count=count, zeta=self.zeta)
+        feats_t = self._features_t
+        gs = GroupStats(gramian_reg=self._eye + (feats_t * cg).dot(self.features),
+                        response=feats_t.dot(sg), count=count, zeta=self.zeta)
         start = self._theta0 if last is None else last.theta
-        est = solve_mle_weighted(gs, self.cfg.link, feats, cg, sg, theta0=start)
+        est = solve_mle_weighted(gs, self.cfg.link, self.features, cg, sg, theta0=start)
         theta = est.theta_hat if est.converged else start
         self.nonconverged_solves += not est.converged
         self._fits[label] = _Fit(members, gs, theta, est.converged)
         return theta, gs
 
     def step(self, t: int) -> RoundRecord:
+        """One round. Its clock readings are chained, so the four timer
+        buckets together cover the whole round."""
         if t < 1:
             raise ValueError(f"round index must be >= 1, got {t}")
+        clock = time.perf_counter
+        t0 = clock()
         cfg = self.cfg
         camera = int(self.arrival[t - 1])
         self._advance_schedule(t)
 
-        clock = time.perf_counter()
+        t1 = clock()
+        self.time_bookkeeping += t1 - t0
         label, members, component_count = self._members_for(camera)
-        self.time_grouping += time.perf_counter() - clock
 
-        clock = time.perf_counter()
+        t2 = clock()
+        self.time_grouping += t2 - t1
         theta, gs = self._fit(label, members)
-        self.time_estimation += time.perf_counter() - clock
 
-        clock = time.perf_counter()
+        t3 = clock()
+        self.time_estimation += t3 - t2
         scores = catalog_scores(self._mu, self.features, theta, gs, cfg.alpha)
         intended = plan_cascade(scores, self.tier_ranks, cfg.k_max, cfg.cascade_order,
                                 rng=self.rng, random_after_first=cfg.no_combining)
         u_row = self.payoff_u[t - 1]
         p_row = self.group_probs[self.assignment[camera]]
         tried, payoffs = execute_cascade(intended, lambda m: int(u_row[m] < p_row[m]))
-        self.time_selection += time.perf_counter() - clock
 
-        # tried ids are distinct, so fancy-index adds absorb every try
-        self.obs_counts[camera, tried] += 1
-        self.obs_success[camera, tried] += payoffs
+        t4 = clock()
+        self.time_selection += t4 - t3
+        # at most k_max distinct tries, absorbed one scalar at a time
+        tries, wins = self.obs_counts[camera], self.obs_success[camera]
+        for m, r in zip(tried, payoffs):
+            tries[m] += 1
+            wins[m] += r
         self.counts[camera] += len(tried)
 
         edges_deleted = 0
         graph_reset = False
+        t5 = clock()
+        self.time_bookkeeping += t5 - t4
         if cfg.grouping in ("graph", "set"):
-            clock = time.perf_counter()
-            self.camera_theta[camera] = self._fit(camera, np.array([camera]))[0]
-            self.time_estimation += time.perf_counter() - clock
-            clock = time.perf_counter()
+            self.camera_theta[camera] = self._fit(camera, self._single[camera])[0]
+            t6 = clock()
+            self.time_estimation += t6 - t5
             if cfg.grouping == "graph":
                 before = self.graph.edge_count()
                 delete_edges(self.graph, camera, self.camera_theta, self.counts, self.rule)
@@ -346,11 +377,14 @@ class Agent(_Episode):
                 reconnect(self.graph, self.reconnect_policy, t, self.rng)
                 graph_reset = self.graph.edge_count() > after_delete
             self._regroup()
-            self.time_grouping += time.perf_counter() - clock
+            t5 = clock()
+            self.time_grouping += t5 - t6
 
-        return self._record(t, camera, label, tried, payoffs,
-                            expected_cascade_payoff(p_row[intended]), component_count,
-                            edges_deleted, graph_reset)
+        record = self._record(t, camera, label, tried, payoffs,
+                              expected_cascade_payoff(p_row[intended]), component_count,
+                              edges_deleted, graph_reset)
+        self.time_bookkeeping += clock() - t5
+        return record
 
     def run(self) -> list[RoundRecord]:
         return [self.step(t) for t in range(1, self.horizon + 1)]

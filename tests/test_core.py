@@ -125,6 +125,9 @@ def test_expected_cascade_payoff():
         expected_cascade_payoff([1.2])
     with pytest.raises(ValueError):
         expected_cascade_payoff([-0.1])
+    # a NaN fails every comparison, so only "not 0 <= p <= 1" turns it away
+    with pytest.raises(ValueError):
+        expected_cascade_payoff([0.5, float("nan")])
 
 
 def test_cascade_matches_expected_on_binary(rng):
@@ -150,3 +153,9 @@ def test_expected_cascade_brute_force(rng):
             weight = math.prod(p if b else 1 - p for p, b in zip(probs, bits))
             total += weight * cascade_payoff(bits)
         assert expected_cascade_payoff(probs) == pytest.approx(total, abs=1e-12)
+
+
+def test_expected_cascade_payoff_is_the_left_fold(rng):
+    for _ in range(200):
+        probs = rng.random(rng.integers(0, 6))
+        assert expected_cascade_payoff(probs) == float(1.0 - np.multiply.reduce(1.0 - probs))

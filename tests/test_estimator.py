@@ -1,11 +1,19 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg.lapack import dgesv
 
-from camsel.core import LinkFunctionSpec, link_callables, link_eval
-from camsel.estimator import (MAX_HALVINGS, GroupStats, SufficientStats, aggregate_group,
-                              confidence_width, confidence_widths, solve_mle,
-                              solve_mle_weighted, update_stats)
-from camsel.policy import catalog_scores
+import camsel.policy as policy
+from camsel.core import LINK_KINDS, LinkFunctionSpec, link_callables, link_eval
+from camsel.estimator import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_HALVINGS, GroupStats,
+                              SufficientStats, _newton, aggregate_group, confidence_width,
+                              confidence_widths, solve_mle, solve_mle_weighted, update_stats)
+from camsel.policy import Agent, catalog_scores
 
 SIGMOID = LinkFunctionSpec("sigmoid")
 IDENTITY = LinkFunctionSpec("identity")
@@ -338,3 +346,105 @@ def test_singular_systems_raise():
     with pytest.raises(np.linalg.LinAlgError):
         solve_mle_weighted(unpenalized, IDENTITY, np.array([[1.0, 0.0]]), np.ones(1),
                            np.ones(1))
+
+
+def _matmul_newton(feats, weights, resp_sums, zeta, link, theta0):
+    """The same damped Newton written with ``@``, link_callables and zeta * I
+    resolved on every call and theta + step * delta for every step; also
+    counts the step halvings."""
+    d = feats.shape[1]
+    theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    mu, mu_prime = link_callables(link)
+    ridge = zeta * np.eye(d)
+    z = feats @ theta
+    m = mu(z)
+    g = feats.T @ (resp_sums - weights * m) - zeta * theta
+    gnorm = math.sqrt(g.dot(g))
+    iters = halvings = 0
+    while gnorm > DEFAULT_TOL and iters < DEFAULT_MAX_ITER:
+        slope = weights * mu_prime(z, m)
+        _, _, delta, info = dgesv(ridge + (feats * slope[:, None]).T @ feats, g)
+        assert info == 0
+        step = 1.0
+        for _ in range(MAX_HALVINGS):
+            cand = theta + step * delta
+            z_new = feats @ cand
+            m_new = mu(z_new)
+            g_new = feats.T @ (resp_sums - weights * m_new) - zeta * cand
+            gn = math.sqrt(g_new.dot(g_new))
+            if math.isfinite(gn) and gn < gnorm:
+                break
+            step *= 0.5
+            halvings += 1
+        else:
+            break
+        theta, z, m, g, gnorm = cand, z_new, m_new, g_new, gn
+        iters += 1
+    return theta, iters, gnorm, halvings
+
+
+def _assert_bit_identical(feats, counts, succ, zeta, link, theta0):
+    """_newton on the observed rows equals the ``@`` loop under ==; returns
+    the iterations and the step halvings."""
+    mask = counts > 0
+    args = (feats[mask], counts[mask], succ[mask], zeta, link, theta0)
+    est = _newton(*args, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    theta, iters, gnorm, halvings = _matmul_newton(*args)
+    assert np.array_equal(est.theta_hat, theta)
+    assert (est.iterations, est.gradient_norm) == (iters, gnorm)
+    return iters, halvings
+
+
+@pytest.mark.parametrize("grouping", ["graph", "set", "pooled"])
+def test_newton_bit_identical_on_agent_problems(world, agent_config, monkeypatch, grouping):
+    problems = []
+    real = policy.solve_mle_weighted
+
+    def captured(gs, link, feats, counts, successes, theta0=None):
+        problems.append((feats, counts.copy(), successes.copy(), gs.zeta, link,
+                         np.array(theta0)))
+        return real(gs, link, feats, counts, successes, theta0=theta0)
+
+    monkeypatch.setattr(policy, "solve_mle_weighted", captured)
+    Agent(replace(agent_config, grouping=grouping), world, 300, seed=0).run()
+    assert len(problems) >= 300
+    iterations = sum(_assert_bit_identical(*problem)[0] for problem in problems)
+    assert iterations >= 2 * len(problems)
+
+
+@st.composite
+def _newton_problems(draw):
+    m, d = draw(st.integers(1, 20)), draw(st.integers(1, 5))
+    feats = draw(arrays(np.float64, (m, d), elements=st.floats(-1.0, 1.0)))
+    counts = draw(arrays(np.float64, m, elements=st.integers(0, 15).map(float)))
+    frac = draw(arrays(np.float64, m, elements=st.floats(0.0, 1.0)))
+    succ = np.minimum(np.floor(frac * (counts + 1.0)), counts)
+    # far starts make the full Newton step overshoot, forcing halvings
+    theta0 = draw(st.none() | arrays(np.float64, d, elements=st.floats(-30.0, 30.0)))
+    zeta = draw(st.sampled_from([0.25, 1.0, 3.0]))
+    return feats, counts, succ, zeta, theta0
+
+
+def _far_start_problem():
+    rng = np.random.default_rng(0)
+    counts = rng.integers(1, 15, 20).astype(float)
+    return (rng.uniform(-1.0, 1.0, (20, 5)), counts, np.floor(rng.random(20) * (counts + 1.0)),
+            1.0, rng.uniform(-20.0, 20.0, 5))
+
+
+_FAR = _far_start_problem()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(LINK_KINDS), problem=_newton_problems())
+@example(kind="sigmoid", problem=_FAR)
+@example(kind="clipped-linear", problem=_FAR)
+def test_newton_bit_identical_on_drawn_problems(kind, problem):
+    feats, counts, succ, zeta, theta0 = problem
+    _assert_bit_identical(feats, counts, succ, zeta, LinkFunctionSpec(kind), theta0)
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "clipped-linear"])
+def test_far_start_example_halves_steps(kind):
+    feats, counts, succ, zeta, theta0 = _FAR
+    assert _assert_bit_identical(feats, counts, succ, zeta, LinkFunctionSpec(kind), theta0)[1] > 0

@@ -282,6 +282,7 @@ _GRAPH_OPS = st.lists(st.one_of(
        ops=_GRAPH_OPS)
 def test_kept_edge_count_and_labels_track_adjacency(n, mode, ops):
     g = CameraGraph.complete(n)
+    assert np.array_equal(g.component_labels(), _min_labels(g.adj))
     policy = ReconnectPolicy(0.9, mode)
     for op in ops:
         if op[0] == "remove":

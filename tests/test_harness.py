@@ -6,7 +6,7 @@ import pytest
 
 from camsel.environment import WorldConfig
 from camsel.errors import ConfigError
-from camsel.harness import (ExperimentConfig, RunResult, acceleration_ratio,
+from camsel.harness import (TIMING_BUCKETS, ExperimentConfig, RunResult, acceleration_ratio,
                             canonical_labels, checkpoints, read_trace,
                             rounds_to_threshold, run_experiment, run_pair,
                             tradeoff_score, write_trace)
@@ -33,6 +33,8 @@ def test_smallest_run(tmp_path):
     assert summary["checkpoints"] == [10]
     assert len(summary["variants"]["default"]["cum_regret_mean"]) == 1
     assert summary["variants"]["default"]["nonconverged_solves"] == [0]
+    assert set(summary["variants"]["default"]["timing_seconds"]) == \
+        set(TIMING_BUCKETS) | {"wall"}
 
 
 def test_paired_streams_across_variants():
@@ -247,3 +249,16 @@ def test_schedule_passes_through():
     for r in records:
         if r.camera == 0 and r.t >= 30:
             assert r.true_group == 1
+
+
+def test_timing_buckets_add_up_to_wall(world, agent_config):
+    run_pair("default", 0, world, agent_config, 5)    # first-call costs
+    timed = wall = 0.0
+    # a preemption that lands between two timers counts only in the wall;
+    # summed over five runs, one such stall weighs a fifth as much
+    for _ in range(5):
+        timing = run_pair("default", 0, world, agent_config, 300).timing
+        run_timed = sum(timing[key] for key in TIMING_BUCKETS)
+        assert run_timed <= timing["wall"], timing
+        timed, wall = timed + run_timed, wall + timing["wall"]
+    assert timed >= 0.95 * wall, (timed, wall)

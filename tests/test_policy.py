@@ -337,3 +337,20 @@ def test_greedy_never_leaves_profiling_when_profile_exceeds_horizon(world):
 def test_greedy_validates_profile_rounds(world):
     with pytest.raises(ConfigError):
         baseline_greedy(world, profile_rounds=0, horizon=10, seed=0)
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
+def test_cached_members_and_count_match_the_partition(world, grouping):
+    from camsel.grouping import _min_labels
+
+    agent = Agent(AgentConfig(grouping=grouping), world, 150, seed=4)
+    for t in range(1, 151):
+        agent.step(t)
+        labels = agent.inferred_labels()
+        if grouping == "graph":
+            assert np.array_equal(labels, _min_labels(agent.graph.adj)), t
+        assert agent.component_count == np.unique(labels).size
+        for camera in range(world.n_cameras):
+            label, members, count = agent._members_for(camera)
+            assert (label, count) == (labels[camera], agent.component_count)
+            assert np.array_equal(members, np.flatnonzero(labels == label))
