@@ -16,8 +16,7 @@ from .errors import ConfigError, GenerationError, NumericError, ScheduleError
 from .estimator import (Estimate, GroupStats, SufficientStats, aggregate_group,
                         confidence_width, solve_mle, solve_mle_weighted)
 from .grouping import (CameraGraph, DeletionRule, ReconnectPolicy, delete_edges,
-                       deletion_threshold, find_group, init_graph, reconnect,
-                       set_based_groups)
+                       deletion_threshold, reconnect, set_based_groups)
 from .harness import (ExperimentConfig, acceleration_ratio, checkpoints, read_trace,
                       rounds_to_threshold, run_experiment, run_pair, tradeoff_score,
                       write_trace)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError
 
@@ -85,19 +83,11 @@ class CameraGraph:
 
     @classmethod
     def complete(cls, n: int) -> "CameraGraph":
-        g = cls(n, np.ones((n, n), dtype=bool))
-        g._labels = np.zeros(n, dtype=int)     # one component, labeled 0
-        return g
-
-    @classmethod
-    def edgeless(cls, n: int) -> "CameraGraph":
-        return cls(n)
+        """The starting state: a complete graph, a single inferred group."""
+        return cls(n, np.ones((n, n), dtype=bool))
 
     def edge_count(self) -> int:
         return self._edges
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return bool(self.adj[a, b])
 
     def neighbors(self, camera: int) -> np.ndarray:
         return np.flatnonzero(self.adj[camera])
@@ -143,24 +133,29 @@ class CameraGraph:
         self.adj[:] = True
         np.fill_diagonal(self.adj, False)
         self._edges = self.n * (self.n - 1) // 2
-        self._labels = np.zeros(self.n, dtype=int)
+        self._labels = None
 
 
 def _min_labels(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
-    _, raw = connected_components(csr_array(adj), directed=False)
-    mins = np.full(raw.max() + 1, n, dtype=int)
-    np.minimum.at(mins, raw, np.arange(n))
-    return mins[raw]
+    """Label each camera with the smallest id in its component.
 
-
-def init_graph(n: int) -> CameraGraph:
-    """The starting state: a complete graph, a single inferred group."""
-    return CameraGraph.complete(n)
-
-
-def find_group(graph: CameraGraph, camera: int):
-    return graph.find_group(camera)
+    Isolated cameras label themselves. Every other camera is reached by a
+    breadth-first search over dense adjacency rows, started from the smallest
+    camera not yet labeled; that camera is the smallest id of its component.
+    """
+    labels = np.arange(adj.shape[0])
+    pending = adj.any(axis=1)
+    while pending.any():
+        start = int(pending.argmax())
+        reach = adj[start].copy()
+        reach[start] = True
+        frontier = reach
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~reach
+            reach |= frontier
+        labels[reach] = start
+        pending &= ~reach
+    return labels
 
 
 def deletion_threshold(rule: DeletionRule, count_a, count_b):
@@ -219,6 +214,9 @@ def set_based_groups(estimates: np.ndarray, counts: np.ndarray, rule: DeletionRu
     """
     estimates = np.asarray(estimates, dtype=float)
     counts = np.asarray(counts, dtype=float)
+    if counts.shape != estimates.shape[:1]:
+        raise ValueError(f"need one count for each of {estimates.shape[0]} cameras, "
+                         f"got counts of shape {counts.shape}")
     sq = np.sum(estimates ** 2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (estimates @ estimates.T)
     np.clip(d2, 0.0, None, out=d2)
@@ -232,15 +230,4 @@ def set_based_groups(estimates: np.ndarray, counts: np.ndarray, rule: DeletionRu
         adj = d2 <= thr * thr
     np.fill_diagonal(adj, False)
     return _min_labels(adj)
-
-
-def partition_sets(labels: np.ndarray) -> list[list[int]]:
-    """Components as sorted member lists, ordered by label."""
-    labels = np.asarray(labels)
-    return [sorted(np.flatnonzero(labels == lab).tolist()) for lab in np.unique(labels)]
-
-
-def format_partition(labels: np.ndarray) -> str:
-    """Dump format: one line per component, sorted member ids."""
-    return "\n".join(" ".join(str(m) for m in comp) for comp in partition_sets(labels))
 

@@ -270,26 +270,19 @@ def write_trace(path, records):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema_version={TRACE_SCHEMA_VERSION}\n")
         fh.write(TRACE_HEADER + "\n")
-        writer = csv.writer(fh)
         cum = 0.0
         for r in records:
             cum += r.instantaneous_regret
             # repr round-trips floats exactly, so trace files support
-            # bit-level recomputation of every summary statistic
-            writer.writerow([
-                r.t, r.camera, r.inferred_group, r.true_group,
-                ";".join(str(m) for m in r.tried_models),
-                ";".join(str(p) for p in r.payoffs),
-                r.aggregate_payoff,
-                repr(float(r.expected_payoff)),
-                repr(float(r.oracle_expected_payoff)),
-                repr(float(r.instantaneous_regret)),
-                repr(float(cum)),
-                r.component_count,
-                repr(float(r.bandwidth_spent)),
-                r.edges_deleted,
-                int(r.graph_reset),
-            ])
+            # bit-level recomputation of every summary statistic; data rows
+            # end in \r\n, as the csv module's excel dialect writes them
+            fh.write(
+                f"{r.t},{r.camera},{r.inferred_group},{r.true_group},"
+                f"{';'.join(map(str, r.tried_models))},{';'.join(map(str, r.payoffs))},"
+                f"{r.aggregate_payoff},{float(r.expected_payoff)!r},"
+                f"{float(r.oracle_expected_payoff)!r},{float(r.instantaneous_regret)!r},"
+                f"{float(cum)!r},{r.component_count},{float(r.bandwidth_spent)!r},"
+                f"{r.edges_deleted},{int(r.graph_reset)}\r\n")
 
 
 def read_trace(path) -> list[RoundRecord]:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from camsel.errors import ConfigError
 from camsel.grouping import (F_FUNCTIONS, CameraGraph, DeletionRule, ReconnectPolicy,
-                             _min_labels, delete_edges, deletion_threshold, find_group,
-                             format_partition, init_graph, partition_sets, reconnect,
+                             _min_labels, delete_edges, deletion_threshold, reconnect,
                              set_based_groups)
 
 RULE = DeletionRule(beta=0.1, f_id="f1")
@@ -23,19 +23,27 @@ def _bfs_component(adj, start):
     return sorted(seen)
 
 
+def _reference_labels(adj):
+    """scipy's connected components, each relabeled by its smallest member."""
+    _, raw = connected_components(adj, directed=False)
+    mins = np.full(raw.max() + 1, adj.shape[0])
+    np.minimum.at(mins, raw, np.arange(adj.shape[0]))
+    return mins[raw]
+
+
 def test_init_graph():
-    g = init_graph(1)
+    g = CameraGraph.complete(1)
     assert g.edge_count() == 0
     assert g.component_count() == 1
-    g4 = init_graph(4)
+    g4 = CameraGraph.complete(4)
     assert g4.edge_count() == 6
     assert g4.component_count() == 1
     with pytest.raises(ConfigError):
-        init_graph(0)
+        CameraGraph.complete(0)
 
 
 def test_complete_graph_paper_scale():
-    assert init_graph(308).edge_count() == 47_278  # n(n-1)/2
+    assert CameraGraph.complete(308).edge_count() == 47_278  # n(n-1)/2
 
 
 def test_find_group_against_bfs_oracle():
@@ -43,10 +51,10 @@ def test_find_group_against_bfs_oracle():
     g.adj[0, 1] = g.adj[1, 0] = True
     g.adj[1, 2] = g.adj[2, 1] = True
     g._invalidate()
-    label, members = find_group(g, 2)
+    label, members = g.find_group(2)
     assert label == 0
     assert members.tolist() == _bfs_component(g.adj, 2) == [0, 1, 2]
-    label3, members3 = find_group(g, 3)
+    label3, members3 = g.find_group(3)
     assert label3 == 3
     assert members3.tolist() == [3]
     assert g.component_count() == 2
@@ -54,11 +62,11 @@ def test_find_group_against_bfs_oracle():
 
 def test_find_group_complete_and_edgeless():
     comp = CameraGraph.complete(5)
-    assert find_group(comp, 3)[1].tolist() == [0, 1, 2, 3, 4]
-    edgeless = CameraGraph.edgeless(5)
-    assert find_group(edgeless, 3)[1].tolist() == [3]
+    assert comp.find_group(3)[1].tolist() == [0, 1, 2, 3, 4]
+    edgeless = CameraGraph(5)
+    assert edgeless.find_group(3)[1].tolist() == [3]
     with pytest.raises(ValueError):
-        find_group(edgeless, 9)
+        edgeless.find_group(9)
 
 
 def test_deletion_threshold_values():
@@ -109,8 +117,8 @@ def test_delete_edges_only_touches_incident_edges():
     g = CameraGraph.complete(3)
     est = np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 0.0]])
     delete_edges(g, 0, est, np.array([50, 50, 50]), RULE)
-    assert not g.has_edge(0, 1) and not g.has_edge(0, 2)
-    assert g.has_edge(1, 2)  # not examined
+    assert not g.adj[0, 1] and not g.adj[0, 2]
+    assert g.adj[1, 2]  # not examined
 
 
 def test_delete_edges_validates_inputs():
@@ -153,7 +161,7 @@ def test_component_count_monotonicity(rng):
 
 
 def test_reconnect_whole_graph_reset():
-    g = CameraGraph.edgeless(4)
+    g = CameraGraph(4)
 
     class AlwaysLow:
         def random(self, *a):
@@ -167,14 +175,14 @@ def test_reconnect_rare_at_late_rounds(rng):
     policy = ReconnectPolicy(p0=0.5)
     resets = 0
     for _ in range(10_000):
-        g = CameraGraph.edgeless(3)
+        g = CameraGraph(3)
         reconnect(g, policy, 1000, rng)
         resets += g.edge_count() > 0
     assert resets <= 1
 
 
 def test_reconnect_per_edge_full_restore():
-    g = CameraGraph.edgeless(4)
+    g = CameraGraph(4)
     policy = ReconnectPolicy(p0=0.999, mode="per-edge")
 
     class AlwaysLow:
@@ -202,10 +210,17 @@ def test_set_based_groups_basic(rng):
     # two clusters separated by distance 2 with thresholds below 0.5
     est2 = np.vstack([np.tile([1.0, 0.0], (3, 1)), np.tile([-1.0, 0.0], (3, 1))])
     labels2 = set_based_groups(est2, np.full(6, 100), RULE)
-    assert partition_sets(labels2) == [[0, 1, 2], [3, 4, 5]]
+    assert labels2.tolist() == [0, 0, 0, 3, 3, 3]
 
     single = set_based_groups(np.zeros((1, 2)), np.zeros(1), RULE)
     assert single.tolist() == [0]
+
+
+def test_set_based_groups_needs_one_count_per_camera():
+    est = np.zeros((5, 2))
+    for counts in (np.array([10]), np.zeros(4), np.zeros(6), np.zeros((5, 1))):
+        with pytest.raises(ValueError, match="one count for each of 5 cameras"):
+            set_based_groups(est, counts, RULE)
 
 
 def test_set_based_matches_pairwise_oracle(rng):
@@ -254,9 +269,32 @@ def test_graph_refines_set_partition(rng):
         assert np.unique(set_labels[members]).size == 1
 
 
-def test_partition_dump_format():
-    labels = np.array([0, 0, 2, 2, 4])
-    assert format_partition(labels) == "0 1\n2 3\n4"
+@st.composite
+def _adjacencies(draw):
+    """Symmetric adjacencies of random density and of the shapes where a
+    breadth-first search does the most work, with camera ids shuffled."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["random", "path", "pairs", "complete", "empty"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    adj = np.zeros((n, n), dtype=bool)
+    if shape == "random":
+        adj = rng.random((n, n)) < draw(st.sampled_from([0.02, 0.05, 0.1, 0.3]))
+    elif shape == "path":
+        adj[np.arange(n - 1), np.arange(1, n)] = True
+    elif shape == "pairs":
+        adj[np.arange(0, n - 1, 2), np.arange(1, n, 2)] = True
+    elif shape == "complete":
+        adj[:] = True
+    adj = adj | adj.T
+    np.fill_diagonal(adj, False)
+    perm = rng.permutation(n) if draw(st.booleans()) else np.arange(n)
+    return adj[np.ix_(perm, perm)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(adj=_adjacencies())
+def test_min_labels_match_scipy_components(adj):
+    assert np.array_equal(_min_labels(adj), _reference_labels(adj))
 
 
 def test_graph_adjacency_validation():
@@ -282,7 +320,7 @@ _GRAPH_OPS = st.lists(st.one_of(
        ops=_GRAPH_OPS)
 def test_kept_edge_count_and_labels_track_adjacency(n, mode, ops):
     g = CameraGraph.complete(n)
-    assert np.array_equal(g.component_labels(), _min_labels(g.adj))
+    assert np.array_equal(g.component_labels(), _reference_labels(g.adj))
     policy = ReconnectPolicy(0.9, mode)
     for op in ops:
         if op[0] == "remove":
@@ -296,4 +334,4 @@ def test_kept_edge_count_and_labels_track_adjacency(n, mode, ops):
         else:
             g.reset_complete()
         assert g.edge_count() == int(g.adj.sum()) // 2
-        assert np.array_equal(g.component_labels(), _min_labels(g.adj))
+        assert np.array_equal(g.component_labels(), _reference_labels(g.adj))

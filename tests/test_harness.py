@@ -6,7 +6,8 @@ import pytest
 
 from camsel.environment import WorldConfig
 from camsel.errors import ConfigError
-from camsel.harness import (TIMING_BUCKETS, ExperimentConfig, RunResult, acceleration_ratio,
+from camsel.harness import (TIMING_BUCKETS, TRACE_HEADER, TRACE_SCHEMA_VERSION,
+                            ExperimentConfig, RunResult, acceleration_ratio,
                             canonical_labels, checkpoints, read_trace,
                             rounds_to_threshold, run_experiment, run_pair,
                             tradeoff_score, write_trace)
@@ -145,6 +146,51 @@ def test_trace_round_trip(tmp_path, world):
         assert a.payoffs == b.payoffs
         assert a.expected_payoff == b.expected_payoff  # repr round-trips exactly
         assert a.graph_reset == b.graph_reset
+
+
+def _csv_writer_trace(path, records):
+    """The trace writer as it was when rows went through ``csv.writer``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# schema_version={TRACE_SCHEMA_VERSION}\n")
+        fh.write(TRACE_HEADER + "\n")
+        writer = csv.writer(fh)
+        cum = 0.0
+        for r in records:
+            cum += r.instantaneous_regret
+            writer.writerow([
+                r.t, r.camera, r.inferred_group, r.true_group,
+                ";".join(str(m) for m in r.tried_models),
+                ";".join(str(p) for p in r.payoffs),
+                r.aggregate_payoff,
+                repr(float(r.expected_payoff)),
+                repr(float(r.oracle_expected_payoff)),
+                repr(float(r.instantaneous_regret)),
+                repr(float(cum)),
+                r.component_count,
+                repr(float(r.bandwidth_spent)),
+                r.edges_deleted,
+                int(r.graph_reset),
+            ])
+
+
+def test_trace_bytes_match_csv_writer(tmp_path, world):
+    from dataclasses import replace
+
+    from camsel.policy import run_agent
+
+    records = run_agent(AgentConfig(), world, 120, seed=3)
+    # numpy scalars, a long cascade, both reset values, an empty cascade
+    records[5] = replace(records[5], tried_models=(4, 0, 11), payoffs=(0, 0, 1),
+                         expected_payoff=np.float64(0.1), graph_reset=True,
+                         instantaneous_regret=np.float64(1e-17), camera=np.int64(7),
+                         bandwidth_spent=np.float32(2.5), edges_deleted=np.int64(3))
+    records[6] = replace(records[6], tried_models=(), payoffs=(), graph_reset=False)
+    assert any(len(r.tried_models) > 1 for r in records[7:])
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    write_trace(ours, records)
+    _csv_writer_trace(theirs, records)
+    assert ours.read_bytes() == theirs.read_bytes()
+    assert b"\r\n" in ours.read_bytes() and b"np." not in ours.read_bytes()
 
 
 def test_trace_rejects_wrong_version(tmp_path):

@@ -158,3 +158,16 @@ def test_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_pairs_leave_scipy_sparse_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, camsel\n"
+            "from camsel.harness import run_pair\n"
+            "from camsel.presets import canonical_agent_config, canonical_world\n"
+            "for variant in ('default', 'set-based'):\n"
+            "    run_pair(variant, 0, canonical_world(), canonical_agent_config(), 20)\n"
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
