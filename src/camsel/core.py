@@ -133,9 +133,12 @@ def expected_cascade_payoff(success_probs) -> float:
     """Expected aggregate payoff 1 - prod(1 - p_k) of independent attempts.
 
     The product is the left fold np.multiply.reduce makes, in one Python pass
-    that also range-checks each p_k (NaN fails the check)."""
+    that also range-checks each p_k (NaN fails the check). A list is read as
+    it is; anything else is converted to a list of floats first."""
+    if not isinstance(success_probs, list):
+        success_probs = np.asarray(success_probs, dtype=float).tolist()
     miss = 1.0
-    for p in np.asarray(success_probs, dtype=float).tolist():
+    for p in success_probs:
         if not 0.0 <= p <= 1.0:
             raise ValueError("success probabilities must lie in [0, 1]")
         miss *= 1.0 - p

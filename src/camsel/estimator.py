@@ -198,10 +198,11 @@ def solve_mle_weighted(gs: GroupStats, link: LinkFunctionSpec, feats, counts, su
     feats = np.asarray(feats, dtype=float)
     counts = np.asarray(counts, dtype=float)
     successes = np.asarray(successes, dtype=float)
-    if int(round(counts.sum())) != gs.count:
+    if round(float(counts.sum())) != gs.count:
         raise ValueError(f"aggregates hold {counts.sum():.0f} observations but stats count {gs.count}")
-    mask = counts > 0
-    return _newton(feats[mask], counts[mask], successes[mask], gs.zeta, link, theta0, tol, max_iter)
+    rows = (counts > 0).nonzero()[0]
+    return _newton(feats.take(rows, axis=0), counts.take(rows), successes.take(rows), gs.zeta,
+                   link, theta0, tol, max_iter)
 
 
 def confidence_width(x: np.ndarray, gs: GroupStats) -> float:

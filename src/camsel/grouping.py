@@ -90,7 +90,7 @@ class CameraGraph:
         return self._edges
 
     def neighbors(self, camera: int) -> np.ndarray:
-        return np.flatnonzero(self.adj[camera])
+        return self.adj[camera].nonzero()[0]
 
     def _invalidate(self):
         """Recount the edges and drop the cached components."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +21,8 @@ import numpy as np
 from .environment import PerspectiveSchedule, World, WorldConfig, generate_world, load_world
 from .errors import ConfigError
 from .policy import Agent, AgentConfig, RoundRecord, baseline_greedy
+
+log = logging.getLogger(__name__)
 
 TRACE_SCHEMA_VERSION = 1
 SUMMARY_SCHEMA_VERSION = 1
@@ -48,7 +51,8 @@ VARIANTS = tuple(AGENT_VARIANTS) + ("greedy",)
 # Per-pair timer buckets, in seconds. The agent's four cover each of its
 # rounds; ``harness`` covers run_pair's own work, the agent's set-up and the
 # per-round check against the truth. Together they cover the pair's wall time
-# but for the calls between them. The greedy baseline is not timed.
+# but for the calls between them. The greedy baseline's whole run counts as
+# ``selection``.
 TIMING_BUCKETS = ("selection", "grouping", "estimation", "bookkeeping", "harness")
 
 
@@ -143,20 +147,23 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
              trace_path=None, keep_records: bool = False) -> RunResult:
     """Run one (variant, seed) pair and optionally write its trace file."""
     schedule = PerspectiveSchedule(schedule_events) if schedule_events else None
-    wall = time.perf_counter()
+    clock = time.perf_counter
+    wall = clock()
     if variant == "greedy":
         oracle_k = base_agent.regret_oracle_k or base_agent.k_max
+        called = clock()
         records = baseline_greedy(world, greedy_profile_rounds, horizon, seed,
                                   oracle_k=min(oracle_k, world.n_models), schedule=schedule)
+        selection = clock() - called
         correct = np.zeros(horizon, dtype=bool)
         timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
+        timing.update(selection=selection, harness=clock() - wall - selection)
         nonconverged = 0
     else:
         agent = Agent(variant_agent_config(base_agent, variant), world, horizon, seed, schedule)
         records = []
         correct = np.zeros(horizon, dtype=bool)
         truth, truth_events, inferred, match = None, -1, None, False
-        clock = time.perf_counter
         harness_s = clock() - wall
         for t in range(1, horizon + 1):
             record = agent.step(t)
@@ -177,7 +184,7 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
                   "estimation": agent.time_estimation, "bookkeeping": agent.time_bookkeeping,
                   "harness": harness_s}
         nonconverged = agent.nonconverged_solves
-    timing["wall"] = time.perf_counter() - wall
+    timing["wall"] = clock() - wall
     expected, inst, cum, comps, bandwidth = _records_arrays(records)
     if trace_path is not None:
         write_trace(trace_path, records)
@@ -320,6 +327,23 @@ class ExperimentResult:
     world: World
 
 
+def _collect(outcomes):
+    """(runs, errors) keyed by (variant, seed), logging one line per pair as
+    its outcome comes in (in job order)."""
+    runs, errors = {}, {}
+    for result, error in outcomes:
+        key = (result.variant, result.seed)
+        if error is None:
+            runs[key] = result
+            regret = float(result.cum_regret[-1]) if result.cum_regret.size else 0.0
+            log.info("pair %s seed %d finished in %.3f s, final regret %r",
+                     result.variant, result.seed, result.timing["wall"], regret)
+        else:
+            errors[key] = error
+            log.info("pair %s seed %d failed: %s", result.variant, result.seed, error)
+    return runs, errors
+
+
 def run_experiment(cfg: ExperimentConfig, keep_records: bool = False) -> ExperimentResult:
     """Run every (variant, seed) pair, write traces and an aggregate summary."""
     world = resolve_world(cfg)
@@ -343,17 +367,9 @@ def run_experiment(cfg: ExperimentConfig, keep_records: bool = False) -> Experim
 
     if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_run_pair_job, jobs))
+            runs, errors = _collect(pool.map(_run_pair_job, jobs))
     else:
-        outcomes = [_run_pair_job(job) for job in jobs]
-
-    runs = {}
-    errors = {}
-    for (result, error) in outcomes:
-        if error is None:
-            runs[(result.variant, result.seed)] = result
-        else:
-            errors[(result.variant, result.seed)] = error
+        runs, errors = _collect(map(_run_pair_job, jobs))
 
     marks = checkpoints(cfg.horizon)
     variants_block = {}

@@ -15,6 +15,7 @@ never desynchronizes variants.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -97,6 +98,16 @@ class RoundRecord:
     graph_reset: bool
 
 
+@dataclass(slots=True)
+class _Totals:
+    """A block's pooled feedback: tries and successes per model, and their
+    sum. Every entry is an integer-valued float, so adding a round's tries
+    gives the same bits as re-summing the members' rows."""
+    tries: np.ndarray
+    wins: np.ndarray
+    count: int
+
+
 @dataclass(frozen=True)
 class _Fit:
     """A memoised estimate: whose feedback it fits, the statistics of that
@@ -110,7 +121,15 @@ class _Fit:
 def catalog_scores(mu, feats: np.ndarray, theta: np.ndarray, gs: GroupStats,
                    alpha: float) -> np.ndarray:
     """Optimistic score mu(x.theta) + alpha * sqrt(x^T M^{-1} x) per catalog row."""
-    return mu(feats @ theta) + alpha * confidence_widths(feats, gs)
+    return mu(feats.dot(theta)) + alpha * confidence_widths(feats, gs)
+
+
+@functools.cache
+def _arange(n: int) -> np.ndarray:
+    """0..n-1, shared read-only."""
+    ids = np.arange(n)
+    ids.flags.writeable = False
+    return ids
 
 
 def plan_cascade(scores: np.ndarray, tier_ranks: np.ndarray, k_max: int, order: str,
@@ -123,7 +142,7 @@ def plan_cascade(scores: np.ndarray, tier_ranks: np.ndarray, k_max: int, order: 
     slots are drawn uniformly without replacement.
     """
     n_models = scores.shape[0]
-    ids = np.arange(n_models)
+    ids = _arange(n_models)
     if order == "ucb-desc":
         ranked = np.lexsort((ids, tier_ranks, -scores))
     elif order == "tier-then-ucb":
@@ -145,8 +164,9 @@ def execute_cascade(intended, payoff_source):
     """Try the committed models in order, stopping at the first payoff of 1."""
     tried, payoffs = [], []
     for m in intended:
-        r = int(payoff_source(int(m)))
-        tried.append(int(m))
+        m = int(m)
+        r = int(payoff_source(m))
+        tried.append(m)
         payoffs.append(r)
         if r == 1:
             break
@@ -171,6 +191,7 @@ class _Episode:
         self._bandwidth_costs = world.bandwidth_costs.tolist()
         self.group_probs = np.stack(
             [world.group_success_probs(g) for g in range(world.n_groups)])
+        self._probs = self.group_probs.tolist()     # read per try, as Python floats
         ids = np.arange(m)
         self.oracle_expected = np.array([
             expected_cascade_payoff(p[np.lexsort((ids, -p))[:min(oracle_k, m)]])
@@ -239,6 +260,8 @@ class Agent(_Episode):
         self.obs_counts = np.zeros((n, m))
         self.obs_success = np.zeros((n, m))
         self.counts = np.zeros(n)
+        # each camera's own totals: views of its rows, with the count as an int
+        self._own = [_Totals(self.obs_counts[c], self.obs_success[c], 0) for c in range(n)]
         self.camera_theta = np.zeros((n, d))
         self._theta0 = np.zeros(d)
         self._fits = {}
@@ -271,18 +294,24 @@ class Agent(_Episode):
         else:
             return
         if labels is not self.labels:
-            self._use_partition(labels)
+            if np.array_equal(labels, self.labels):
+                self.labels = labels    # the same blocks: keep members and totals
+            else:
+                self._use_partition(labels)
 
     def _use_partition(self, labels: np.ndarray):
-        """Adopt a new partition: count its components, drop the member arrays."""
+        """Adopt a new partition: count its components, drop the member arrays
+        and the block totals."""
         self.labels = labels
         self._members = {}
+        self._totals = {}
         # each block is labeled by its smallest member, which labels itself
         self.component_count = int(np.count_nonzero(labels == self._ids))
 
     def _members_for(self, camera: int):
         """(inferred label, member ids, component count) for the current round.
-        A label's member array is built once per partition."""
+        A label's member array and its block's totals are built once per
+        partition; a singleton's totals are its camera's own."""
         labels = self.labels
         label = int(labels[camera])
         members = self._members.get(label)
@@ -290,11 +319,17 @@ class Agent(_Episode):
             members = np.flatnonzero(labels == label)
             if members.size == 1:
                 members = self._single[label]
+                self._totals[label] = self._own[label]
+            else:
+                self._totals[label] = _Totals(self.obs_counts[members].sum(axis=0),
+                                              self.obs_success[members].sum(axis=0),
+                                              int(self.counts[members].sum()))
             self._members[label] = members
         return label, members, self.component_count
 
     def _fit(self, label: int, members: np.ndarray):
-        """(theta, group stats) of the members' pooled feedback.
+        """(theta, group stats) of the members' pooled feedback: one camera's
+        own totals, or the totals of the current partition's block ``label``.
 
         The memo keeps the last fit made under each label. Counts only grow,
         so the same members with the same total count hold the same data and
@@ -303,17 +338,13 @@ class Agent(_Episode):
         cold start): a fit that stops short of tolerance is not used, for its
         own round or as a warm start, and the label keeps its last theta.
         """
-        single = members.size == 1
-        count = int(self.counts[members[0]] if single else self.counts[members].sum())
+        totals = self._own[members[0]] if members.size == 1 else self._totals[label]
+        count = totals.count
         last = self._fits.get(label)
         if (last is not None and last.converged and last.stats.count == count
                 and (last.members is members or np.array_equal(last.members, members))):
             return last.theta, last.stats
-        if single:      # the camera's own rows, read in place
-            cg, sg = self.obs_counts[members[0]], self.obs_success[members[0]]
-        else:
-            cg = self.obs_counts[members].sum(axis=0)
-            sg = self.obs_success[members].sum(axis=0)
+        cg, sg = totals.tries, totals.wins
         feats_t = self._features_t
         gs = GroupStats(gramian_reg=self._eye + (feats_t * cg).dot(self.features),
                         response=feats_t.dot(sg), count=count, zeta=self.zeta)
@@ -347,18 +378,22 @@ class Agent(_Episode):
         self.time_estimation += t3 - t2
         scores = catalog_scores(self._mu, self.features, theta, gs, cfg.alpha)
         intended = plan_cascade(scores, self.tier_ranks, cfg.k_max, cfg.cascade_order,
-                                rng=self.rng, random_after_first=cfg.no_combining)
-        u_row = self.payoff_u[t - 1]
-        p_row = self.group_probs[self.assignment[camera]]
-        tried, payoffs = execute_cascade(intended, lambda m: int(u_row[m] < p_row[m]))
+                                rng=self.rng, random_after_first=cfg.no_combining).tolist()
+        u_row = self.payoff_u[t - 1].tolist()
+        p_row = self._probs[self.assignment[camera]]
+        tried, payoffs = execute_cascade(intended, lambda m: u_row[m] < p_row[m])
 
         t4 = clock()
         self.time_selection += t4 - t3
-        # at most k_max distinct tries, absorbed one scalar at a time
-        tries, wins = self.obs_counts[camera], self.obs_success[camera]
-        for m, r in zip(tried, payoffs):
-            tries[m] += 1
-            wins[m] += r
+        # at most k_max distinct tries, absorbed one scalar at a time into the
+        # camera's rows and, unless it is alone, its block's totals
+        own, block = self._own[camera], self._totals[label]
+        for totals in ((own,) if block is own else (own, block)):
+            tries, wins = totals.tries, totals.wins
+            for m, r in zip(tried, payoffs):
+                tries[m] += 1
+                wins[m] += r
+            totals.count += len(tried)
         self.counts[camera] += len(tried)
 
         edges_deleted = 0
@@ -381,8 +416,8 @@ class Agent(_Episode):
             self.time_grouping += t5 - t6
 
         record = self._record(t, camera, label, tried, payoffs,
-                              expected_cascade_payoff(p_row[intended]), component_count,
-                              edges_deleted, graph_reset)
+                              expected_cascade_payoff([p_row[m] for m in intended]),
+                              component_count, edges_deleted, graph_reset)
         self.time_bookkeeping += clock() - t5
         return record
 
@@ -428,7 +463,7 @@ def baseline_greedy(world: World, profile_rounds: int, horizon: int, seed: int,
                 means = wins / np.maximum(tries, 1.0)
                 committed = int(np.lexsort((ids, -means))[0])
             model = committed
-        p_row = ep.group_probs[ep.assignment[camera]]
+        p_row = ep._probs[ep.assignment[camera]]
         r = int(ep.payoff_u[t - 1, model] < p_row[model])
         tries[model] += 1
         wins[model] += r

@@ -215,3 +215,31 @@ def test_parse_override():
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_json_logs_carry_one_progress_line_per_pair(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    outputs = {}
+    for flag in ("--quiet", "--json-logs"):
+        out_dir = tmp_path / flag.strip("-")
+        code = main([flag, "run", "--config", str(cfg), "--seeds", "0,1",
+                     "--output-dir", str(out_dir)])
+        assert code == 0
+        outputs[flag] = (out_dir / "run", capsys.readouterr().err)
+    records = [json.loads(line) for line in outputs["--json-logs"][1].splitlines()]
+    progress = [r for r in records if r["name"] == "camsel.harness"]
+    assert [r["level"] for r in progress] == ["INFO", "INFO"]
+    for seed, record in zip((0, 1), progress):
+        assert record["message"].startswith(f"pair default seed {seed} finished in ")
+        assert ", final regret " in record["message"]
+    assert outputs["--quiet"][1] == ""
+    # the log adds nothing to the files: traces byte-identical, the summary
+    # equal apart from its timings
+    quiet, logged = outputs["--quiet"][0], outputs["--json-logs"][0]
+    for seed in (0, 1):
+        assert (quiet / "default" / f"{seed}.csv").read_bytes() == \
+            (logged / "default" / f"{seed}.csv").read_bytes()
+    summaries = [json.loads((d / "summary.json").read_text()) for d in (quiet, logged)]
+    for summary in summaries:
+        summary["variants"]["default"].pop("timing_seconds")
+    assert summaries[0] == summaries[1]

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -308,3 +309,39 @@ def test_timing_buckets_add_up_to_wall(world, agent_config):
         assert run_timed <= timing["wall"], timing
         timed, wall = timed + run_timed, wall + timing["wall"]
     assert timed >= 0.95 * wall, (timed, wall)
+
+
+def test_greedy_timing_buckets_add_up_to_wall(world, agent_config):
+    run_pair("greedy", 0, world, agent_config, 5)
+    timed = wall = 0.0
+    for _ in range(5):
+        timing = run_pair("greedy", 0, world, agent_config, 300).timing
+        assert timing["selection"] > 0.0 and timing["harness"] > 0.0, timing
+        assert timing["grouping"] == timing["estimation"] == timing["bookkeeping"] == 0.0
+        run_timed = sum(timing[key] for key in TIMING_BUCKETS)
+        assert run_timed <= timing["wall"], timing
+        timed, wall = timed + run_timed, wall + timing["wall"]
+    assert timed >= 0.95 * wall, (timed, wall)
+
+
+def test_progress_logged_once_per_pair(monkeypatch, caplog, tmp_path):
+    import camsel.harness as harness
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(harness, "baseline_greedy", boom)
+    cfg = _cfg(variants=("default", "greedy"), seeds=(0, 1), horizon=20,
+               greedy_profile_rounds=5, output_dir=str(tmp_path))
+    with caplog.at_level(logging.INFO, logger="camsel.harness"):
+        result = run_experiment(cfg)
+    lines = [r for r in caplog.records if r.name == "camsel.harness"]
+    assert [r.levelno for r in lines] == [logging.INFO] * 4
+    messages = [r.getMessage() for r in lines]
+    for seed, message in zip((0, 1), messages[:2]):
+        run = result.runs[("default", seed)]
+        assert message == (f"pair default seed {seed} finished in "
+                           f"{run.timing['wall']:.3f} s, final regret {float(run.cum_regret[-1])!r}")
+    for seed, message in zip((0, 1), messages[2:]):
+        assert message.startswith(f"pair greedy seed {seed} failed: RuntimeError: "
+                                  "synthetic failure (at ")

@@ -354,3 +354,63 @@ def test_cached_members_and_count_match_the_partition(world, grouping):
             label, members, count = agent._members_for(camera)
             assert (label, count) == (labels[camera], agent.component_count)
             assert np.array_equal(members, np.flatnonzero(labels == label))
+
+
+def _assert_totals_match_rows(agent, where):
+    """Every block's totals equal its members' summed rows; each camera's
+    own totals are its rows."""
+    for label, totals in agent._totals.items():
+        members = agent._members[label]
+        assert np.array_equal(members, np.flatnonzero(agent.labels == label)), where
+        assert np.array_equal(totals.tries, agent.obs_counts[members].sum(axis=0)), where
+        assert np.array_equal(totals.wins, agent.obs_success[members].sum(axis=0)), where
+        assert totals.count == int(agent.counts[members].sum()), where
+        assert type(totals.count) is int, where
+    for camera, own in enumerate(agent._own):
+        assert np.shares_memory(own.tries, agent.obs_counts[camera]), where
+        assert np.shares_memory(own.wins, agent.obs_success[camera]), where
+        assert own.count == agent.counts[camera], where
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
+@pytest.mark.parametrize("p0", [None, 1.0 - 1e-9])
+def test_block_totals_match_the_members_rows(world, grouping, p0):
+    # schedule events move two cameras; p0 near 1 resets the graph at t = 1
+    schedule = PerspectiveSchedule(((40, 0, 1), (90, 5, 0)))
+    agent = Agent(AgentConfig(grouping=grouping, p0=p0), world, 200, seed=4,
+                  schedule=schedule)
+    for t in range(1, 201):
+        record = agent.step(t)
+        _assert_totals_match_rows(agent, (grouping, t))
+        if t == 1 and grouping == "graph" and p0 is not None:
+            assert record.graph_reset
+    assert agent.events_applied == 2
+
+
+@pytest.mark.parametrize("grouping", ["graph", "set"])
+def test_unchanged_partition_keeps_members_and_totals(world, grouping):
+    # p0 near 1: early resets restore a graph that is still complete
+    agent = Agent(AgentConfig(grouping=grouping, p0=1.0 - 1e-9), world, 300, seed=4)
+    kept = 0
+    for t in range(1, 301):
+        labels, members, totals = agent.labels, dict(agent._members), dict(agent._totals)
+        agent.step(t)
+        if agent.labels is not labels and np.array_equal(agent.labels, labels):
+            kept += 1
+            for label, block in members.items():
+                assert agent._members[label] is block, (t, label)
+                assert agent._totals[label] is totals[label], (t, label)
+        _assert_totals_match_rows(agent, t)
+    assert kept > 0
+    # a recomputed partition with the same labels keeps every cached block
+    for camera in range(world.n_cameras):
+        agent._members_for(camera)
+    members, totals = dict(agent._members), dict(agent._totals)
+    if grouping == "graph":
+        agent.graph._invalidate()
+    agent._regroup()
+    recomputed = agent.graph.component_labels() if grouping == "graph" else agent.labels
+    assert agent.labels is recomputed
+    assert agent._members == members and agent._totals == totals
+    assert all(agent._members[label] is members[label] for label in members)
+    assert all(agent._totals[label] is totals[label] for label in totals)

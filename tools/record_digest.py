@@ -1,0 +1,94 @@
+"""Fingerprint what camsel computes, pair by pair, to check a change is exact.
+
+Usage (from the repository root):
+
+    PYTHONPATH=src python3 tools/record_digest.py [--horizon 2000] > digests.txt
+
+Each line names one (variant, seed) pair and the sha256 of its round records
+(``dataclasses.astuple``, every float by its exact bits), its per-round
+``correct`` flags and its ``nonconverged_solves``; the last line hashes all
+of them in order. The pairs are every variant on the canonical world at
+seeds 0..9 and ``--horizon`` rounds; ``default``, ``greedy`` and
+``set-based`` at seed 3 with two perspective shifts; the N = 308 fleet with
+``default`` at seeds 0..3 (T = 500) and ``set-based`` at seeds 0..2
+(T = 80). Run it with ``PYTHONPATH`` pointing at each checkout's ``src/``
+and compare the outputs: equal lines mean bit-identical records.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import numbers
+import sys
+
+import numpy as np
+
+SCHEDULE = ((500, 0, 1), (1000, 5, 0))
+FLEET_GRAPH = ("default", range(4), 500)
+FLEET_SET = ("set-based", range(3), 80)
+
+
+def _canonical(value):
+    """A repr-stable form: floats by their hex bits, numpy scalars as Python ones."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_canonical(v) for v in value)
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value).hex()
+    return repr(value)
+
+
+def result_digest(result) -> str:
+    h = hashlib.sha256()
+    for record in result.records:
+        h.update(repr(_canonical(dataclasses.astuple(record))).encode())
+    h.update(np.asarray(result.correct, dtype=bool).tobytes())
+    h.update(str(int(result.nonconverged_solves)).encode())
+    return h.hexdigest()
+
+
+def pairs(horizon: int):
+    """(name, run_pair arguments) of every fingerprinted pair, in order."""
+    from camsel.environment import generate_world
+    from camsel.harness import VARIANTS
+    from camsel.presets import canonical_agent_config, canonical_world, timing_world_config
+
+    agent = canonical_agent_config()
+    world = canonical_world()
+    for variant in VARIANTS:
+        for seed in range(10):
+            yield f"{variant}/seed{seed}", (variant, seed, world, agent, horizon, ())
+    for variant in ("default", "greedy", "set-based"):
+        yield f"schedule/{variant}/seed3", (variant, 3, world, agent, horizon, SCHEDULE)
+    fleet = generate_world(timing_world_config(308), 11)
+    for name, (variant, seeds, fleet_horizon) in (("fleet-graph", FLEET_GRAPH),
+                                                  ("fleet-set", FLEET_SET)):
+        for seed in seeds:
+            yield f"{name}/seed{seed}", (variant, seed, fleet, agent, fleet_horizon, ())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--horizon", type=int, default=2000,
+                        help="rounds of each canonical pair (default 2000)")
+    args = parser.parse_args(argv)
+    from camsel.harness import run_pair
+
+    overall = hashlib.sha256()
+    for name, (variant, seed, world, agent, horizon, events) in pairs(args.horizon):
+        result = run_pair(variant, seed, world, agent, horizon, schedule_events=events,
+                          keep_records=True)
+        digest = result_digest(result)
+        overall.update(f"{name} {digest}\n".encode())
+        print(name, digest)
+    print("overall", overall.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
