@@ -10,8 +10,8 @@ and the ablation families on synthetic worlds.
 from .core import (LinkConstants, LinkFunctionSpec, cascade_payoff,
                    expected_cascade_payoff, link_constants, link_derivative, link_eval)
 from .environment import (PerspectiveSchedule, VisualModel, World, WorldConfig,
-                          apply_perspective_shift, generate_world, load_world,
-                          oracle_best_set, sample_camera, sample_payoff, save_world)
+                          generate_world, load_world, oracle_best_set, sample_camera,
+                          sample_payoff, save_world)
 from .errors import ConfigError, GenerationError, NumericError, ScheduleError
 from .estimator import (Estimate, GroupStats, SufficientStats, aggregate_group,
                         confidence_width, solve_mle, solve_mle_weighted)

@@ -51,10 +51,13 @@ def _setup_logging(quiet: bool, json_logs: bool):
 
 def _parse_seeds(spec: str):
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(s) for s in spec.split(",") if s)
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(s) for s in spec.split(",") if s)
+    except ValueError:
+        raise ConfigError(f"--seeds {spec!r}: expected a list '0,1,2' or a range '0..9'") from None
 
 
 def _add_common(parser):

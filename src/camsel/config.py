@@ -8,6 +8,7 @@ schema key; values are parsed as JSON with a plain-string fallback.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .core import LinkFunctionSpec
 from .environment import WorldConfig
@@ -18,12 +19,10 @@ from .policy import AgentConfig
 CONFIG_SCHEMA_VERSION = 1
 
 _LINK_KEYS = ("kind", "domain_bound")
-_WORLD_KEYS = ("n_groups", "n_cameras", "dimension", "gamma", "n_models", "group_sizes",
-               "unit_norm_features", "edge_fraction", "payoff_mode", "accuracy_threshold",
-               "noise_sigma", "link", "max_rejections")
-_AGENT_KEYS = ("alpha", "beta", "zeta", "p0", "k_max", "link", "f_id", "reconnect_mode",
-               "cascade_order", "grouping", "no_combining", "regret_oracle_k")
-_EXPERIMENT_KEYS = ("variants", "horizon", "seeds", "window", "target", "eta",
+# the world and agent sections are passed to their classes as keyword arguments
+_WORLD_KEYS = tuple(f.name for f in fields(WorldConfig))
+_AGENT_KEYS = tuple(f.name for f in fields(AgentConfig))
+_EXPERIMENT_KEYS = ("variants", "horizon", "seeds", "window", "target",
                     "greedy_profile_rounds", "workers", "output_dir")
 _TOP_KEYS = ("schema_version", "world", "world_path", "world_seed", "agent",
              "experiment", "schedule")
@@ -130,7 +129,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             seeds=tuple(exp.get("seeds", (0,))),
             window=int(exp.get("window", 200)),
             target=float(exp.get("target", 0.8)),
-            eta=float(exp.get("eta", 0.5)),
             greedy_profile_rounds=int(exp.get("greedy_profile_rounds", 200)),
             schedule_events=_schedule_from(data.get("schedule"), "schedule"),
             output_dir=exp.get("output_dir"),

@@ -159,18 +159,6 @@ class PerspectiveSchedule:
                 raise ScheduleError(f"schedule references unknown group {grp} at round {t}")
 
 
-def apply_perspective_shift(world: World, schedule: PerspectiveSchedule, t: int) -> World:
-    """World with every event at round <= t applied (later events win)."""
-    schedule.validate_against(world)
-    pending = [(r, cam, grp) for r, cam, grp in schedule.events if r <= t]
-    if not pending:
-        return world
-    assignment = world.camera_groups.copy()
-    for _, cam, grp in pending:
-        assignment[cam] = grp
-    return world.with_camera_groups(assignment)
-
-
 @dataclass(frozen=True)
 class WorldConfig:
     n_groups: int = 2

@@ -49,13 +49,12 @@ class GroupStats:
     """Regularized aggregate over a group of cameras: zeta*I + sum of Gramians."""
 
     gramian_reg: np.ndarray
-    response: np.ndarray
     count: int
     zeta: float
 
     @property
     def dim(self) -> int:
-        return self.response.shape[0]
+        return self.gramian_reg.shape[0]
 
 
 @dataclass(frozen=True)
@@ -90,20 +89,18 @@ def aggregate_group(members, zeta: float, dim: int | None = None) -> GroupStats:
     if not members:
         if dim is None:
             raise ValueError("dim is required to aggregate an empty member list")
-        return GroupStats(zeta * np.eye(dim), np.zeros(dim), 0, zeta)
+        return GroupStats(zeta * np.eye(dim), 0, zeta)
     d = members[0].dim
     if dim is not None and dim != d:
         raise ValueError(f"dim={dim} does not match member dimension {d}")
     if any(m.dim != d for m in members):
         raise ValueError("member statistics have mixed dimensions")
     gram = zeta * np.eye(d)
-    resp = np.zeros(d)
     count = 0
     for m in members:
         gram += m.gramian
-        resp += m.response
         count += m.count
-    return GroupStats(gram, resp, count, zeta)
+    return GroupStats(gram, count, zeta)
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

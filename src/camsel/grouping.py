@@ -23,9 +23,6 @@ F_FUNCTIONS = {
     "f6": lambda x: np.sqrt(1.0 + np.log1p(x)),
 }
 
-RECONNECT_MODES = ("whole-graph-reset", "per-edge")
-
-
 @dataclass(frozen=True)
 class DeletionRule:
     """Edge (a, b) is deleted when the estimate distance exceeds
@@ -43,16 +40,13 @@ class DeletionRule:
 
 @dataclass(frozen=True)
 class ReconnectPolicy:
-    """Reinstate edges with probability p_t = min(1, p0/t^2) each round."""
+    """Restore the complete graph with probability p_t = min(1, p0/t^2) each round."""
 
     p0: float
-    mode: str = "whole-graph-reset"
 
     def __post_init__(self):
         if not (0.0 < self.p0 < 1.0):
             raise ConfigError(f"p0 must lie in (0, 1), got {self.p0}")
-        if self.mode not in RECONNECT_MODES:
-            raise ConfigError(f"unknown reconnect mode {self.mode!r}")
 
     def probability(self, t: int) -> float:
         if t < 1:
@@ -122,13 +116,6 @@ class CameraGraph:
             self._edges -= int(degree - np.count_nonzero(self.adj[camera]))
             self._labels = None
 
-    def restore_edges(self, rows: np.ndarray, cols: np.ndarray):
-        """Add the undirected edges (rows[i], cols[i]), i != j."""
-        if len(rows):
-            self.adj[rows, cols] = True
-            self.adj[cols, rows] = True
-            self._invalidate()
-
     def reset_complete(self):
         self.adj[:] = True
         np.fill_diagonal(self.adj, False)
@@ -186,21 +173,11 @@ def delete_edges(graph: CameraGraph, camera: int, estimates: np.ndarray,
 
 
 def reconnect(graph: CameraGraph, policy: ReconnectPolicy, t: int, rng) -> CameraGraph:
-    """Whole-graph-reset mode restores the complete graph with probability p_t;
-    per-edge mode restores each absent edge independently. Mutates and returns
-    the graph."""
+    """Restore the complete graph with probability p_t: one uniform draw per
+    round. Mutates and returns the graph."""
     p = policy.probability(t)
-    if policy.mode == "whole-graph-reset":
-        if rng.random() < p:
-            graph.reset_complete()
-        return graph
-    if p <= 0.0:
-        return graph
-    missing = ~graph.adj
-    np.fill_diagonal(missing, False)
-    iu = np.triu_indices(graph.n, k=1)
-    restore = missing[iu] & (rng.random(iu[0].size) < p)
-    graph.restore_edges(iu[0][restore], iu[1][restore])
+    if rng.random() < p:
+        graph.reset_complete()
     return graph
 
 

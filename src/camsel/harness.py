@@ -67,7 +67,6 @@ class ExperimentConfig:
     seeds: tuple = (0,)
     window: int = 200
     target: float = 0.8
-    eta: float = 0.5
     greedy_profile_rounds: int = 200
     schedule_events: tuple = ()
     output_dir: str | None = None
@@ -150,10 +149,10 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
     clock = time.perf_counter
     wall = clock()
     if variant == "greedy":
-        oracle_k = base_agent.regret_oracle_k or base_agent.k_max
         called = clock()
         records = baseline_greedy(world, greedy_profile_rounds, horizon, seed,
-                                  oracle_k=min(oracle_k, world.n_models), schedule=schedule)
+                                  oracle_k=min(base_agent.k_max, world.n_models),
+                                  schedule=schedule)
         selection = clock() - called
         correct = np.zeros(horizon, dtype=bool)
         timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
@@ -415,7 +414,6 @@ def run_experiment(cfg: ExperimentConfig, keep_records: bool = False) -> Experim
         "horizon": cfg.horizon,
         "window": cfg.window,
         "target": cfg.target,
-        "eta": cfg.eta,
         "seeds": list(cfg.seeds),
         "checkpoints": marks,
         "world": {"cameras": world.n_cameras, "groups": world.n_groups,

@@ -56,11 +56,9 @@ class AgentConfig:
     k_max: int = 3
     link: LinkFunctionSpec = field(default_factory=LinkFunctionSpec)
     f_id: str = "f1"
-    reconnect_mode: str = "whole-graph-reset"
     cascade_order: str = "ucb-desc"
     grouping: str = "graph"
     no_combining: bool = False
-    regret_oracle_k: int | None = None   # None: compare against the top-k_max set
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -75,9 +73,8 @@ class AgentConfig:
             raise ConfigError(f"unknown cascade order {self.cascade_order!r}")
         if self.grouping not in GROUPINGS:
             raise ConfigError(f"unknown grouping {self.grouping!r}; expected one of {GROUPINGS}")
-        # Constructed early so invalid ids/modes fail at config time.
+        # Constructed early so an invalid deletion function fails at config time.
         DeletionRule(self.beta, self.f_id)
-        ReconnectPolicy(0.5 if self.p0 is None else self.p0, self.reconnect_mode)
 
 
 @dataclass(frozen=True)
@@ -239,8 +236,7 @@ class Agent(_Episode):
                 f"k_max={config.k_max} exceeds the catalog size {world.n_models}")
         if config.p0 is None:
             config = replace(config, p0=derive_p0(seed))
-        super().__init__(world, horizon, seed, config.regret_oracle_k or config.k_max,
-                         schedule)
+        super().__init__(world, horizon, seed, config.k_max, schedule)
         self.cfg = config
         self.horizon = horizon
         self.seed = seed
@@ -249,7 +245,7 @@ class Agent(_Episode):
         self._features_t = world.features.T
         self.tier_ranks = (world.tiers == "cloud").astype(int)
         self.rule = DeletionRule(config.beta, config.f_id)
-        self.reconnect_policy = ReconnectPolicy(config.p0, config.reconnect_mode)
+        self.reconnect_policy = ReconnectPolicy(config.p0)
         self.zeta = config.zeta
         self._eye = config.zeta * np.eye(d)
         self._mu = link_callables(config.link)[0]
@@ -345,9 +341,8 @@ class Agent(_Episode):
                 and (last.members is members or np.array_equal(last.members, members))):
             return last.theta, last.stats
         cg, sg = totals.tries, totals.wins
-        feats_t = self._features_t
-        gs = GroupStats(gramian_reg=self._eye + (feats_t * cg).dot(self.features),
-                        response=feats_t.dot(sg), count=count, zeta=self.zeta)
+        gs = GroupStats(gramian_reg=self._eye + (self._features_t * cg).dot(self.features),
+                        count=count, zeta=self.zeta)
         start = self._theta0 if last is None else last.theta
         est = solve_mle_weighted(gs, self.cfg.link, self.features, cg, sg, theta0=start)
         theta = est.theta_hat if est.converged else start

@@ -98,12 +98,27 @@ def test_override_applies(tmp_path, capsys):
     assert summary["horizon"] == 12
 
 
-def test_override_unknown_key_rejected(tmp_path, capsys):
-    cfg = _write_config(tmp_path)
-    code = main(["--quiet", "run", "--config", str(cfg),
-                 "--set", "agent.alhpa=0.5", "--output-dir", str(tmp_path / "o")])
+# a misspelling, then the keys that were removed from the schema
+@pytest.mark.parametrize("item", ["agent.alhpa=0.5", "agent.reconnect_mode=per-edge",
+                                  "agent.regret_oracle_k=2", "experiment.eta=0.5"])
+@pytest.mark.parametrize("given_by", ["set", "file"])
+def test_override_unknown_key_rejected(tmp_path, capsys, item, given_by):
+    path, value = item.split("=")
+    section, key = path.split(".")
+    if given_by == "set":
+        cfg = _write_config(tmp_path)
+        extra = ["--set", item]
+    else:
+        data = json.loads(_write_config(tmp_path).read_text())
+        data.setdefault(section, {})[key] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data))
+        extra = []
+    code = main(["--quiet", "run", "--config", str(cfg), *extra,
+                 "--output-dir", str(tmp_path / "o")])
     assert code == 1
-    assert "alhpa" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (path if given_by == "set" else f"{section}: unknown key(s) ['{key}']") in err
 
 
 def test_theory_subcommand(tmp_path, capsys):
@@ -172,6 +187,16 @@ def test_seed_range_syntax(tmp_path, capsys):
     assert summary["seeds"] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("spec", ["a,b", "0..", "1..x"])
+def test_malformed_seeds_exit_1(tmp_path, capsys, spec):
+    cfg = _write_config(tmp_path)
+    code = main(["--quiet", "run", "--config", str(cfg), "--seeds", spec,
+                 "--output-dir", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--seeds" in err and "'0..9'" in err
+
+
 def test_output_dir_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CAMSEL_OUTPUT_DIR", str(tmp_path / "envout"))
     cfg = _write_config(tmp_path)
@@ -199,7 +224,6 @@ def test_load_config_defaults(tmp_path):
     assert cfg.agent.f_id == "f1"
     assert cfg.agent.p0 is None  # derived from the run seed at bind time
     assert cfg.window == 200
-    assert cfg.eta == 0.5
 
 
 def test_parse_override():

@@ -6,10 +6,10 @@ import pytest
 
 from camsel.core import LinkFunctionSpec, expected_cascade_payoff
 from camsel.environment import (PerspectiveSchedule, VisualModel, World, WorldConfig,
-                                apply_perspective_shift, generate_world, load_world,
-                                oracle_best_set, sample_camera, sample_payoff,
-                                save_world, world_from_dict, world_to_dict)
+                                generate_world, load_world, oracle_best_set, sample_camera,
+                                sample_payoff, save_world, world_from_dict, world_to_dict)
 from camsel.errors import ConfigError, GenerationError, ScheduleError
+from camsel.policy import _Episode
 
 
 def test_generate_single_group_trivial_dispersion():
@@ -148,30 +148,38 @@ def test_thresholded_success_prob_is_gaussian_tail():
     assert w.success_probs(0)[0] == pytest.approx(float(ndtr((mu - 0.6) / 0.1)))
 
 
+def _episode(world, schedule):
+    """A 300-round episode at seed 0; runs apply schedule events through it."""
+    return _Episode(world, 300, 0, 3, schedule)
+
+
 def test_perspective_shift_semantics(world):
-    schedule = PerspectiveSchedule(((100, 2, 1),))
-    before = apply_perspective_shift(world, schedule, 99)
-    assert before.camera_groups[2] == 0
-    after = apply_perspective_shift(world, schedule, 100)
-    assert after.camera_groups[2] == 1
+    ep = _episode(world, PerspectiveSchedule(((100, 2, 1),)))
+    ep._advance_schedule(99)
+    assert ep.assignment[2] == 0
+    ep._advance_schedule(100)
+    assert ep.assignment[2] == 1
     assert world.camera_groups[2] == 0  # original untouched
 
 
 def test_perspective_shift_empty_and_last_writer(world):
-    empty = PerspectiveSchedule(())
-    assert apply_perspective_shift(world, empty, 10) is world
-    sched = PerspectiveSchedule(((100, 2, 1), (200, 2, 0)))
-    assert apply_perspective_shift(world, sched, 300).camera_groups[2] == 0
-    assert apply_perspective_shift(world, sched, 150).camera_groups[2] == 1
+    ep = _episode(world, PerspectiveSchedule(()))
+    ep._advance_schedule(10)
+    assert np.array_equal(ep.assignment, world.camera_groups)
+    ep = _episode(world, PerspectiveSchedule(((100, 2, 1), (200, 2, 0))))
+    ep._advance_schedule(150)
+    assert ep.assignment[2] == 1
+    ep._advance_schedule(300)
+    assert ep.assignment[2] == 0
 
 
 def test_schedule_validation(world):
     with pytest.raises(ScheduleError):
         PerspectiveSchedule(((200, 0, 1), (100, 1, 0)))  # unsorted
     with pytest.raises(ScheduleError):
-        apply_perspective_shift(world, PerspectiveSchedule(((1, 99, 0),)), 5)
+        _episode(world, PerspectiveSchedule(((1, 99, 0),)))
     with pytest.raises(ScheduleError):
-        apply_perspective_shift(world, PerspectiveSchedule(((1, 0, 9),)), 5)
+        _episode(world, PerspectiveSchedule(((1, 0, 9),)))
 
 
 def test_oracle_best_set_examples():

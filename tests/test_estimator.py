@@ -319,8 +319,7 @@ def test_lapack_newton_and_widths_match_reference(rng, kind):
         feats = rng.random((20, 5)) / 2.0
         counts = rng.integers(0, 15, 20).astype(float)
         succ = np.floor(rng.random(20) * (counts + 1))
-        gs = GroupStats(np.eye(5) + (feats.T * counts) @ feats, feats.T @ succ,
-                        int(counts.sum()), 1.0)
+        gs = GroupStats(np.eye(5) + (feats.T * counts) @ feats, int(counts.sum()), 1.0)
         mask = counts > 0
         cold = solve_mle_weighted(gs, link, feats, counts, succ)
         for theta0 in (None, cold.theta_hat + rng.normal(0.0, 0.3, 5)):
@@ -336,13 +335,13 @@ def test_lapack_newton_and_widths_match_reference(rng, kind):
 
 
 def test_singular_systems_raise():
-    gs = GroupStats(np.zeros((2, 2)), np.zeros(2), 0, 1.0)
+    gs = GroupStats(np.zeros((2, 2)), 0, 1.0)
     with pytest.raises(np.linalg.LinAlgError):
         confidence_widths(np.eye(2), gs)
     with pytest.raises(np.linalg.LinAlgError):
         confidence_width(np.ones(2), gs)
     # zeta = 0 and one observed row leave the Newton system rank one
-    unpenalized = GroupStats(np.zeros((2, 2)), np.array([1.0, 0.0]), 1, 0.0)
+    unpenalized = GroupStats(np.zeros((2, 2)), 1, 0.0)
     with pytest.raises(np.linalg.LinAlgError):
         solve_mle_weighted(unpenalized, IDENTITY, np.array([[1.0, 0.0]]), np.ones(1),
                            np.ones(1))

@@ -135,7 +135,7 @@ def test_delete_never_adds_and_reconnect_never_removes(rng):
         before = g.edge_count()
         delete_edges(g, cam, est, counts, DeletionRule(0.05, "f2"))
         assert g.edge_count() <= before
-    policy = ReconnectPolicy(p0=0.9, mode="per-edge")
+    policy = ReconnectPolicy(p0=0.9)
     before = g.edge_count()
     reconnect(g, policy, 1, rng)
     assert g.edge_count() >= before
@@ -151,7 +151,7 @@ def test_component_count_monotonicity(rng):
         cur = g.component_count()
         assert cur >= prev
         prev = cur
-    policy = ReconnectPolicy(p0=0.999, mode="per-edge")
+    policy = ReconnectPolicy(p0=0.999)
     prev = g.component_count()
     for t in (1, 1, 1):
         reconnect(g, policy, t, rng)
@@ -181,25 +181,12 @@ def test_reconnect_rare_at_late_rounds(rng):
     assert resets <= 1
 
 
-def test_reconnect_per_edge_full_restore():
-    g = CameraGraph(4)
-    policy = ReconnectPolicy(p0=0.999, mode="per-edge")
-
-    class AlwaysLow:
-        def random(self, size=None):
-            return np.zeros(size) if size is not None else 0.0
-    reconnect(g, policy, 1, AlwaysLow())
-    assert g.edge_count() == 6
-
-
 def test_reconnect_probability_clamped():
     policy = ReconnectPolicy(p0=0.7)
     assert policy.probability(1) == 0.7
     assert policy.probability(1000) == pytest.approx(7e-7)
     with pytest.raises(ConfigError):
         ReconnectPolicy(p0=1.5)
-    with pytest.raises(ConfigError):
-        ReconnectPolicy(p0=0.5, mode="sometimes")
 
 
 def test_set_based_groups_basic(rng):
@@ -308,27 +295,20 @@ def test_graph_adjacency_validation():
 
 _GRAPH_OPS = st.lists(st.one_of(
     st.tuples(st.just("remove"), st.integers(0, 7), st.lists(st.integers(0, 7), max_size=6)),
-    st.tuples(st.just("restore"), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
-                                           max_size=6)),
     st.tuples(st.just("reconnect"), st.integers(1, 3), st.integers(0, 2 ** 16)),
     st.tuples(st.just("reset")),
 ), max_size=30)
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 8), mode=st.sampled_from(["whole-graph-reset", "per-edge"]),
-       ops=_GRAPH_OPS)
-def test_kept_edge_count_and_labels_track_adjacency(n, mode, ops):
+@given(n=st.integers(1, 8), ops=_GRAPH_OPS)
+def test_kept_edge_count_and_labels_track_adjacency(n, ops):
     g = CameraGraph.complete(n)
     assert np.array_equal(g.component_labels(), _reference_labels(g.adj))
-    policy = ReconnectPolicy(0.9, mode)
+    policy = ReconnectPolicy(0.9)
     for op in ops:
         if op[0] == "remove":
             g.remove_edges(op[1] % n, np.array([c % n for c in op[2]], dtype=int))
-        elif op[0] == "restore":
-            pairs = [(a % n, b % n) for a, b in op[1] if a % n != b % n]
-            g.restore_edges(np.array([a for a, _ in pairs], dtype=int),
-                            np.array([b for _, b in pairs], dtype=int))
         elif op[0] == "reconnect":
             reconnect(g, policy, op[1], np.random.default_rng(op[2]))
         else:

@@ -104,7 +104,7 @@ def test_oracle_informed_zero_regret(world, agent_config, monkeypatch):
 
     def informed(label, members):
         theta = world.group_thetas[world.camera_groups[agent.arrival[agent._t - 1]]]
-        return theta, GroupStats(np.eye(5), np.zeros(5), 0, 1.0)
+        return theta, GroupStats(np.eye(5), 0, 1.0)
 
     original_step = agent.step
 
