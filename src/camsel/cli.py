@@ -286,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level     # restored on return
     try:
         args = parser.parse_args(argv)
         _setup_logging(args.quiet, args.json_logs)
@@ -298,6 +300,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .core import (LinkFunctionSpec, cascade_payoff, expected_cascade_payoff,
                    link_callables)
 from .environment import PerspectiveSchedule, World
 from .errors import ConfigError
-from .estimator import GroupStats, confidence_widths, solve_mle_weighted
+from .estimator import GroupStats, confidence_widths, outer_products, solve_mle_weighted
 from .grouping import (CameraGraph, DeletionRule, ReconnectPolicy, delete_edges,
                        reconnect, set_based_groups)
 
@@ -107,12 +107,13 @@ class _Totals:
 
 @dataclass(frozen=True)
 class _Fit:
-    """A memoised estimate: whose feedback it fits, the statistics of that
-    feedback (``stats.count`` observations), and whether Newton converged."""
+    """A memoised estimate: whose feedback it fits, its statistics (``stats.count``
+    observations), whether Newton converged, and the solve's last mu(F theta)."""
     members: np.ndarray
     stats: GroupStats
     theta: np.ndarray
     converged: bool
+    means: np.ndarray | None
 
 
 def catalog_scores(mu, feats: np.ndarray, theta: np.ndarray, gs: GroupStats,
@@ -243,6 +244,7 @@ class Agent(_Episode):
         n, m, d = world.n_cameras, world.n_models, world.dimension
         self.features = world.features
         self._features_t = world.features.T
+        self._outer = outer_products(world.features)
         self.tier_ranks = (world.tiers == "cloud").astype(int)
         self.rule = DeletionRule(config.beta, config.f_id)
         self.reconnect_policy = ReconnectPolicy(config.p0)
@@ -344,10 +346,11 @@ class Agent(_Episode):
         gs = GroupStats(gramian_reg=self._eye + (self._features_t * cg).dot(self.features),
                         count=count, zeta=self.zeta)
         start = self._theta0 if last is None else last.theta
-        est = solve_mle_weighted(gs, self.cfg.link, self.features, cg, sg, theta0=start)
+        est = solve_mle_weighted(gs, self.cfg.link, self.features, cg, sg, theta0=start,
+                                 outer=self._outer)
         theta = est.theta_hat if est.converged else start
         self.nonconverged_solves += not est.converged
-        self._fits[label] = _Fit(members, gs, theta, est.converged)
+        self._fits[label] = _Fit(members, gs, theta, est.converged, est.means)
         return theta, gs
 
     def step(self, t: int) -> RoundRecord:
@@ -371,7 +374,10 @@ class Agent(_Episode):
 
         t3 = clock()
         self.time_estimation += t3 - t2
-        scores = catalog_scores(self._mu, self.features, theta, gs, cfg.alpha)
+        fit = self._fits.get(label)     # a converged solve has mu(F theta) already
+        means = (fit.means if fit and fit.converged and fit.theta is theta
+                 else self._mu(self.features.dot(theta)))
+        scores = means + cfg.alpha * confidence_widths(self.features, gs)
         intended = plan_cascade(scores, self.tier_ranks, cfg.k_max, cfg.cascade_order,
                                 rng=self.rng, random_after_first=cfg.no_combining).tolist()
         u_row = self.payoff_u[t - 1].tolist()
@@ -401,7 +407,8 @@ class Agent(_Episode):
             self.time_estimation += t6 - t5
             if cfg.grouping == "graph":
                 before = self.graph.edge_count()
-                delete_edges(self.graph, camera, self.camera_theta, self.counts, self.rule)
+                if before:      # an edgeless graph has nothing to delete
+                    delete_edges(self.graph, camera, self.camera_theta, self.counts, self.rule)
                 after_delete = self.graph.edge_count()
                 edges_deleted = before - after_delete
                 reconnect(self.graph, self.reconnect_policy, t, self.rng)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -267,3 +268,18 @@ def test_json_logs_carry_one_progress_line_per_pair(tmp_path, capsys):
     for summary in summaries:
         summary["variants"]["default"].pop("timing_seconds")
     assert summaries[0] == summaries[1]
+
+
+def test_main_restores_the_root_log_handlers(tmp_path, capsys):
+    root = logging.getLogger()
+    before = (root.handlers[:], root.level)
+    cfg = _write_config(tmp_path)
+    for run in range(2):
+        code = main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / str(run))])
+        assert code == 0
+        assert (root.handlers, root.level) == before
+    err = capsys.readouterr().err
+    # each run logged its pair to the stderr of its own call, and nothing was
+    # written through a handler a call left behind
+    assert err.count("pair default seed 0 finished") == 2
+    assert "Logging error" not in err

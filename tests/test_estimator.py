@@ -12,7 +12,8 @@ import camsel.policy as policy
 from camsel.core import LINK_KINDS, LinkFunctionSpec, link_callables, link_eval
 from camsel.estimator import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_HALVINGS, GroupStats,
                               SufficientStats, _newton, aggregate_group, confidence_width,
-                              confidence_widths, solve_mle, solve_mle_weighted, update_stats)
+                              confidence_widths, outer_products, solve_mle, solve_mle_weighted,
+                              update_stats)
 from camsel.policy import Agent, catalog_scores
 
 SIGMOID = LinkFunctionSpec("sigmoid")
@@ -348,13 +349,14 @@ def test_singular_systems_raise():
 
 
 def _matmul_newton(feats, weights, resp_sums, zeta, link, theta0):
-    """The same damped Newton written with ``@``, link_callables and zeta * I
-    resolved on every call and theta + step * delta for every step; also
-    counts the step halvings."""
+    """The same damped Newton written with ``@``, link_callables, zeta * I and
+    the rows' outer products (by einsum) resolved on every call and
+    theta + step * delta for every step; also counts the step halvings."""
     d = feats.shape[1]
     theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     mu, mu_prime = link_callables(link)
     ridge = zeta * np.eye(d)
+    outer = np.einsum("ij,ik->ijk", feats, feats).reshape(-1, d * d)
     z = feats @ theta
     m = mu(z)
     g = feats.T @ (resp_sums - weights * m) - zeta * theta
@@ -362,7 +364,7 @@ def _matmul_newton(feats, weights, resp_sums, zeta, link, theta0):
     iters = halvings = 0
     while gnorm > DEFAULT_TOL and iters < DEFAULT_MAX_ITER:
         slope = weights * mu_prime(z, m)
-        _, _, delta, info = dgesv(ridge + (feats * slope[:, None]).T @ feats, g)
+        _, _, delta, info = dgesv(ridge + (slope @ outer).reshape(d, d), g)
         assert info == 0
         step = 1.0
         for _ in range(MAX_HALVINGS):
@@ -383,10 +385,9 @@ def _matmul_newton(feats, weights, resp_sums, zeta, link, theta0):
 
 
 def _assert_bit_identical(feats, counts, succ, zeta, link, theta0):
-    """_newton on the observed rows equals the ``@`` loop under ==; returns
-    the iterations and the step halvings."""
-    mask = counts > 0
-    args = (feats[mask], counts[mask], succ[mask], zeta, link, theta0)
+    """_newton on every row, observed or not, equals the ``@`` loop under ==;
+    returns the iterations and the step halvings."""
+    args = (feats, counts, succ, zeta, link, theta0)
     est = _newton(*args, DEFAULT_TOL, DEFAULT_MAX_ITER)
     theta, iters, gnorm, halvings = _matmul_newton(*args)
     assert np.array_equal(est.theta_hat, theta)
@@ -399,10 +400,10 @@ def test_newton_bit_identical_on_agent_problems(world, agent_config, monkeypatch
     problems = []
     real = policy.solve_mle_weighted
 
-    def captured(gs, link, feats, counts, successes, theta0=None):
+    def captured(gs, link, feats, counts, successes, theta0=None, outer=None):
         problems.append((feats, counts.copy(), successes.copy(), gs.zeta, link,
                          np.array(theta0)))
-        return real(gs, link, feats, counts, successes, theta0=theta0)
+        return real(gs, link, feats, counts, successes, theta0=theta0, outer=outer)
 
     monkeypatch.setattr(policy, "solve_mle_weighted", captured)
     Agent(replace(agent_config, grouping=grouping), world, 300, seed=0).run()
@@ -447,3 +448,47 @@ def test_newton_bit_identical_on_drawn_problems(kind, problem):
 def test_far_start_example_halves_steps(kind):
     feats, counts, succ, zeta, theta0 = _FAR
     assert _assert_bit_identical(feats, counts, succ, zeta, LinkFunctionSpec(kind), theta0)[1] > 0
+
+
+@pytest.mark.parametrize("kind", LINK_KINDS)
+def test_solve_returns_the_means_of_its_estimate(world, rng, kind):
+    # the agent ranks by these means, so they must be mu(F theta_hat) to the bit
+    link = LinkFunctionSpec(kind)
+    mu = link_callables(link)[0]
+    feats = world.features
+    outer = outer_products(feats)
+    for _ in range(30):
+        counts = rng.integers(0, 15, feats.shape[0]).astype(float)
+        counts[rng.random(feats.shape[0]) < 0.5] = 0.0
+        succ = np.floor(rng.random(feats.shape[0]) * (counts + 1.0))
+        gs = GroupStats(np.eye(5) + (feats.T * counts) @ feats, int(counts.sum()), 1.0)
+        cold = solve_mle_weighted(gs, link, feats, counts, succ, outer=outer)
+        for theta0 in (None, cold.theta_hat, cold.theta_hat + rng.normal(0.0, 0.3, 5)):
+            est = solve_mle_weighted(gs, link, feats, counts, succ, theta0=theta0, outer=outer)
+            assert np.array_equal(est.means, mu(feats.dot(est.theta_hat)))
+            bare = solve_mle_weighted(gs, link, feats, counts, succ, theta0=theta0)
+            assert np.array_equal(bare.theta_hat, est.theta_hat)
+
+
+def test_seed_stacked_products_and_solves_match_per_seed_calls(world, rng):
+    """A Newton stacked over a leading seed axis reproduces the per-seed one
+    bit for bit only through these calls: stacked matmul and solve equal the
+    per-seed dot and gesv, while the 2-D product ``slopes @ P`` does not."""
+    feats = world.features
+    d = feats.shape[1]
+    outer = outer_products(feats)
+    seeds = 40
+    for _ in range(25):
+        slopes = rng.random((seeds, feats.shape[0])) * rng.integers(0, 15, (seeds, 1))
+        thetas = rng.normal(0.0, 1.0, (seeds, d))
+        resid = rng.normal(0.0, 3.0, (seeds, feats.shape[0]))
+        hess = np.matmul(slopes[:, None, :], outer)[:, 0]
+        z = np.matmul(feats, thetas[:, :, None])[..., 0]
+        g = np.matmul(feats.T, resid[:, :, None])[..., 0]
+        systems = np.eye(d) + hess.reshape(seeds, d, d)
+        deltas = np.linalg.solve(systems, g[:, :, None])[..., 0]
+        for s in range(seeds):
+            assert np.array_equal(hess[s], slopes[s].dot(outer))
+            assert np.array_equal(z[s], feats.dot(thetas[s]))
+            assert np.array_equal(g[s], feats.T.dot(resid[s]))
+            assert np.array_equal(deltas[s], dgesv(systems[s], g[s])[2])

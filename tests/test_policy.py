@@ -414,3 +414,45 @@ def test_unchanged_partition_keeps_members_and_totals(world, grouping):
     assert agent._members == members and agent._totals == totals
     assert all(agent._members[label] is members[label] for label in members)
     assert all(agent._totals[label] is totals[label] for label in totals)
+
+
+def test_round_scores_are_the_catalog_scores_of_its_fit(world, agent_config, monkeypatch):
+    """The means a solve returns stand in for mu(F theta) bit for bit, and
+    only when the round's theta is that solve's converged estimate."""
+    import camsel.policy as policy
+
+    real_solve, real_plan = policy.solve_mle_weighted, policy.plan_cascade
+    solves, events = [], []
+
+    def flaky(*args, **kwargs):
+        est = real_solve(*args, **kwargs)
+        solves.append(est)
+        if len(solves) % 7 == 0:
+            return replace(est, theta_hat=est.theta_hat + 5.0, converged=False)
+        return est
+
+    def plan(scores, *args, **kwargs):
+        events.append(("plan", scores))
+        return real_plan(scores, *args, **kwargs)
+
+    monkeypatch.setattr(policy, "solve_mle_weighted", flaky)
+    monkeypatch.setattr(policy, "plan_cascade", plan)
+    agent = Agent(agent_config, world, 200, seed=0)
+    fit = agent._fit
+
+    def recorded(label, members):
+        theta, gs = fit(label, members)
+        events.append(("fit", theta, gs))
+        return theta, gs
+
+    monkeypatch.setattr(agent, "_fit", recorded)
+    agent.run()
+    assert agent.nonconverged_solves > 0 and len(solves) < 400
+    planned = 0
+    for before, event in zip(events, events[1:]):
+        if event[0] == "plan":
+            _, theta, gs = before
+            assert np.array_equal(
+                event[1], catalog_scores(agent._mu, world.features, theta, gs, agent.cfg.alpha))
+            planned += 1
+    assert planned == 200

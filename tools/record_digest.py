@@ -3,6 +3,7 @@
 Usage (from the repository root):
 
     PYTHONPATH=src python3 tools/record_digest.py [--horizon 2000] > digests.txt
+    PYTHONPATH=src python3 tools/record_digest.py --bench > bench-digests.txt
 
 Each line names one (variant, seed) pair and the sha256 of its round records
 (``dataclasses.astuple``, every float by its exact bits), its per-round
@@ -11,8 +12,12 @@ of them in order. The pairs are every variant on the canonical world at
 seeds 0..9 and ``--horizon`` rounds; ``default``, ``greedy`` and
 ``set-based`` at seed 3 with two perspective shifts; the N = 308 fleet with
 ``default`` at seeds 0..3 (T = 500) and ``set-based`` at seeds 0..2
-(T = 80). Run it with ``PYTHONPATH`` pointing at each checkout's ``src/``
-and compare the outputs: equal lines mean bit-identical records.
+(T = 80). ``--bench`` fingerprints instead the 800 pairs the benchmark's
+canonical workloads may run (``perfbench/workloads.py``): ``default`` and
+``no-perspective`` on the canonical world at T = 300 and run seeds 0..399,
+the seeds of workload seeds 0..9. Run it with ``PYTHONPATH`` pointing at each
+checkout's ``src/`` and compare the outputs: equal lines mean bit-identical
+records.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 SCHEDULE = ((500, 0, 1), (1000, 5, 0))
 FLEET_GRAPH = ("default", range(4), 500)
 FLEET_SET = ("set-based", range(3), 80)
+BENCH = (("default", "no-perspective"), range(400), 300)
 
 
 def _canonical(value):
@@ -72,15 +78,30 @@ def pairs(horizon: int):
             yield f"{name}/seed{seed}", (variant, seed, fleet, agent, fleet_horizon, ())
 
 
+def bench_pairs():
+    """(name, run_pair arguments) of every pair the canonical workloads run."""
+    from camsel.presets import canonical_agent_config, canonical_world
+
+    agent = canonical_agent_config()
+    world = canonical_world()
+    variants, seeds, horizon = BENCH
+    for variant in variants:
+        for seed in seeds:
+            yield f"bench/{variant}/seed{seed}", (variant, seed, world, agent, horizon, ())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--horizon", type=int, default=2000,
                         help="rounds of each canonical pair (default 2000)")
+    parser.add_argument("--bench", action="store_true",
+                        help="fingerprint the benchmark's 800 canonical pairs instead")
     args = parser.parse_args(argv)
     from camsel.harness import run_pair
 
     overall = hashlib.sha256()
-    for name, (variant, seed, world, agent, horizon, events) in pairs(args.horizon):
+    chosen = bench_pairs() if args.bench else pairs(args.horizon)
+    for name, (variant, seed, world, agent, horizon, events) in chosen:
         result = run_pair(variant, seed, world, agent, horizon, schedule_events=events,
                           keep_records=True)
         digest = result_digest(result)
