@@ -152,14 +152,16 @@ def _cmd_ablate_grouping(args):
     cfg = _experiment_config(args, "ablate-grouping", ("default", "no-grouping", "set-based"))
     result = run_experiment(cfg)
     s = result.summary["variants"]
-    ratios = []
-    for with_r, wo_r in zip(s["default"].get("rounds_to_threshold", []),
-                            s["no-grouping"].get("rounds_to_threshold", [])):
-        ratios.append(acceleration_ratio(wo_r, with_r))
+    # each variant lists only the seeds it finished: pair them by seed
+    with_g, without_g = (dict(zip(s[v]["seeds"], s[v].get("rounds_to_threshold", [])))
+                         for v in ("default", "no-grouping"))
+    seeds = [seed for seed in with_g if seed in without_g]
+    ratios = [acceleration_ratio(without_g[seed], with_g[seed]) for seed in seeds]
     reached = [r for r in ratios if r is not None]
     payload = {
         "target": cfg.target,
         "window": cfg.window,
+        "seeds": seeds,
         "acceleration_ratios": ratios,
         "median_acceleration": float(np.median(reached)) if reached else None,
         "grouping_seconds": {

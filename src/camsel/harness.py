@@ -84,6 +84,10 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}; expected one of {sorted(VARIANTS)}")
+        for name, values in (("seeds", self.seeds), ("variants", self.variants)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{name} repeat {repeated}; each pair runs once")
         if self.horizon < 0:
             raise ConfigError("horizon must be nonnegative")
         if self.window < 1:

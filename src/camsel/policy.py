@@ -96,24 +96,18 @@ class RoundRecord:
 
 
 @dataclass(slots=True)
-class _Totals:
-    """A block's pooled feedback: tries and successes per model, and their
-    sum. Every entry is an integer-valued float, so adding a round's tries
+class _Block:
+    """Everything the agent keeps about one partition block (or one camera
+    alone): its members, their pooled tries and successes per model with
+    their sum ``count``, and the block's last converged fit
+    ``(theta, gs, means)``, made when the count was ``gs.count``. Every
+    tries/wins entry is an integer-valued float, so adding a round's tries
     gives the same bits as re-summing the members' rows."""
+    members: np.ndarray
     tries: np.ndarray
     wins: np.ndarray
-    count: int
-
-
-@dataclass(frozen=True)
-class _Fit:
-    """A memoised estimate: whose feedback it fits, its statistics (``stats.count``
-    observations), whether Newton converged, and the solve's last mu(F theta)."""
-    members: np.ndarray
-    stats: GroupStats
-    theta: np.ndarray
-    converged: bool
-    means: np.ndarray | None
+    count: int = 0
+    fit: tuple | None = None
 
 
 def catalog_scores(mu, feats: np.ndarray, theta: np.ndarray, gs: GroupStats,
@@ -258,16 +252,14 @@ class Agent(_Episode):
         self.obs_counts = np.zeros((n, m))
         self.obs_success = np.zeros((n, m))
         self.counts = np.zeros(n)
-        # each camera's own totals: views of its rows, with the count as an int
-        self._own = [_Totals(self.obs_counts[c], self.obs_success[c], 0) for c in range(n)]
+        # each camera's own block: views of its rows, with the count as an int
+        self._own = [_Block(np.array([c]), self.obs_counts[c], self.obs_success[c])
+                     for c in range(n)]
         self.camera_theta = np.zeros((n, d))
         self._theta0 = np.zeros(d)
-        self._fits = {}
+        self._warm = {}         # label -> last converged theta fitted under it
         self.nonconverged_solves = 0
         self._ids = np.arange(n)
-        # one member array per camera, passed to every fit of that camera
-        # alone, so a memo hit on it is an identity test
-        self._single = [np.array([c]) for c in range(n)]
         self.graph = CameraGraph.complete(n) if config.grouping == "graph" else None
         self._use_partition(
             np.zeros(n, dtype=int) if config.grouping == "pooled" else np.arange(n))
@@ -293,65 +285,60 @@ class Agent(_Episode):
             return
         if labels is not self.labels:
             if np.array_equal(labels, self.labels):
-                self.labels = labels    # the same blocks: keep members and totals
+                self.labels = labels    # the same blocks: keep them
             else:
                 self._use_partition(labels)
 
     def _use_partition(self, labels: np.ndarray):
-        """Adopt a new partition: count its components, drop the member arrays
-        and the block totals."""
+        """Adopt a new partition: count its components and drop its blocks."""
         self.labels = labels
-        self._members = {}
-        self._totals = {}
+        self._blocks = {}
         # each block is labeled by its smallest member, which labels itself
         self.component_count = int(np.count_nonzero(labels == self._ids))
 
     def _members_for(self, camera: int):
-        """(inferred label, member ids, component count) for the current round.
-        A label's member array and its block's totals are built once per
-        partition; a singleton's totals are its camera's own."""
+        """(inferred label, block) of the camera for the current round. A
+        block is built once per partition; a singleton is its camera's own."""
         labels = self.labels
         label = int(labels[camera])
-        members = self._members.get(label)
-        if members is None:
+        block = self._blocks.get(label)
+        if block is None:
             members = np.flatnonzero(labels == label)
             if members.size == 1:
-                members = self._single[label]
-                self._totals[label] = self._own[label]
+                block = self._own[label]
             else:
-                self._totals[label] = _Totals(self.obs_counts[members].sum(axis=0),
-                                              self.obs_success[members].sum(axis=0),
-                                              int(self.counts[members].sum()))
-            self._members[label] = members
-        return label, members, self.component_count
+                block = _Block(members, self.obs_counts[members].sum(axis=0),
+                               self.obs_success[members].sum(axis=0),
+                               int(self.counts[members].sum()))
+            self._blocks[label] = block
+        return label, block
 
-    def _fit(self, label: int, members: np.ndarray):
-        """(theta, group stats) of the members' pooled feedback: one camera's
-        own totals, or the totals of the current partition's block ``label``.
+    def _fit(self, label: int, block: _Block):
+        """(theta, group stats, means) of the block's pooled feedback, where
+        ``means`` is mu(F theta) as the solve left it, or None.
 
-        The memo keeps the last fit made under each label. Counts only grow,
-        so the same members with the same total count hold the same data and
-        a converged fit of it is reused; otherwise the solve warm-starts from
-        the label's last theta. That theta is always a converged one (or the
-        cold start): a fit that stops short of tolerance is not used, for its
-        own round or as a warm start, and the label keeps its last theta.
+        A block's members are fixed and its counts only grow, so while its
+        count has not moved its last converged fit stands. Otherwise the
+        solve warm-starts from the last converged theta fitted under
+        ``label`` (the cold start before the first). A fit that stops short
+        of tolerance is not used, for its own round or as a warm start: the
+        round takes the warm start instead, with no means.
         """
-        totals = self._own[members[0]] if members.size == 1 else self._totals[label]
-        count = totals.count
-        last = self._fits.get(label)
-        if (last is not None and last.converged and last.stats.count == count
-                and (last.members is members or np.array_equal(last.members, members))):
-            return last.theta, last.stats
-        cg, sg = totals.tries, totals.wins
-        gs = GroupStats(gramian_reg=self._eye + (self._features_t * cg).dot(self.features),
-                        count=count, zeta=self.zeta)
-        start = self._theta0 if last is None else last.theta
-        est = solve_mle_weighted(gs, self.cfg.link, self.features, cg, sg, theta0=start,
-                                 outer=self._outer)
-        theta = est.theta_hat if est.converged else start
-        self.nonconverged_solves += not est.converged
-        self._fits[label] = _Fit(members, gs, theta, est.converged, est.means)
-        return theta, gs
+        fit = block.fit
+        if fit is not None and fit[1].count == block.count:
+            return fit
+        tries = block.tries
+        gs = GroupStats(gramian_reg=self._eye + (self._features_t * tries).dot(self.features),
+                        count=block.count, zeta=self.zeta)
+        start = self._warm.get(label, self._theta0)
+        est = solve_mle_weighted(gs, self.cfg.link, self.features, tries, block.wins,
+                                 theta0=start, outer=self._outer)
+        if not est.converged:
+            self.nonconverged_solves += 1
+            return start, gs, None
+        self._warm[label] = est.theta_hat
+        block.fit = (est.theta_hat, gs, est.means)
+        return block.fit
 
     def step(self, t: int) -> RoundRecord:
         """One round. Its clock readings are chained, so the four timer
@@ -366,17 +353,17 @@ class Agent(_Episode):
 
         t1 = clock()
         self.time_bookkeeping += t1 - t0
-        label, members, component_count = self._members_for(camera)
+        label, block = self._members_for(camera)
+        component_count = self.component_count
 
         t2 = clock()
         self.time_grouping += t2 - t1
-        theta, gs = self._fit(label, members)
+        theta, gs, means = self._fit(label, block)
 
         t3 = clock()
         self.time_estimation += t3 - t2
-        fit = self._fits.get(label)     # a converged solve has mu(F theta) already
-        means = (fit.means if fit and fit.converged and fit.theta is theta
-                 else self._mu(self.features.dot(theta)))
+        if means is None:
+            means = self._mu(self.features.dot(theta))
         scores = means + cfg.alpha * confidence_widths(self.features, gs)
         intended = plan_cascade(scores, self.tier_ranks, cfg.k_max, cfg.cascade_order,
                                 rng=self.rng, random_after_first=cfg.no_combining).tolist()
@@ -387,14 +374,14 @@ class Agent(_Episode):
         t4 = clock()
         self.time_selection += t4 - t3
         # at most k_max distinct tries, absorbed one scalar at a time into the
-        # camera's rows and, unless it is alone, its block's totals
-        own, block = self._own[camera], self._totals[label]
-        for totals in ((own,) if block is own else (own, block)):
-            tries, wins = totals.tries, totals.wins
+        # camera's own block and, unless it is alone, its partition block
+        own = self._own[camera]
+        for b in ((own,) if block is own else (own, block)):
+            tries, wins = b.tries, b.wins
             for m, r in zip(tried, payoffs):
                 tries[m] += 1
                 wins[m] += r
-            totals.count += len(tried)
+            b.count += len(tried)
         self.counts[camera] += len(tried)
 
         edges_deleted = 0
@@ -402,7 +389,7 @@ class Agent(_Episode):
         t5 = clock()
         self.time_bookkeeping += t5 - t4
         if cfg.grouping in ("graph", "set"):
-            self.camera_theta[camera] = self._fit(camera, self._single[camera])[0]
+            self.camera_theta[camera] = self._fit(camera, own)[0]
             t6 = clock()
             self.time_estimation += t6 - t5
             if cfg.grouping == "graph":

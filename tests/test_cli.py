@@ -167,6 +167,61 @@ def test_ablate_grouping_and_combining(tmp_path, capsys):
     assert "trailing_payoff_with" in payload
 
 
+def _ablate_grouping_ratios(tmp_path, monkeypatch, failing=None):
+    """(exit code, payload) of ablate-grouping on a one-group world where
+    grouping pays off, with the ``default`` pair at seed ``failing`` made to fail."""
+    import camsel.harness as harness
+
+    real = harness.run_pair
+
+    def run_pair(variant, seed, *args, **kwargs):
+        if (variant, seed) == ("default", failing):
+            raise RuntimeError("synthetic failure")
+        return real(variant, seed, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_pair", run_pair)
+    cfg = _write_config(
+        tmp_path, world={"n_groups": 1, "n_cameras": 8, "dimension": 3, "n_models": 10},
+        world_seed=2, agent={"beta": 10},
+        experiment={"horizon": 800, "seeds": [0, 1, 2, 3], "target": 0.9, "window": 50})
+    out_dir = tmp_path / f"o{failing}"
+    code = main(["--quiet", "ablate-grouping", "--config", str(cfg),
+                 "--output-dir", str(out_dir)])
+    return code, json.loads((out_dir / "ablate-grouping" / "grouping_ablation.json").read_text())
+
+
+def test_ablate_grouping_pairs_variants_by_seed(tmp_path, capsys, monkeypatch):
+    code, full = _ablate_grouping_ratios(tmp_path, monkeypatch)
+    assert code == 0
+    assert full["acceleration_ratios"] == pytest.approx([14.74, None, 3.4, None], abs=0.01)
+    # a failed pair drops its seed and leaves every other seed's ratio alone
+    code, partial = _ablate_grouping_ratios(tmp_path, monkeypatch, failing=0)
+    assert code == 2
+    assert partial["acceleration_ratios"] == full["acceleration_ratios"][1:]
+    assert partial["median_acceleration"] == pytest.approx(3.4, abs=0.01)
+    assert (full["seeds"], partial["seeds"]) == ([0, 1, 2, 3], [1, 2, 3])
+
+
+@pytest.mark.parametrize("case", ["file-seeds", "file-variants", "flag-seeds"])
+def test_repeated_seeds_or_variants_exit_1(tmp_path, capsys, case):
+    experiment = {"horizon": 30, "seeds": [0], "variants": ["default"]}
+    extra = []
+    if case == "file-seeds":
+        experiment["seeds"] = [0, 0, 1]
+    elif case == "file-variants":
+        experiment["variants"] = ["default", "greedy", "default"]
+    else:
+        extra = ["--seeds", "0,0"]
+    cfg = _write_config(tmp_path, experiment=experiment)
+    out_dir = tmp_path / "o"
+    code = main(["--quiet", "run", "--config", str(cfg), *extra, "--output-dir", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("variants repeat ['default']" if case == "file-variants"
+            else "seeds repeat [0]") in err
+    assert not (out_dir / "run" / "summary.json").exists()
+
+
 def test_ablate_perspective_and_compare_greedy(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out_dir = tmp_path / "o"

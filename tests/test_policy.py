@@ -102,9 +102,9 @@ def test_oracle_informed_zero_regret(world, agent_config, monkeypatch):
     cfg = AgentConfig(alpha=0.0, beta=0.1, k_max=3)
     agent = Agent(cfg, world, horizon=300, seed=3)
 
-    def informed(label, members):
+    def informed(label, block):
         theta = world.group_thetas[world.camera_groups[agent.arrival[agent._t - 1]]]
-        return theta, GroupStats(np.eye(5), 0, 1.0)
+        return theta, GroupStats(np.eye(5), 0, 1.0), None
 
     original_step = agent.step
 
@@ -162,28 +162,31 @@ def test_nonconverged_fit_falls_back_to_last_converged_theta(world, agent_config
 
     monkeypatch.setattr(policy, "solve_mle_weighted", flaky)
     agent = Agent(agent_config, world, 200, seed=0)
-    fits = []            # (label, last fit before the call, returned theta, its solve or None)
+    # (label, the label's last converged theta before the call, returned
+    # theta and means, its solve or None)
+    fits = []
     fit = agent._fit
 
-    def recorded(label, members):
-        before, solves = agent._fits.get(label), len(starts)
-        theta, gs = fit(label, members)
-        fits.append((label, before, theta, solves if len(starts) > solves else None))
-        return theta, gs
+    def recorded(label, block):
+        before, solves = agent._warm.get(label), len(starts)
+        theta, gs, means = fit(label, block)
+        fits.append((label, before, theta, means, solves if len(starts) > solves else None))
+        return theta, gs, means
 
     monkeypatch.setattr(agent, "_fit", recorded)
     agent.run()
     assert agent.nonconverged_solves == 1
 
-    i = next(k for k, f in enumerate(fits) if f[3] == failing - 1)
-    label, before, theta, _ = fits[i]
-    assert before is not None and before.converged
-    # the failed fit's round uses the label's last converged theta ...
-    assert np.array_equal(theta, before.theta)
+    i = next(k for k, f in enumerate(fits) if f[4] == failing - 1)
+    label, before, theta, means, _ = fits[i]
+    assert before is not None
+    # the failed fit's round uses the label's last converged theta, without
+    # the failed solve's means ...
+    assert np.array_equal(theta, before) and means is None
     # ... and the label's next fit solves again, warm-started from it
     later = next(f for f in fits[i + 1:] if f[0] == label)
-    assert later[3] is not None
-    assert np.array_equal(starts[later[3]], before.theta)
+    assert later[4] is not None
+    assert np.array_equal(starts[later[4]], before)
 
 
 def test_determinism_identical_traces(world, agent_config):
@@ -351,25 +354,30 @@ def test_cached_members_and_count_match_the_partition(world, grouping):
             assert np.array_equal(labels, _min_labels(agent.graph.adj)), t
         assert agent.component_count == np.unique(labels).size
         for camera in range(world.n_cameras):
-            label, members, count = agent._members_for(camera)
-            assert (label, count) == (labels[camera], agent.component_count)
-            assert np.array_equal(members, np.flatnonzero(labels == label))
+            label, block = agent._members_for(camera)
+            assert label == labels[camera]
+            assert np.array_equal(block.members, np.flatnonzero(labels == label))
+            assert agent._blocks[label] is block
 
 
 def _assert_totals_match_rows(agent, where):
-    """Every block's totals equal its members' summed rows; each camera's
-    own totals are its rows."""
-    for label, totals in agent._totals.items():
-        members = agent._members[label]
+    """Every block's totals equal its members' summed rows, a singleton's
+    block is its camera's own, and each camera's own block holds its rows."""
+    for label, block in agent._blocks.items():
+        members = block.members
         assert np.array_equal(members, np.flatnonzero(agent.labels == label)), where
-        assert np.array_equal(totals.tries, agent.obs_counts[members].sum(axis=0)), where
-        assert np.array_equal(totals.wins, agent.obs_success[members].sum(axis=0)), where
-        assert totals.count == int(agent.counts[members].sum()), where
-        assert type(totals.count) is int, where
+        assert np.array_equal(block.tries, agent.obs_counts[members].sum(axis=0)), where
+        assert np.array_equal(block.wins, agent.obs_success[members].sum(axis=0)), where
+        assert block.count == int(agent.counts[members].sum()), where
+        assert type(block.count) is int, where
+        if members.size == 1:
+            assert block is agent._own[label], where
     for camera, own in enumerate(agent._own):
+        assert own.members.tolist() == [camera], where
         assert np.shares_memory(own.tries, agent.obs_counts[camera]), where
         assert np.shares_memory(own.wins, agent.obs_success[camera]), where
         assert own.count == agent.counts[camera], where
+        assert type(own.count) is int, where
 
 
 @pytest.mark.parametrize("grouping", GROUPINGS)
@@ -393,27 +401,25 @@ def test_unchanged_partition_keeps_members_and_totals(world, grouping):
     agent = Agent(AgentConfig(grouping=grouping, p0=1.0 - 1e-9), world, 300, seed=4)
     kept = 0
     for t in range(1, 301):
-        labels, members, totals = agent.labels, dict(agent._members), dict(agent._totals)
+        labels, blocks = agent.labels, dict(agent._blocks)
         agent.step(t)
         if agent.labels is not labels and np.array_equal(agent.labels, labels):
             kept += 1
-            for label, block in members.items():
-                assert agent._members[label] is block, (t, label)
-                assert agent._totals[label] is totals[label], (t, label)
+            for label, block in blocks.items():
+                assert agent._blocks[label] is block, (t, label)
         _assert_totals_match_rows(agent, t)
     assert kept > 0
     # a recomputed partition with the same labels keeps every cached block
     for camera in range(world.n_cameras):
         agent._members_for(camera)
-    members, totals = dict(agent._members), dict(agent._totals)
+    blocks = dict(agent._blocks)
     if grouping == "graph":
         agent.graph._invalidate()
     agent._regroup()
     recomputed = agent.graph.component_labels() if grouping == "graph" else agent.labels
     assert agent.labels is recomputed
-    assert agent._members == members and agent._totals == totals
-    assert all(agent._members[label] is members[label] for label in members)
-    assert all(agent._totals[label] is totals[label] for label in totals)
+    assert agent._blocks.keys() == blocks.keys()
+    assert all(agent._blocks[label] is blocks[label] for label in blocks)
 
 
 def test_round_scores_are_the_catalog_scores_of_its_fit(world, agent_config, monkeypatch):
@@ -440,10 +446,10 @@ def test_round_scores_are_the_catalog_scores_of_its_fit(world, agent_config, mon
     agent = Agent(agent_config, world, 200, seed=0)
     fit = agent._fit
 
-    def recorded(label, members):
-        theta, gs = fit(label, members)
+    def recorded(label, block):
+        theta, gs, means = fit(label, block)
         events.append(("fit", theta, gs))
-        return theta, gs
+        return theta, gs, means
 
     monkeypatch.setattr(agent, "_fit", recorded)
     agent.run()
@@ -456,3 +462,33 @@ def test_round_scores_are_the_catalog_scores_of_its_fit(world, agent_config, mon
                 event[1], catalog_scores(agent._mu, world.features, theta, gs, agent.cfg.alpha))
             planned += 1
     assert planned == 200
+
+
+def test_singleton_fit_is_never_solved_again_on_unchanged_data(monkeypatch):
+    """A camera alone in its block and the camera's own refit share one
+    block, so the converged fit of its unchanged feedback is reused: no
+    solve ever repeats a camera's own rows at a count already solved."""
+    import camsel.policy as policy
+    from camsel.presets import canonical_agent_config, canonical_world
+
+    real = policy.solve_mle_weighted
+    agent = Agent(replace(canonical_agent_config(), grouping="set"), canonical_world(),
+                  300, seed=0)
+    solved, repeats = set(), []
+
+    def recorded(gs, link, feats, counts, *args, **kwargs):
+        est = real(gs, link, feats, counts, *args, **kwargs)
+        # a fit of one camera's feedback reads that camera's own rows
+        own = [c for c, row in enumerate(agent.obs_counts) if np.shares_memory(counts, row)]
+        if own:
+            key = (own[0], gs.count)     # a camera's count fixes its data
+            if key in solved:
+                repeats.append(key)
+            if est.converged:
+                solved.add(key)
+        return est
+
+    monkeypatch.setattr(policy, "solve_mle_weighted", recorded)
+    agent.run()
+    assert len(solved) > 100 and agent.nonconverged_solves == 0
+    assert repeats == []
