@@ -13,13 +13,14 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import load_config
-from .environment import WorldConfig, generate_world, load_world, save_world, world_to_dict
+from .environment import (PAYOFF_MODES, WorldConfig, generate_world, load_world, save_world,
+                          world_to_dict)
 from .errors import ConfigError
 from .harness import ExperimentConfig, acceleration_ratio, run_experiment
 from .theory import theory_report
@@ -102,6 +103,11 @@ def _report(result, path: Path, payload: dict):
 def _trailing(summary: dict, variant: str):
     vals = summary["variants"][variant].get("final_trailing_payoff") or []
     return [v for v in vals if v is not None]
+
+
+def _mean(values):
+    """The mean over the finished seeds, or None when none finished."""
+    return float(np.mean(values)) if values else None
 
 
 def _sweep_exit_code(cmd):
@@ -199,8 +205,7 @@ def _cmd_ablate_perspective(args):
         "trailing_payoff_greedy": _trailing(result.summary, "greedy"),
     }
     for key in ("with", "without", "greedy"):
-        vals = payload[f"trailing_payoff_{key}"]
-        payload[f"mean_{key}"] = float(np.mean(vals)) if vals else None
+        payload[f"mean_{key}"] = _mean(payload[f"trailing_payoff_{key}"])
     _report(result, Path(cfg.output_dir) / "perspective_ablation.json", payload)
     print(json.dumps(payload, indent=2))
     return result
@@ -209,11 +214,12 @@ def _cmd_ablate_perspective(args):
 def _cmd_compare_greedy(args):
     cfg = _experiment_config(args, "compare-greedy", ("default", "greedy"))
     result = run_experiment(cfg)
+    s = result.summary["variants"]
     payload = {
         "trailing_payoff_default": _trailing(result.summary, "default"),
         "trailing_payoff_greedy": _trailing(result.summary, "greedy"),
-        "mean_bandwidth_default": result.summary["variants"]["default"].get("total_bandwidth"),
-        "mean_bandwidth_greedy": result.summary["variants"]["greedy"].get("total_bandwidth"),
+        "mean_bandwidth_default": _mean(s["default"].get("total_bandwidth")),
+        "mean_bandwidth_greedy": _mean(s["greedy"].get("total_bandwidth")),
     }
     _report(result, Path(cfg.output_dir) / "greedy_comparison.json", payload)
     print(json.dumps(payload, indent=2))
@@ -231,18 +237,8 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_gen_world(args) -> int:
-    config = WorldConfig(
-        n_groups=args.groups,
-        n_cameras=args.cameras,
-        dimension=args.dim,
-        gamma=args.gamma,
-        n_models=args.models,
-        unit_norm_features=args.unit_norm,
-        payoff_mode=args.payoff_mode,
-        accuracy_threshold=args.threshold,
-        noise_sigma=args.sigma,
-    )
-    world = generate_world(config, args.seed)
+    given = {f.name: getattr(args, f.name) for f in fields(WorldConfig) if hasattr(args, f.name)}
+    world = generate_world(WorldConfig(**given), args.seed)
     save_world(world, args.out)
     reloaded = load_world(args.out)
     if world_to_dict(reloaded) != world_to_dict(world):
@@ -269,18 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.set_defaults(func=fn)
 
-    g = sub.add_parser("gen-world")
-    g.add_argument("--groups", type=int, default=2)
-    g.add_argument("--cameras", type=int, default=8)
-    g.add_argument("--dim", type=int, default=5)
-    g.add_argument("--gamma", type=float, default=0.5)
-    g.add_argument("--models", type=int, default=20)
+    # each world flag given sets the WorldConfig field it names; one left out keeps its default
+    g = sub.add_parser("gen-world", argument_default=argparse.SUPPRESS)
+    for flag, name, kind in (("--groups", "n_groups", int), ("--cameras", "n_cameras", int),
+                             ("--dim", "dimension", int), ("--gamma", "gamma", float),
+                             ("--models", "n_models", int),
+                             ("--threshold", "accuracy_threshold", float),
+                             ("--sigma", "noise_sigma", float)):
+        g.add_argument(flag, dest=name, type=kind)
+    g.add_argument("--unit-norm", dest="unit_norm_features", action="store_true")
+    g.add_argument("--payoff-mode", dest="payoff_mode", choices=PAYOFF_MODES)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--unit-norm", action="store_true")
-    g.add_argument("--payoff-mode", default="bernoulli",
-                   choices=("bernoulli", "thresholded-gaussian"))
-    g.add_argument("--threshold", type=float, default=0.8)
-    g.add_argument("--sigma", type=float, default=0.1)
     g.add_argument("--out", "-o", required=True)
     g.set_defaults(func=_cmd_gen_world)
     return parser

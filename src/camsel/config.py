@@ -1,8 +1,10 @@
 """Experiment config files: JSON with strict keys and dotted-path overrides.
 
-Every field is either recognized or rejected; a misspelled key fails loudly
-with its full path. Overrides look like ``agent.alpha=0.5`` and must name a
-schema key; values are parsed as JSON with a plain-string fallback.
+A section's keys are the fields of the dataclass it builds, and its values
+reach that dataclass unchanged: the dataclasses own every default and check.
+A misspelled key fails loudly with its full path. Overrides look like
+``agent.alpha=0.5`` and must name a schema key; values are parsed as JSON
+with a plain-string fallback.
 """
 
 from __future__ import annotations
@@ -18,32 +20,22 @@ from .policy import AgentConfig
 
 CONFIG_SCHEMA_VERSION = 1
 
-_LINK_KEYS = ("kind", "domain_bound")
-# the world and agent sections are passed to their classes as keyword arguments
-_WORLD_KEYS = tuple(f.name for f in fields(WorldConfig))
-_AGENT_KEYS = tuple(f.name for f in fields(AgentConfig))
-_EXPERIMENT_KEYS = ("variants", "horizon", "seeds", "window", "target",
-                    "greedy_profile_rounds", "workers", "output_dir")
 _TOP_KEYS = ("schema_version", "world", "world_path", "world_seed", "agent",
              "experiment", "schedule")
+# the ExperimentConfig fields that the top level fills
+_TOP_FIELDS = ("agent", "world", "world_path", "world_seed", "schedule_events")
 _SCHEDULE_KEYS = ("round", "camera", "group")
 
 
-def _known_paths():
-    paths = set(_TOP_KEYS)
-    for key in _WORLD_KEYS:
-        paths.add(f"world.{key}")
-    for key in _AGENT_KEYS:
-        paths.add(f"agent.{key}")
-    for key in _EXPERIMENT_KEYS:
-        paths.add(f"experiment.{key}")
-    for key in _LINK_KEYS:
-        paths.add(f"world.link.{key}")
-        paths.add(f"agent.link.{key}")
-    return paths
+def _names(cls, skip=()) -> list:
+    return [f.name for f in fields(cls) if f.name not in skip]
 
 
-KNOWN_PATHS = _known_paths()
+KNOWN_PATHS = frozenset(
+    list(_TOP_KEYS)
+    + [f"{section}.{key}" for section, cls in (("world", WorldConfig), ("agent", AgentConfig))
+       for key in _names(cls) + [f"link.{k}" for k in _names(LinkFunctionSpec)]]
+    + [f"experiment.{key}" for key in _names(ExperimentConfig, _TOP_FIELDS)])
 
 
 def _check_keys(mapping: dict, allowed, where: str):
@@ -54,38 +46,21 @@ def _check_keys(mapping: dict, allowed, where: str):
         raise ConfigError(f"{where}: unknown key(s) {unknown}")
 
 
-def _link_from(data, where: str) -> LinkFunctionSpec:
-    if data is None:
-        return LinkFunctionSpec()
-    _check_keys(data, _LINK_KEYS, where)
+def _section(cls, data, where: str, outside=(), **given):
+    """``cls`` built from the config section ``data``, which may name any of
+    its fields but those ``outside``; ``given`` supplies values from outside
+    it. A ``link`` object is built as a nested section; null is the default."""
+    _check_keys(data, _names(cls, outside), where)
+    kwargs = {**data, **given}
+    link = kwargs.pop("link", None)
+    if link is not None:
+        kwargs["link"] = _section(LinkFunctionSpec, link, f"{where}.link")
     try:
-        return LinkFunctionSpec(kind=data.get("kind", "sigmoid"),
-                                domain_bound=float(data.get("domain_bound", 2.0)))
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _world_from(data, where: str) -> WorldConfig:
-    _check_keys(data, _WORLD_KEYS, where)
-    kwargs = {k: v for k, v in data.items() if k != "link"}
-    if "group_sizes" in kwargs and kwargs["group_sizes"] is not None:
-        kwargs["group_sizes"] = tuple(kwargs["group_sizes"])
-    try:
-        return WorldConfig(link=_link_from(data.get("link"), f"{where}.link"), **kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _agent_from(data, where: str) -> AgentConfig:
-    _check_keys(data, _AGENT_KEYS, where)
-    kwargs = {k: v for k, v in data.items() if k != "link"}
-    try:
-        return AgentConfig(link=_link_from(data.get("link"), f"{where}.link"), **kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        # a link's own checks do not say which of the two links failed them
+        if isinstance(exc, ConfigError) and cls is not LinkFunctionSpec:
+            raise
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -98,7 +73,7 @@ def _schedule_from(data, where: str) -> tuple:
     for i, entry in enumerate(data):
         _check_keys(entry, _SCHEDULE_KEYS, f"{where}[{i}]")
         try:
-            events.append((int(entry["round"]), int(entry["camera"]), int(entry["group"])))
+            events.append(tuple(entry[key] for key in _SCHEDULE_KEYS))
         except KeyError as exc:
             raise ConfigError(f"{where}[{i}]: missing field {exc.args[0]!r}") from exc
     return tuple(events)
@@ -112,32 +87,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     world_path = data.get("world_path")
     world = None
     if world_path is None:
-        world = _world_from(data.get("world", {}), "world")
+        world = _section(WorldConfig, data.get("world", {}), "world")
     elif "world" in data and data["world"] is not None:
         raise ConfigError("config: give either world or world_path, not both")
-    agent = _agent_from(data.get("agent", {}), "agent")
-    exp = data.get("experiment", {})
-    _check_keys(exp, _EXPERIMENT_KEYS, "experiment")
-    try:
-        return ExperimentConfig(
-            agent=agent,
-            world=world,
-            world_path=world_path,
-            world_seed=int(data.get("world_seed", 0)),
-            variants=tuple(exp.get("variants", ("default",))),
-            horizon=int(exp.get("horizon", 1000)),
-            seeds=tuple(exp.get("seeds", (0,))),
-            window=int(exp.get("window", 200)),
-            target=float(exp.get("target", 0.8)),
-            greedy_profile_rounds=int(exp.get("greedy_profile_rounds", 200)),
-            schedule_events=_schedule_from(data.get("schedule"), "schedule"),
-            output_dir=exp.get("output_dir"),
-            workers=int(exp.get("workers", 1)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    seed = {"world_seed": data["world_seed"]} if "world_seed" in data else {}
+    return _section(ExperimentConfig, data.get("experiment", {}), "experiment", _TOP_FIELDS,
+                    agent=_section(AgentConfig, data.get("agent", {}), "agent"),
+                    world=world, world_path=world_path,
+                    schedule_events=_schedule_from(data.get("schedule"), "schedule"), **seed)
 
 
 def parse_override(item: str):

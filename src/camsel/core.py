@@ -30,6 +30,7 @@ class LinkFunctionSpec:
     domain_bound: float = 2.0
 
     def __post_init__(self):
+        object.__setattr__(self, "domain_bound", float(self.domain_bound))
         if self.kind not in LINK_KINDS:
             raise ConfigError(f"unknown link kind {self.kind!r}; expected one of {LINK_KINDS}")
         if not np.isfinite(self.domain_bound) or self.domain_bound < 0:

@@ -114,6 +114,12 @@ class World:
             raise ConfigError("noise sigma must be nonnegative")
         if self.dispersion_gamma <= 0:
             raise ConfigError("dispersion gamma must be positive")
+        for group in range(g if self.payoff_mode == "bernoulli" else 0):
+            probs = self.group_success_probs(group)
+            if not 0.0 <= probs.min() <= probs.max() <= 1.0:
+                raise ConfigError(f"group {group}: the {self.link.kind} link gives success "
+                                  f"probabilities in [{probs.min():.6g}, {probs.max():.6g}], "
+                                  "outside [0, 1], under Bernoulli payoffs")
 
     def mean_payoffs(self, camera: int) -> np.ndarray:
         """mu(x_m . theta) for every model, under the camera's current group."""
@@ -168,7 +174,6 @@ class WorldConfig:
     n_models: int = 20
     group_sizes: tuple | None = None
     unit_norm_features: bool = False
-    edge_fraction: float = 0.5
     payoff_mode: str = "bernoulli"
     accuracy_threshold: float = 0.8
     noise_sigma: float = 0.1
@@ -189,8 +194,6 @@ class WorldConfig:
                     f"group_sizes {sizes} must be {self.n_groups} positive sizes summing "
                     f"to {self.n_cameras}")
             object.__setattr__(self, "group_sizes", sizes)
-        if not 0.0 <= self.edge_fraction <= 1.0:
-            raise ConfigError("edge_fraction must lie in [0, 1]")
 
 
 def _uniform_ball(rng, count: int, dim: int) -> np.ndarray:
@@ -239,7 +242,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
         magnitudes = rng.uniform(0.5, 1.0, config.n_models)
     feats = directions * magnitudes[:, None]
 
-    n_edge = int(round(config.edge_fraction * config.n_models))
+    n_edge = int(round(0.5 * config.n_models))        # half the catalog runs at the edge
     tier_assignment = np.array(["cloud"] * config.n_models)
     tier_assignment[rng.permutation(config.n_models)[:n_edge]] = "edge"
     catalog = []
@@ -356,11 +359,6 @@ def world_from_dict(data: dict) -> World:
     d = _require(data, "dimension", "world file")
     if not isinstance(d, int) or d < 2:
         raise ConfigError(f"world file: dimension must be an integer >= 2, got {d!r}")
-    link_data = data.get("link", {})
-    link = LinkFunctionSpec(
-        kind=link_data.get("kind", "sigmoid"),
-        domain_bound=float(link_data.get("domain_bound", 2.0)),
-    )
     thetas = []
     for i, entry in enumerate(_entries(_require(data, "groups", "world file"), "groups")):
         theta = _vector(_require(entry, "theta", f"groups[{i}]"), d, f"groups[{i}].theta")
@@ -399,7 +397,7 @@ def world_from_dict(data: dict) -> World:
             payoff_mode=_require(data, "payoff_mode", "world file"),
             accuracy_threshold=float(_require(data, "threshold", "world file")),
             noise_sigma=float(_require(data, "sigma", "world file")),
-            link=link,
+            link=LinkFunctionSpec(**data.get("link", {})),
         )
     except ConfigError:
         raise

@@ -9,8 +9,10 @@ independently; failures abort only that pair and are recorded in the summary.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
+import numbers
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -56,6 +58,13 @@ VARIANTS = tuple(AGENT_VARIANTS) + ("greedy",)
 TIMING_BUCKETS = ("selection", "grouping", "estimation", "bookkeeping", "harness")
 
 
+def _typed(name: str, value, kind=numbers.Integral, what="an integer"):
+    """``value`` if it is a ``kind``, where a bool counts as no number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name}: expected {what}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
@@ -73,10 +82,16 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "variants", tuple(self.variants))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "schedule_events",
-                           tuple((int(a), int(b), int(c)) for a, b, c in self.schedule_events))
+        # config files pass values through unchanged: "12" or 30.7 must not run
+        put = functools.partial(object.__setattr__, self)
+        put("variants", tuple(_typed("variants", self.variants, (list, tuple), "a list")))
+        seeds = _typed("seeds", self.seeds, (list, tuple), "a list")
+        put("seeds", tuple(int(_typed("seeds", s)) for s in seeds))
+        for name in ("world_seed", "horizon", "window", "workers", "greedy_profile_rounds"):
+            put(name, int(_typed(name, getattr(self, name))))
+        put("target", float(_typed("target", self.target, numbers.Real, "a real number")))
+        put("schedule_events", tuple(tuple(int(_typed("schedule", v)) for v in (t, cam, grp))
+                                     for t, cam, grp in self.schedule_events))
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if not self.variants:
@@ -203,10 +218,11 @@ def _run_pair_job(args):
         return run_pair(*args), None
     except Exception as exc:  # noqa: BLE001 - a failed pair must not kill the sweep
         variant, seed = args[0], args[1]
-        where = traceback.extract_tb(exc.__traceback__)[-1]
+        frames = traceback.extract_tb(exc.__traceback__)[1:]    # run_pair down to the raise
+        where = " > ".join(f"{f.filename}:{f.lineno} in {f.name}" for f in frames)
         return RunResult(variant, seed, np.zeros(0), np.zeros(0), np.zeros(0),
                          np.zeros(0, dtype=int), np.zeros(0, dtype=bool), 0.0, {}), \
-            f"{type(exc).__name__}: {exc} (at {where.filename}:{where.lineno} in {where.name})"
+            f"{type(exc).__name__}: {exc} (at {where})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import json
 import logging
+from dataclasses import asdict, fields
 
 import pytest
 
 from camsel.cli import main
-from camsel.config import load_config, parse_override
-from camsel.environment import load_world, world_to_dict
+from camsel.config import KNOWN_PATHS, load_config, parse_override
+from camsel.core import LinkFunctionSpec
+from camsel.environment import WorldConfig, generate_world, load_world, world_to_dict
 from camsel.errors import ConfigError
+from camsel.policy import AgentConfig
+from camsel.presets import canonical_agent_config
 
 
 def _write_config(tmp_path, **extra):
@@ -32,6 +36,24 @@ def test_gen_world_round_trip(tmp_path):
     assert world.n_cameras == 8 and world.n_models == 20
     # reloading produces an identical serialization
     assert world_to_dict(load_world(out)) == world_to_dict(world)
+
+
+@pytest.mark.parametrize("case", ["defaults", "every-flag"])
+def test_gen_world_flags_set_world_config_fields(tmp_path, case):
+    flags, fields_set, seed = [], {}, 0
+    if case == "every-flag":
+        flags = ["--groups", "3", "--cameras", "9", "--dim", "4", "--gamma", "0.3",
+                 "--models", "11", "--seed", "5", "--unit-norm",
+                 "--payoff-mode", "thresholded-gaussian", "--threshold", "0.7", "--sigma", "0.2"]
+        fields_set = dict(n_groups=3, n_cameras=9, dimension=4, gamma=0.3, n_models=11,
+                          unit_norm_features=True, payoff_mode="thresholded-gaussian",
+                          accuracy_threshold=0.7, noise_sigma=0.2)
+        seed = 5
+    out = tmp_path / "world.json"
+    assert main(["--quiet", "gen-world", *flags, "--out", str(out)]) == 0
+    # a flag left out keeps WorldConfig's default
+    expected = generate_world(WorldConfig(**fields_set), seed)
+    assert json.loads(out.read_text()) == world_to_dict(expected)
 
 
 def test_run_subcommand(tmp_path, capsys):
@@ -101,7 +123,8 @@ def test_override_applies(tmp_path, capsys):
 
 # a misspelling, then the keys that were removed from the schema
 @pytest.mark.parametrize("item", ["agent.alhpa=0.5", "agent.reconnect_mode=per-edge",
-                                  "agent.regret_oracle_k=2", "experiment.eta=0.5"])
+                                  "agent.regret_oracle_k=2", "experiment.eta=0.5",
+                                  "world.edge_fraction=0.5"])
 @pytest.mark.parametrize("given_by", ["set", "file"])
 def test_override_unknown_key_rejected(tmp_path, capsys, item, given_by):
     path, value = item.split("=")
@@ -120,6 +143,49 @@ def test_override_unknown_key_rejected(tmp_path, capsys, item, given_by):
     assert code == 1
     err = capsys.readouterr().err
     assert (path if given_by == "set" else f"{section}: unknown key(s) ['{key}']") in err
+
+
+# values a config file must give with their JSON types: none is coerced
+@pytest.mark.parametrize("key,value", [("variants", "no-grouping"), ("seeds", 3), ("seeds", "12"),
+                                       ("horizon", 30.7), ("horizon", True), ("target", "0.8"),
+                                       ("workers", "2")])
+def test_mistyped_experiment_values_exit_1(tmp_path, capsys, key, value):
+    experiment = {"horizon": 30, "seeds": [0], "variants": ["default"], key: value}
+    cfg = _write_config(tmp_path, experiment=experiment)
+    out_dir = tmp_path / "o"
+    code = main(["--quiet", "run", "--config", str(cfg), "--output-dir", str(out_dir)])
+    assert code == 1
+    assert f"config error: {key}: expected " in capsys.readouterr().err
+    assert not (out_dir / "run" / "summary.json").exists()
+
+
+def test_known_paths_name_every_dataclass_field():
+    for section, cls in (("world", WorldConfig), ("agent", AgentConfig)):
+        assert {f"{section}.{f.name}" for f in fields(cls)} <= KNOWN_PATHS
+        assert {f"{section}.link.{f.name}" for f in fields(LinkFunctionSpec)} <= KNOWN_PATHS
+    assert len(KNOWN_PATHS) == 41
+
+
+def test_agent_section_written_by_asdict_loads_back_equal(tmp_path):
+    agent = canonical_agent_config()
+    cfg = load_config(_write_config(tmp_path, agent=asdict(agent)))
+    assert cfg.agent == agent
+    cfg = load_config(_write_config(tmp_path, agent={"link": None}))
+    assert cfg.agent.link == LinkFunctionSpec()
+
+
+def test_bernoulli_world_with_link_outside_unit_interval_exits_1(tmp_path, capsys):
+    identity = {"kind": "identity"}
+    cfg = _write_config(tmp_path, agent={"link": identity})
+    data = json.loads(cfg.read_text())
+    data["world"]["link"] = identity
+    cfg.write_text(json.dumps(data))
+    out_dir = tmp_path / "o"
+    code = main(["--quiet", "run", "--config", str(cfg), "--output-dir", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: group 0: the identity link gives success probabilities" in err
+    assert not out_dir.exists()
 
 
 def test_theory_subcommand(tmp_path, capsys):
@@ -232,6 +298,33 @@ def test_ablate_perspective_and_compare_greedy(tmp_path, capsys):
     assert main(["--quiet", "compare-greedy", "--config", str(cfg),
                  "--horizon", "40", "--output-dir", str(out_dir)]) == 0
     assert (out_dir / "compare-greedy" / "greedy_comparison.json").exists()
+
+
+def test_compare_greedy_writes_bandwidth_means(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path)
+    out_dir = tmp_path / "o"
+    assert main(["--quiet", "compare-greedy", "--config", str(cfg), "--seeds", "0,1",
+                 "--horizon", "40", "--output-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    report = out_dir / "compare-greedy" / "greedy_comparison.json"
+    payload = json.loads(report.read_text())
+    summary = json.loads((out_dir / "compare-greedy" / "summary.json").read_text())
+    for variant in ("default", "greedy"):
+        per_seed = summary["variants"][variant]["total_bandwidth"]
+        assert len(per_seed) == 2
+        assert payload[f"mean_bandwidth_{variant}"] == pytest.approx(sum(per_seed) / 2)
+    # no finished seed: None, as for the trailing-payoff means
+    import camsel.harness as harness
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(harness, "baseline_greedy", boom)
+    assert main(["--quiet", "compare-greedy", "--config", str(cfg), "--seeds", "0,1",
+                 "--horizon", "40", "--output-dir", str(out_dir)]) == 2
+    payload = json.loads(report.read_text())
+    assert payload["mean_bandwidth_greedy"] is None
+    assert isinstance(payload["mean_bandwidth_default"], float)
 
 
 def test_seed_range_syntax(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,29 @@ def test_world_file_round_trip(world, tmp_path):
     save_world(world, path)
     again = load_world(path)
     assert world_to_dict(again) == world_to_dict(world)
+
+
+def test_world_file_link_is_read_whole(world):
+    data = world_to_dict(replace(world, link=LinkFunctionSpec("clipped-linear", 3)))
+    assert data["link"] == {"kind": "clipped-linear", "domain_bound": 3.0}
+    assert world_from_dict(data).link == LinkFunctionSpec("clipped-linear", 3.0)
+    del data["link"]
+    assert world_from_dict(data).link == LinkFunctionSpec()
+    data["link"] = {"kind": "sigmoid", "bound": 3}
+    with pytest.raises(ConfigError, match="world file: .*bound"):
+        world_from_dict(data)
+
+
+def test_bernoulli_world_needs_success_probabilities_in_unit_interval():
+    cfg = WorldConfig(n_groups=2, n_cameras=4, dimension=3, gamma=0.4, n_models=6,
+                      link=LinkFunctionSpec("identity"))
+    with pytest.raises(ConfigError, match=r"group 0: the identity link gives success "
+                                          r"probabilities in \[-0\.9.*outside \[0, 1\]"):
+        generate_world(cfg, seed=1)
+    # the same scores pass through Phi under thresholded-Gaussian payoffs
+    world = generate_world(replace(cfg, payoff_mode="thresholded-gaussian"), seed=1)
+    with pytest.raises(ConfigError, match="group 0: the identity link"):
+        replace(world, payoff_mode="bernoulli")
 
 
 def test_world_loader_diagnostics(tmp_path, world):

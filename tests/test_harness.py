@@ -222,6 +222,22 @@ def test_failed_pair_recorded_not_fatal(monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "baseline_greedy", original)
 
 
+def test_failed_pair_message_names_every_frame_below_run_pair(monkeypatch):
+    import camsel.policy as policy
+
+    def broken_widths(*args, **kwargs):
+        raise FloatingPointError("synthetic failure")
+
+    monkeypatch.setattr(policy, "confidence_widths", broken_widths)
+    result = run_experiment(_cfg())
+    message = result.summary["variants"]["default"]["failed"]["0"]
+    assert message.startswith("FloatingPointError: synthetic failure (at ")
+    frames = message[message.index("(at ") + 4:-1].split(" > ")
+    names = [frame.rsplit(" in ", 1)[1] for frame in frames]
+    assert names[0] == "run_pair" and "step" in names and names[-1] == "broken_widths"
+    assert "harness.py:" in frames[0] and "test_harness.py:" in frames[-1]
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(ConfigError, match="variant"):
         _cfg(variants=("defualt",))

@@ -2,7 +2,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from camsel.harness import VARIANTS
+from camsel.harness import VARIANTS, variant_agent_config
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "record_digest.py"
@@ -52,3 +52,32 @@ def test_bench_pairs_are_the_canonical_workloads_pairs():
     assert {v for _, (v, *_rest) in listed} == {"default", "no-perspective"}
     assert names[0] == "bench/default/seed0" and names[-1] == "bench/no-perspective/seed399"
     assert all(events == () for _, (*_rest, events) in listed)
+
+
+def test_shape_pairs_cover_links_payoffs_and_shapes():
+    listed = list(_load_tool().shape_pairs())
+    names = [name for name, _ in listed]
+    assert 36 <= len(listed) == len(set(names)) <= 44
+    runs = [(variant, world, variant_agent_config(agent, variant) if variant != "greedy"
+             else agent, horizon, events)
+            for _, (variant, _seed, world, agent, horizon, events) in listed]
+    assert all(horizon <= 500 for *_, horizon, _ in runs)
+    # both valid links under both payoff modes, for the world and the agent
+    assert {(w.link.kind, w.payoff_mode) for _, w, *_ in runs} == {
+        (link, mode) for link in ("sigmoid", "clipped-linear")
+        for mode in ("bernoulli", "thresholded-gaussian")}
+    assert all(a.link == w.link for _, w, a, *_ in runs)
+    zetas = {a.zeta for _, _, a, *_ in runs}
+    assert {0.1, 5.0} <= zetas
+    assert any(a.k_max == 1 and w.n_models > 1 for _, w, a, *_ in runs)
+    assert any(a.k_max == w.n_models > 1 for _, w, a, *_ in runs)
+    assert any(w.n_models == 1 for _, w, *_ in runs)
+    assert any(w.n_cameras == 1 for _, w, *_ in runs)
+    assert any(w.dimension == 2 for _, w, *_ in runs)
+    # one camera moved twice inside the horizon
+    assert any(len(events) == 2 and events[0][1] == events[1][1]
+               and max(t for t, _, _ in events) < horizon
+               for *_, horizon, events in runs)
+    assert {a.cascade_order for v, _, a, *_ in runs if v != "greedy"} == {
+        "ucb-desc", "tier-then-ucb"}
+    assert {v for v, *_ in runs} >= {"default", "set-based", "greedy"}

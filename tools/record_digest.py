@@ -4,6 +4,7 @@ Usage (from the repository root):
 
     PYTHONPATH=src python3 tools/record_digest.py [--horizon 2000] > digests.txt
     PYTHONPATH=src python3 tools/record_digest.py --bench > bench-digests.txt
+    PYTHONPATH=src python3 tools/record_digest.py --shapes > shape-digests.txt
 
 Each line names one (variant, seed) pair and the sha256 of its round records
 (``dataclasses.astuple``, every float by its exact bits), its per-round
@@ -15,9 +16,13 @@ seeds 0..9 and ``--horizon`` rounds; ``default``, ``greedy`` and
 (T = 80). ``--bench`` fingerprints instead the 800 pairs the benchmark's
 canonical workloads may run (``perfbench/workloads.py``): ``default`` and
 ``no-perspective`` on the canonical world at T = 300 and run seeds 0..399,
-the seeds of workload seeds 0..9. Run it with ``PYTHONPATH`` pointing at each
-checkout's ``src/`` and compare the outputs: equal lines mean bit-identical
-records.
+the seeds of workload seeds 0..9. ``--shapes`` fingerprints instead 40 short
+pairs on small generated worlds that the canonical pairs never reach: the
+clipped-linear link, thresholded-Gaussian payoffs, zeta 0.1 and 5, k_max 1
+and k_max = M, M = 1, N = 1, d = 2, one camera moved twice, and the
+``tier-first`` cascade order (see ``SHAPES``). Run it with ``PYTHONPATH``
+pointing at each checkout's ``src/`` and compare the outputs: equal lines
+mean bit-identical records.
 """
 
 from __future__ import annotations
@@ -34,6 +39,29 @@ SCHEDULE = ((500, 0, 1), (1000, 5, 0))
 FLEET_GRAPH = ("default", range(4), 500)
 FLEET_SET = ("set-based", range(3), 80)
 BENCH = (("default", "no-perspective"), range(400), 300)
+
+# (name, WorldConfig fields, AgentConfig fields, schedule events) of each
+# shape: fields not named keep the small base world's and agent's values
+CLIPPED = {"kind": "clipped-linear"}
+GAUSSIAN = {"payoff_mode": "thresholded-gaussian", "accuracy_threshold": 0.6}
+SHAPES = (
+    ("sigmoid-bernoulli", {}, {}, ()),
+    ("clipped-bernoulli", {"link": CLIPPED}, {"link": CLIPPED}, ()),
+    ("sigmoid-gaussian", GAUSSIAN, {}, ()),
+    ("clipped-gaussian", {**GAUSSIAN, "link": CLIPPED}, {"link": CLIPPED}, ()),
+    ("zeta0.1", {}, {"zeta": 0.1}, ()),
+    ("zeta5", {}, {"zeta": 5.0}, ()),
+    ("kmax1", {}, {"k_max": 1}, ()),
+    ("kmaxM", {}, {"k_max": 8}, ()),
+    ("models1", {"n_models": 1}, {"k_max": 1}, ()),
+    ("cameras1", {"n_groups": 1, "n_cameras": 1}, {}, ()),
+    ("dim2", {"dimension": 2}, {}, ()),
+    ("moved-twice", {}, {}, ((100, 0, 1), (250, 0, 0))),
+)
+SHAPE_BASE_WORLD = {"n_groups": 2, "n_cameras": 6, "dimension": 3, "gamma": 0.4, "n_models": 8}
+SHAPE_VARIANTS = ("default", "tier-first", "set-based")
+SHAPE_GREEDY = ("sigmoid-bernoulli", "clipped-bernoulli", "sigmoid-gaussian", "clipped-gaussian")
+SHAPE_WORLD_SEED, SHAPE_RUN_SEED, SHAPE_HORIZON = 1, 0, 500
 
 
 def _canonical(value):
@@ -90,17 +118,40 @@ def bench_pairs():
             yield f"bench/{variant}/seed{seed}", (variant, seed, world, agent, horizon, ())
 
 
+def shape_pairs():
+    """(name, run_pair arguments) of every shape pair, in order."""
+    from camsel.core import LinkFunctionSpec
+    from camsel.environment import WorldConfig, generate_world
+    from camsel.policy import AgentConfig
+
+    def built(fields):
+        return {k: LinkFunctionSpec(**v) if k == "link" else v for k, v in fields.items()}
+
+    for shape, world_fields, agent_fields, events in SHAPES:
+        world = generate_world(WorldConfig(**{**SHAPE_BASE_WORLD, **built(world_fields)}),
+                               SHAPE_WORLD_SEED)
+        agent = AgentConfig(**built(agent_fields))
+        variants = SHAPE_VARIANTS + (("greedy",) if shape in SHAPE_GREEDY else ())
+        for variant in variants:
+            yield (f"shapes/{shape}/{variant}",
+                   (variant, SHAPE_RUN_SEED, world, agent, SHAPE_HORIZON, events))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--horizon", type=int, default=2000,
                         help="rounds of each canonical pair (default 2000)")
-    parser.add_argument("--bench", action="store_true",
-                        help="fingerprint the benchmark's 800 canonical pairs instead")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--bench", action="store_true",
+                      help="fingerprint the benchmark's 800 canonical pairs instead")
+    mode.add_argument("--shapes", action="store_true",
+                      help="fingerprint the 40 pairs on small generated worlds instead")
     args = parser.parse_args(argv)
     from camsel.harness import run_pair
 
     overall = hashlib.sha256()
-    chosen = bench_pairs() if args.bench else pairs(args.horizon)
+    chosen = (bench_pairs() if args.bench else shape_pairs() if args.shapes
+              else pairs(args.horizon))
     for name, (variant, seed, world, agent, horizon, events) in chosen:
         result = run_pair(variant, seed, world, agent, horizon, schedule_events=events,
                           keep_records=True)
