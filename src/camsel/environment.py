@@ -13,13 +13,14 @@ two modes:
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
 
 from .core import LinkFunctionSpec, link_eval
-from .errors import ConfigError, GenerationError, ScheduleError
+from .errors import ConfigError, GenerationError, ScheduleError, typed
 
 PAYOFF_MODES = ("bernoulli", "thresholded-gaussian")
 TIERS = ("edge", "cloud")
@@ -181,6 +182,11 @@ class WorldConfig:
     max_rejections: int = 10_000
 
     def __post_init__(self):
+        for name in ("n_groups", "n_cameras", "dimension", "n_models", "max_rejections"):
+            typed(name, getattr(self, name))
+        typed("unit_norm_features", self.unit_norm_features, bool, "a bool")
+        for name in ("gamma", "accuracy_threshold", "noise_sigma"):
+            typed(name, getattr(self, name), numbers.Real, "a real number")
         if self.n_groups < 1:
             raise ConfigError("need at least one group")
         if self.dimension < 2:
@@ -188,7 +194,7 @@ class WorldConfig:
         if self.n_cameras < 1 or self.n_models < 1:
             raise ConfigError("need at least one camera and one model")
         if self.group_sizes is not None:
-            sizes = tuple(int(s) for s in self.group_sizes)
+            sizes = tuple(typed("group_sizes", s) for s in self.group_sizes)
             if len(sizes) != self.n_groups or sum(sizes) != self.n_cameras or min(sizes) < 1:
                 raise ConfigError(
                     f"group_sizes {sizes} must be {self.n_groups} positive sizes summing "

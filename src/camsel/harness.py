@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .environment import PerspectiveSchedule, World, WorldConfig, generate_world, load_world
-from .errors import ConfigError
+from .errors import ConfigError, typed
 from .policy import Agent, AgentConfig, RoundRecord, baseline_greedy
 
 log = logging.getLogger(__name__)
@@ -58,13 +58,6 @@ VARIANTS = tuple(AGENT_VARIANTS) + ("greedy",)
 TIMING_BUCKETS = ("selection", "grouping", "estimation", "bookkeeping", "harness")
 
 
-def _typed(name: str, value, kind=numbers.Integral, what="an integer"):
-    """``value`` if it is a ``kind``, where a bool counts as no number."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{name}: expected {what}, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
@@ -82,15 +75,16 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # config files pass values through unchanged: "12" or 30.7 must not run
         put = functools.partial(object.__setattr__, self)
-        put("variants", tuple(_typed("variants", self.variants, (list, tuple), "a list")))
-        seeds = _typed("seeds", self.seeds, (list, tuple), "a list")
-        put("seeds", tuple(int(_typed("seeds", s)) for s in seeds))
+        put("variants", tuple(typed("variants", self.variants, (list, tuple), "a list")))
+        seeds = typed("seeds", self.seeds, (list, tuple), "a list")
+        put("seeds", tuple(int(typed("seeds", s)) for s in seeds))
         for name in ("world_seed", "horizon", "window", "workers", "greedy_profile_rounds"):
-            put(name, int(_typed(name, getattr(self, name))))
-        put("target", float(_typed("target", self.target, numbers.Real, "a real number")))
-        put("schedule_events", tuple(tuple(int(_typed("schedule", v)) for v in (t, cam, grp))
+            put(name, int(typed(name, getattr(self, name))))
+        put("target", float(typed("target", self.target, numbers.Real, "a real number")))
+        for name in ("world_path", "output_dir"):
+            typed(name, getattr(self, name), (str, type(None)), "a string")
+        put("schedule_events", tuple(tuple(int(typed("schedule", v)) for v in (t, cam, grp))
                                      for t, cam, grp in self.schedule_events))
         if not self.seeds:
             raise ConfigError("need at least one seed")
@@ -152,14 +146,6 @@ class RunResult:
     nonconverged_solves: int = 0    # Newton fits that stopped short of tolerance
 
 
-def _records_arrays(records):
-    expected = np.array([r.expected_payoff for r in records])
-    inst = np.array([r.instantaneous_regret for r in records])
-    comps = np.array([r.component_count for r in records], dtype=int)
-    bandwidth = float(sum(r.bandwidth_spent for r in records))
-    return expected, inst, np.cumsum(inst), comps, bandwidth
-
-
 def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
              horizon: int, schedule_events=(), greedy_profile_rounds: int = 200,
              trace_path=None, keep_records: bool = False) -> RunResult:
@@ -169,7 +155,7 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
     wall = clock()
     if variant == "greedy":
         called = clock()
-        records = baseline_greedy(world, greedy_profile_rounds, horizon, seed,
+        episode = baseline_greedy(world, greedy_profile_rounds, horizon, seed,
                                   oracle_k=min(base_agent.k_max, world.n_models),
                                   schedule=schedule)
         selection = clock() - called
@@ -178,15 +164,14 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
         timing.update(selection=selection, harness=clock() - wall - selection)
         nonconverged = 0
     else:
-        agent = Agent(variant_agent_config(base_agent, variant), world, horizon, seed, schedule)
-        records = []
+        episode = agent = Agent(variant_agent_config(base_agent, variant), world, horizon,
+                                seed, schedule)
         correct = np.zeros(horizon, dtype=bool)
         truth, truth_events, inferred, match = None, -1, None, False
         harness_s = clock() - wall
         for t in range(1, horizon + 1):
-            record = agent.step(t)
+            agent.step(t)
             stepped = clock()
-            records.append(record)
             if agent.events_applied != truth_events:
                 truth = canonical_labels(agent.assignment)
                 truth_events, inferred = agent.events_applied, None
@@ -203,14 +188,15 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
                   "harness": harness_s}
         nonconverged = agent.nonconverged_solves
     timing["wall"] = clock() - wall
-    expected, inst, cum, comps, bandwidth = _records_arrays(records)
+    _, inst, bandwidth = episode.outcome
+    records = episode.records() if trace_path is not None or keep_records else None
     if trace_path is not None:
         write_trace(trace_path, records)
-    return RunResult(variant=variant, seed=seed, expected=expected, inst_regret=inst,
-                     cum_regret=cum, components=comps, correct=correct,
-                     total_bandwidth=bandwidth, timing=timing,
-                     records=records if keep_records else None,
-                     nonconverged_solves=nonconverged)
+    return RunResult(variant=variant, seed=seed, expected=episode.expected, inst_regret=inst,
+                     cum_regret=np.cumsum(inst), components=episode.components,
+                     correct=correct, timing=timing, nonconverged_solves=nonconverged,
+                     total_bandwidth=float(sum(bandwidth.tolist())),  # not the pairwise .sum()
+                     records=records if keep_records else None)
 
 
 def _run_pair_job(args):
@@ -228,20 +214,12 @@ def _run_pair_job(args):
 # ---------------------------------------------------------------------------
 # Metrics
 
-def _expected_array(trace) -> np.ndarray:
-    if isinstance(trace, np.ndarray):
-        return trace
-    if trace and isinstance(trace[0], RoundRecord):
-        return np.array([r.expected_payoff for r in trace])
-    return np.asarray(trace, dtype=float)
-
-
 def rounds_to_threshold(trace, target: float, window: int):
     """Smallest t whose trailing ``window``-round mean expected payoff reaches
     ``target``; None when it never does (windows start once complete)."""
     if window < 1:
         raise ValueError("window must be at least 1")
-    values = _expected_array(trace)
+    values = np.asarray(trace, dtype=float)
     if values.size < window:
         return None
     sums = np.cumsum(values)

@@ -16,15 +16,15 @@ never desynchronizes variants.
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (LinkFunctionSpec, cascade_payoff, expected_cascade_payoff,
-                   link_callables)
+from .core import LinkFunctionSpec, expected_cascade_payoff, link_callables
 from .environment import PerspectiveSchedule, World
-from .errors import ConfigError
+from .errors import ConfigError, typed
 from .estimator import GroupStats, confidence_widths, outer_products, solve_mle_weighted
 from .grouping import (CameraGraph, DeletionRule, ReconnectPolicy, delete_edges,
                        reconnect, set_based_groups)
@@ -61,6 +61,11 @@ class AgentConfig:
     no_combining: bool = False
 
     def __post_init__(self):
+        typed("k_max", self.k_max)
+        typed("no_combining", self.no_combining, bool, "a bool")
+        for name in ("alpha", "beta", "zeta"):
+            typed(name, getattr(self, name), numbers.Real, "a real number")
+        typed("p0", self.p0, (numbers.Real, type(None)), "a real number or null")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
         if self.beta <= 0 or self.zeta <= 0:
@@ -169,7 +174,9 @@ class _Episode:
     """What a seed fixes before any decision is made: camera arrivals, the
     payoff uniforms, each camera's true group as the schedule moves it, and
     each group's oracle cascade payoff. The agent and the greedy baseline
-    build the same episode, so paired variants face the same world."""
+    build the same episode, so paired variants face the same world. Each
+    round writes one row of the episode's round log: the columns from
+    ``inferred_groups`` to ``resets``, with tries and payoffs padded by -1."""
 
     def __init__(self, world: World, horizon: int, seed: int, oracle_k: int,
                  schedule: PerspectiveSchedule | None):
@@ -180,18 +187,26 @@ class _Episode:
         self.payoff_u = np.random.default_rng(
             np.random.SeedSequence([seed, _PAYOFF_TAG])).random((horizon, m))
         self.assignment = world.camera_groups.copy()
-        self._bandwidth_costs = world.bandwidth_costs.tolist()
         self.group_probs = np.stack(
             [world.group_success_probs(g) for g in range(world.n_groups)])
         self._probs = self.group_probs.tolist()     # read per try, as Python floats
         ids = np.arange(m)
+        width = min(oracle_k, m)
         self.oracle_expected = np.array([
-            expected_cascade_payoff(p[np.lexsort((ids, -p))[:min(oracle_k, m)]])
+            expected_cascade_payoff(p[np.lexsort((ids, -p))[:width]])
             for p in self.group_probs])
         if schedule is not None:
             schedule.validate_against(world)
         self.events = schedule.events if schedule is not None else ()
         self.events_applied = 0     # the assignment changes only when this grows
+        self.inferred_groups = np.zeros(horizon, dtype=int)
+        self.true_groups = np.zeros(horizon, dtype=int)
+        self.tried = np.full((horizon, width), -1)
+        self.payoffs = np.full((horizon, width), -1, dtype=np.int8)
+        self.expected = np.zeros(horizon)
+        self.components = np.zeros(horizon, dtype=int)
+        self.edges_deleted = np.zeros(horizon, dtype=int)
+        self.resets = np.zeros(horizon, dtype=bool)
 
     def _advance_schedule(self, t: int):
         while self.events_applied < len(self.events) and self.events[self.events_applied][0] <= t:
@@ -199,26 +214,26 @@ class _Episode:
             self.assignment[cam] = grp
             self.events_applied += 1
 
-    def _record(self, t, camera, label, tried, payoffs, expected, component_count,
-                edges_deleted=0, graph_reset=False) -> RoundRecord:
-        true_group = int(self.assignment[camera])
-        oracle_expected = float(self.oracle_expected[true_group])
-        return RoundRecord(
-            t=t,
-            camera=camera,
-            inferred_group=label,
-            true_group=true_group,
-            tried_models=tuple(tried),
-            payoffs=tuple(payoffs),
-            aggregate_payoff=cascade_payoff(payoffs),
-            expected_payoff=expected,
-            oracle_expected_payoff=oracle_expected,
-            instantaneous_regret=oracle_expected - expected,
-            component_count=component_count,
-            bandwidth_spent=float(sum([self._bandwidth_costs[m] for m in tried])),
-            edges_deleted=edges_deleted,
-            graph_reset=graph_reset,
-        )
+    @functools.cached_property
+    def outcome(self) -> tuple:
+        """(oracle payoff, regret, bandwidth) of every round, derived from the
+        log once every round has run. Each round's bandwidth adds its tried
+        models' costs left to right, as a Python sum over them would."""
+        oracle = self.oracle_expected[self.true_groups]
+        costs = np.append(self.world.bandwidth_costs, 0.0)[self.tried]   # a pad costs 0.0
+        return oracle, oracle - self.expected, functools.reduce(np.add, costs.T)
+
+    def records(self) -> list[RoundRecord]:
+        """The round log as records, once every round has run."""
+        oracle, regret, bandwidth = self.outcome
+        rows = zip(self.arrival.tolist(), self.inferred_groups.tolist(),
+                   self.true_groups.tolist(), (self.tried >= 0).sum(axis=1).tolist(),
+                   self.tried.tolist(), self.payoffs.tolist(), self.expected.tolist(),
+                   oracle.tolist(), regret.tolist(), self.components.tolist(),
+                   bandwidth.tolist(), self.edges_deleted.tolist(), self.resets.tolist())
+        return [RoundRecord(t, camera, label, group, tuple(tried[:n]), tuple(payoffs[:n]),
+                            max(payoffs), *rest)
+                for t, (camera, label, group, n, tried, payoffs, *rest) in enumerate(rows, 1)]
 
 
 class Agent(_Episode):
@@ -340,21 +355,26 @@ class Agent(_Episode):
         block.fit = (est.theta_hat, gs, est.means)
         return block.fit
 
-    def step(self, t: int) -> RoundRecord:
-        """One round. Its clock readings are chained, so the four timer
-        buckets together cover the whole round."""
+    def step(self, t: int):
+        """One round, written into row ``t - 1`` of the round log. Its clock
+        readings are chained, so the four timer buckets together cover the
+        whole round."""
         if t < 1:
             raise ValueError(f"round index must be >= 1, got {t}")
         clock = time.perf_counter
         t0 = clock()
         cfg = self.cfg
-        camera = int(self.arrival[t - 1])
+        i = t - 1
+        camera = int(self.arrival[i])
         self._advance_schedule(t)
+        group = self.assignment[camera]
+        self.true_groups[i] = group
 
         t1 = clock()
         self.time_bookkeeping += t1 - t0
         label, block = self._members_for(camera)
-        component_count = self.component_count
+        self.inferred_groups[i] = label
+        self.components[i] = self.component_count
 
         t2 = clock()
         self.time_grouping += t2 - t1
@@ -367,8 +387,8 @@ class Agent(_Episode):
         scores = means + cfg.alpha * confidence_widths(self.features, gs)
         intended = plan_cascade(scores, self.tier_ranks, cfg.k_max, cfg.cascade_order,
                                 rng=self.rng, random_after_first=cfg.no_combining).tolist()
-        u_row = self.payoff_u[t - 1].tolist()
-        p_row = self._probs[self.assignment[camera]]
+        u_row = self.payoff_u[i].tolist()
+        p_row = self._probs[group]
         tried, payoffs = execute_cascade(intended, lambda m: u_row[m] < p_row[m])
 
         t4 = clock()
@@ -384,8 +404,6 @@ class Agent(_Episode):
             b.count += len(tried)
         self.counts[camera] += len(tried)
 
-        edges_deleted = 0
-        graph_reset = False
         t5 = clock()
         self.time_bookkeeping += t5 - t4
         if cfg.grouping in ("graph", "set"):
@@ -397,21 +415,23 @@ class Agent(_Episode):
                 if before:      # an edgeless graph has nothing to delete
                     delete_edges(self.graph, camera, self.camera_theta, self.counts, self.rule)
                 after_delete = self.graph.edge_count()
-                edges_deleted = before - after_delete
+                self.edges_deleted[i] = before - after_delete
                 reconnect(self.graph, self.reconnect_policy, t, self.rng)
-                graph_reset = self.graph.edge_count() > after_delete
+                self.resets[i] = self.graph.edge_count() > after_delete
             self._regroup()
             t5 = clock()
             self.time_grouping += t5 - t6
 
-        record = self._record(t, camera, label, tried, payoffs,
-                              expected_cascade_payoff([p_row[m] for m in intended]),
-                              component_count, edges_deleted, graph_reset)
+        n = len(tried)
+        self.tried[i, :n] = tried
+        self.payoffs[i, :n] = payoffs
+        self.expected[i] = expected_cascade_payoff([p_row[m] for m in intended])
         self.time_bookkeeping += clock() - t5
-        return record
 
     def run(self) -> list[RoundRecord]:
-        return [self.step(t) for t in range(1, self.horizon + 1)]
+        for t in range(1, self.horizon + 1):
+            self.step(t)
+        return self.records()
 
 
 def run_agent(config: AgentConfig, world: World, horizon: int, seed: int,
@@ -424,8 +444,9 @@ def run_agent(config: AgentConfig, world: World, horizon: int, seed: int,
 
 def baseline_greedy(world: World, profile_rounds: int, horizon: int, seed: int,
                     oracle_k: int = 3,
-                    schedule: PerspectiveSchedule | None = None) -> list[RoundRecord]:
-    """Profile-then-commit baseline.
+                    schedule: PerspectiveSchedule | None = None) -> _Episode:
+    """Profile-then-commit baseline; returns its episode, whose round log
+    holds one try per round in a single pooled group.
 
     Phase 1 cycles through every model on the sampled cameras for
     ``profile_rounds`` rounds; phase 2 plays the single model with the best
@@ -441,7 +462,7 @@ def baseline_greedy(world: World, profile_rounds: int, horizon: int, seed: int,
     tries = np.zeros(m)
     wins = np.zeros(m)
     committed = None
-    records = []
+    ep.components.fill(1)
     for t in range(1, horizon + 1):
         ep._advance_schedule(t)
         camera = int(ep.arrival[t - 1])
@@ -452,9 +473,13 @@ def baseline_greedy(world: World, profile_rounds: int, horizon: int, seed: int,
                 means = wins / np.maximum(tries, 1.0)
                 committed = int(np.lexsort((ids, -means))[0])
             model = committed
-        p_row = ep._probs[ep.assignment[camera]]
-        r = int(ep.payoff_u[t - 1, model] < p_row[model])
+        group = ep.assignment[camera]
+        p = ep._probs[group][model]
+        r = int(ep.payoff_u[t - 1, model] < p)
         tries[model] += 1
         wins[model] += r
-        records.append(ep._record(t, camera, 0, [model], [r], float(p_row[model]), 1))
-    return records
+        ep.true_groups[t - 1] = group
+        ep.tried[t - 1, 0] = model
+        ep.payoffs[t - 1, 0] = r
+        ep.expected[t - 1] = p
+    return ep

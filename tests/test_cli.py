@@ -145,13 +145,30 @@ def test_override_unknown_key_rejected(tmp_path, capsys, item, given_by):
     assert (path if given_by == "set" else f"{section}: unknown key(s) ['{key}']") in err
 
 
-# values a config file must give with their JSON types: none is coerced
-@pytest.mark.parametrize("key,value", [("variants", "no-grouping"), ("seeds", 3), ("seeds", "12"),
-                                       ("horizon", 30.7), ("horizon", True), ("target", "0.8"),
-                                       ("workers", "2")])
-def test_mistyped_experiment_values_exit_1(tmp_path, capsys, key, value):
-    experiment = {"horizon": 30, "seeds": [0], "variants": ["default"], key: value}
-    cfg = _write_config(tmp_path, experiment=experiment)
+# values a config file must give with their JSON types: none is coerced; a
+# section of None is the top level
+MISTYPED = [("experiment", "variants", "no-grouping"), ("experiment", "seeds", 3),
+            ("experiment", "seeds", "12"), ("experiment", "horizon", 30.7),
+            ("experiment", "horizon", True), ("experiment", "target", "0.8"),
+            ("experiment", "workers", "2"), ("experiment", "output_dir", 4),
+            ("agent", "k_max", 2.5), ("agent", "no_combining", "false"),
+            ("agent", "alpha", "0.25"), ("agent", "p0", True),
+            ("world", "n_cameras", 4.5), ("world", "group_sizes", [2.5, 2]),
+            ("world", "unit_norm_features", "false"), ("world", "gamma", None),
+            (None, "world_path", 4)]
+
+
+@pytest.mark.parametrize("section,key,value", MISTYPED,
+                         ids=[f"{key}-{value}" for _, key, value in MISTYPED])
+def test_mistyped_experiment_values_exit_1(tmp_path, capsys, section, key, value):
+    data = json.loads(_write_config(tmp_path).read_text())
+    if section is None:
+        del data["world"]
+        data[key] = value
+    else:
+        data.setdefault(section, {})[key] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
     out_dir = tmp_path / "o"
     code = main(["--quiet", "run", "--config", str(cfg), "--output-dir", str(out_dir)])
     assert code == 1

@@ -149,6 +149,35 @@ def test_trace_round_trip(tmp_path, world):
         assert a.graph_reset == b.graph_reset
 
 
+def test_records_are_built_only_for_traces_and_keep_records(tmp_path, world, monkeypatch):
+    import camsel.policy as policy
+
+    built = []
+    original = policy.RoundRecord
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(policy, "RoundRecord", counted)
+    agent = AgentConfig()
+    res = run_pair("no-perspective", 0, world, agent, 80)
+    assert res.records is None and res.cum_regret.size == 80 and built == []
+    res = run_pair("no-perspective", 0, world, agent, 80, trace_path=tmp_path / "np.csv")
+    assert res.records is None and len(built) == 80
+    for variant in ("default", "greedy"):
+        path = tmp_path / f"{variant}.csv"
+        res = run_pair(variant, 0, world, agent, 80, greedy_profile_rounds=20,
+                       trace_path=path, keep_records=True)
+        assert res.records == read_trace(path), variant
+        inst = [r.instantaneous_regret for r in res.records]
+        assert res.inst_regret.tolist() == inst
+        assert res.cum_regret.tolist() == np.cumsum(inst).tolist()
+        assert res.expected.tolist() == [r.expected_payoff for r in res.records]
+        assert res.components.tolist() == [r.component_count for r in res.records]
+        assert res.total_bandwidth == sum(r.bandwidth_spent for r in res.records)
+
+
 def _csv_writer_trace(path, records):
     """The trace writer as it was when rows went through ``csv.writer``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:

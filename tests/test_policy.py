@@ -83,7 +83,8 @@ def test_cold_start_tries_largest_norm_first(agent_config):
     # theta_hat = 0 at t = 1, so scores collapse to mu(0) + (alpha/sqrt(zeta)) * ||x||
     w = _tiny_world([0.3, 0.8, 0.5], link="sigmoid")
     agent = Agent(agent_config, w, horizon=1, seed=0)
-    rec = agent.step(1)
+    agent.step(1)
+    rec = agent.records()[0]
     norms = np.linalg.norm(w.features, axis=1)
     assert rec.tried_models[0] == int(np.argmax(norms))
     assert rec.inferred_group == 0
@@ -93,7 +94,8 @@ def test_cold_start_tries_largest_norm_first(agent_config):
 def test_cold_start_spans_all_cameras(world, agent_config):
     agent = Agent(agent_config, world, horizon=1, seed=0)
     assert agent.graph.find_group(0)[1].tolist() == list(range(8))
-    rec = agent.step(1)
+    agent.step(1)
+    rec = agent.records()[0]
     # the round was selected while the complete graph held one component
     assert rec.component_count == 1 and rec.inferred_group == 0
 
@@ -115,7 +117,8 @@ def test_oracle_informed_zero_regret(world, agent_config, monkeypatch):
     monkeypatch.setattr(agent, "_fit", informed)
     monkeypatch.setattr(agent, "step", step_with_truth)
     for t in range(1, 301):
-        rec = agent.step(t)
+        agent.step(t)
+    for rec in agent.records():
         assert rec.instantaneous_regret == pytest.approx(0.0, abs=1e-12)
         assert rec.tried_models[0] == oracle_best_set(world, rec.camera, 1)[0]
 
@@ -307,7 +310,7 @@ def test_agent_config_validation():
 def test_greedy_profile_then_commit():
     # one dominant model: after profiling, greedy must play it everywhere
     w = _tiny_world([0.99, 0.3, 0.2, 0.1])
-    records = baseline_greedy(w, profile_rounds=80, horizon=300, seed=0)
+    records = baseline_greedy(w, profile_rounds=80, horizon=300, seed=0).records()
     profile = records[:80]
     committed = records[80:]
     assert [r.tried_models[0] for r in profile[:8]] == [0, 1, 2, 3, 0, 1, 2, 3]
@@ -320,7 +323,7 @@ def test_greedy_profile_then_commit():
 def test_greedy_heterogeneous_regret_floor(world):
     # two groups prefer different models: a single committed model leaves a
     # payoff gap bounded below by the weaker group's loss times its share
-    records = baseline_greedy(world, profile_rounds=400, horizon=4000, seed=1)
+    records = baseline_greedy(world, profile_rounds=400, horizon=4000, seed=1).records()
     tail = records[2000:]
     per_round = np.mean([r.instantaneous_regret for r in tail])
     p_a = world.group_success_probs(0)
@@ -332,7 +335,7 @@ def test_greedy_heterogeneous_regret_floor(world):
 
 
 def test_greedy_never_leaves_profiling_when_profile_exceeds_horizon(world):
-    records = baseline_greedy(world, profile_rounds=500, horizon=60, seed=0)
+    records = baseline_greedy(world, profile_rounds=500, horizon=60, seed=0).records()
     assert len(records) == 60
     assert [r.tried_models[0] for r in records] == [(t - 1) % 20 for t in range(1, 61)]
 
@@ -388,10 +391,10 @@ def test_block_totals_match_the_members_rows(world, grouping, p0):
     agent = Agent(AgentConfig(grouping=grouping, p0=p0), world, 200, seed=4,
                   schedule=schedule)
     for t in range(1, 201):
-        record = agent.step(t)
+        agent.step(t)
         _assert_totals_match_rows(agent, (grouping, t))
         if t == 1 and grouping == "graph" and p0 is not None:
-            assert record.graph_reset
+            assert agent.resets[0]
     assert agent.events_applied == 2
 
 

@@ -81,3 +81,11 @@ def test_shape_pairs_cover_links_payoffs_and_shapes():
     assert {a.cascade_order for v, _, a, *_ in runs if v != "greedy"} == {
         "ucb-desc", "tier-then-ucb"}
     assert {v for v, *_ in runs} >= {"default", "set-based", "greedy"}
+
+
+def test_shape_digests_are_pinned(capsys):
+    # the clipped-linear link, Gaussian payoffs, k_max = M and the other
+    # shapes the canonical golden table never reaches, fingerprinted bit for bit
+    assert _load_tool().main(["--shapes"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "overall edf2eaecff79e2aabe952e2b39191e576b82a34456f89ac5df602729cd2296a4")
