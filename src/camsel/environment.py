@@ -218,6 +218,8 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     ``unit_norm_features``); cameras fill balanced contiguous blocks unless
     explicit group sizes are given.
     """
+    if seed < 0:
+        raise ConfigError(f"world_seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     g, d = config.n_groups, config.dimension
     if g > 1 and config.gamma > 2.0:

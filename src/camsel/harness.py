@@ -22,7 +22,8 @@ import numpy as np
 
 from .environment import PerspectiveSchedule, World, WorldConfig, generate_world, load_world
 from .errors import ConfigError, typed
-from .policy import Agent, AgentConfig, RoundRecord, baseline_greedy
+from .policy import (TIMING_BUCKETS, Agent, AgentConfig, RoundRecord, baseline_greedy,
+                     canonical_labels)  # noqa: F401 - canonical_labels is re-exported
 
 log = logging.getLogger(__name__)
 
@@ -49,13 +50,6 @@ AGENT_VARIANTS = {
 }
 
 VARIANTS = tuple(AGENT_VARIANTS) + ("greedy",)
-
-# Per-pair timer buckets, in seconds. The agent's four cover each of its
-# rounds; ``harness`` covers run_pair's own work, the agent's set-up and the
-# per-round check against the truth. Together they cover the pair's wall time
-# but for the calls between them. The greedy baseline's whole run counts as
-# ``selection``.
-TIMING_BUCKETS = ("selection", "grouping", "estimation", "bookkeeping", "harness")
 
 
 @dataclass(frozen=True)
@@ -88,6 +82,8 @@ class ExperimentConfig:
                                      for t, cam, grp in self.schedule_events))
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {min(self.seeds)}")
         if not self.variants:
             raise ConfigError("need at least one variant")
         for v in self.variants:
@@ -121,13 +117,6 @@ def resolve_world(cfg: ExperimentConfig) -> World:
     return generate_world(cfg.world, cfg.world_seed)
 
 
-def canonical_labels(labels: np.ndarray) -> np.ndarray:
-    """Relabel a partition by each block's smallest member id."""
-    labels = np.asarray(labels)
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    return first[inverse]
-
-
 # ---------------------------------------------------------------------------
 # Single (variant, seed) runs
 
@@ -151,50 +140,25 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
              trace_path=None, keep_records: bool = False) -> RunResult:
     """Run one (variant, seed) pair and optionally write its trace file."""
     schedule = PerspectiveSchedule(schedule_events) if schedule_events else None
-    clock = time.perf_counter
-    wall = clock()
+    started = time.perf_counter()
     if variant == "greedy":
-        called = clock()
         episode = baseline_greedy(world, greedy_profile_rounds, horizon, seed,
                                   oracle_k=min(base_agent.k_max, world.n_models),
                                   schedule=schedule)
-        selection = clock() - called
-        correct = np.zeros(horizon, dtype=bool)
-        timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
-        timing.update(selection=selection, harness=clock() - wall - selection)
-        nonconverged = 0
     else:
-        episode = agent = Agent(variant_agent_config(base_agent, variant), world, horizon,
-                                seed, schedule)
-        correct = np.zeros(horizon, dtype=bool)
-        truth, truth_events, inferred, match = None, -1, None, False
-        harness_s = clock() - wall
-        for t in range(1, horizon + 1):
-            agent.step(t)
-            stepped = clock()
-            if agent.events_applied != truth_events:
-                truth = canonical_labels(agent.assignment)
-                truth_events, inferred = agent.events_applied, None
-            # a new partition is a new array, so the comparison is redone only
-            # when the partition or the truth changed; inferred labels already
-            # name each block by its smallest member
-            labels = agent.inferred_labels()
-            if labels is not inferred:
-                inferred, match = labels, np.array_equal(labels, truth)
-            correct[t - 1] = match
-            harness_s += clock() - stepped
-        timing = {"selection": agent.time_selection, "grouping": agent.time_grouping,
-                  "estimation": agent.time_estimation, "bookkeeping": agent.time_bookkeeping,
-                  "harness": harness_s}
-        nonconverged = agent.nonconverged_solves
-    timing["wall"] = clock() - wall
+        episode = Agent(variant_agent_config(base_agent, variant), world, horizon, seed,
+                        schedule).run()
+    wall = time.perf_counter() - started
+    # the episode's harness bucket is 0, so the five buckets sum to the wall time
+    timing = dict(episode.timing, wall=wall, harness=wall - sum(episode.timing.values()))
     _, inst, bandwidth = episode.outcome
     records = episode.records() if trace_path is not None or keep_records else None
     if trace_path is not None:
         write_trace(trace_path, records)
     return RunResult(variant=variant, seed=seed, expected=episode.expected, inst_regret=inst,
                      cum_regret=np.cumsum(inst), components=episode.components,
-                     correct=correct, timing=timing, nonconverged_solves=nonconverged,
+                     correct=episode.correct, timing=timing,
+                     nonconverged_solves=episode.nonconverged_solves,
                      total_bandwidth=float(sum(bandwidth.tolist())),  # not the pairwise .sum()
                      records=records if keep_records else None)
 
@@ -346,6 +310,8 @@ def run_experiment(cfg: ExperimentConfig, keep_records: bool = False) -> Experim
     world = resolve_world(cfg)
     if cfg.schedule_events:
         PerspectiveSchedule(cfg.schedule_events).validate_against(world)
+    if cfg.agent.k_max > world.n_models and any(v in AGENT_VARIANTS for v in cfg.variants):
+        raise ConfigError(f"k_max={cfg.agent.k_max} exceeds the catalog size {world.n_models}")
     out_dir = None
     if cfg.output_dir is not None:
         from pathlib import Path

@@ -34,6 +34,11 @@ CASCADE_ORDERS = ("ucb-desc", "tier-then-ucb")
 # components, every camera alone, or all cameras in one pool.
 GROUPINGS = ("graph", "set", "singletons", "pooled")
 
+# Per-pair timer buckets, in seconds. The agent's first four cover each of its
+# rounds and the greedy baseline's whole run is ``selection``; ``harness`` is
+# the rest of the pair's wall time, set-up and the harness's own work included.
+TIMING_BUCKETS = ("selection", "grouping", "estimation", "bookkeeping", "harness")
+
 # Sub-stream tags hung off the run seed.
 _ARRIVAL_TAG = 1
 _PAYOFF_TAG = 2
@@ -80,6 +85,13 @@ class AgentConfig:
             raise ConfigError(f"unknown grouping {self.grouping!r}; expected one of {GROUPINGS}")
         # Constructed early so an invalid deletion function fails at config time.
         DeletionRule(self.beta, self.f_id)
+
+
+def canonical_labels(labels: np.ndarray) -> np.ndarray:
+    """Relabel a partition by each block's smallest member id."""
+    labels = np.asarray(labels)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse]
 
 
 @dataclass(frozen=True)
@@ -176,7 +188,8 @@ class _Episode:
     each group's oracle cascade payoff. The agent and the greedy baseline
     build the same episode, so paired variants face the same world. Each
     round writes one row of the episode's round log: the columns from
-    ``inferred_groups`` to ``resets``, with tries and payoffs padded by -1."""
+    ``inferred_groups`` to ``correct``, with tries and payoffs padded by -1.
+    The run adds to ``timing``, all but ``harness``, and to ``nonconverged_solves``."""
 
     def __init__(self, world: World, horizon: int, seed: int, oracle_k: int,
                  schedule: PerspectiveSchedule | None):
@@ -207,12 +220,18 @@ class _Episode:
         self.components = np.zeros(horizon, dtype=int)
         self.edges_deleted = np.zeros(horizon, dtype=int)
         self.resets = np.zeros(horizon, dtype=bool)
+        self.correct = np.zeros(horizon, dtype=bool)   # the partition equals the truth
+        self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
+        self.nonconverged_solves = 0
 
-    def _advance_schedule(self, t: int):
+    def _advance_schedule(self, t: int) -> bool:
+        """Apply the schedule's events due by round ``t``; True if any was."""
+        applied = self.events_applied
         while self.events_applied < len(self.events) and self.events[self.events_applied][0] <= t:
             _, cam, grp = self.events[self.events_applied]
             self.assignment[cam] = grp
             self.events_applied += 1
+        return self.events_applied > applied
 
     @functools.cached_property
     def outcome(self) -> tuple:
@@ -248,8 +267,6 @@ class Agent(_Episode):
             config = replace(config, p0=derive_p0(seed))
         super().__init__(world, horizon, seed, config.k_max, schedule)
         self.cfg = config
-        self.horizon = horizon
-        self.seed = seed
         n, m, d = world.n_cameras, world.n_models, world.dimension
         self.features = world.features
         self._features_t = world.features.T
@@ -273,17 +290,12 @@ class Agent(_Episode):
         self.camera_theta = np.zeros((n, d))
         self._theta0 = np.zeros(d)
         self._warm = {}         # label -> last converged theta fitted under it
-        self.nonconverged_solves = 0
         self._ids = np.arange(n)
         self.graph = CameraGraph.complete(n) if config.grouping == "graph" else None
         self._use_partition(
             np.zeros(n, dtype=int) if config.grouping == "pooled" else np.arange(n))
         self._regroup()
-
-        self.time_selection = 0.0
-        self.time_grouping = 0.0
-        self.time_estimation = 0.0
-        self.time_bookkeeping = 0.0
+        self._truth, self._compared, self._match = canonical_labels(self.assignment), None, False
 
     def inferred_labels(self) -> np.ndarray:
         """This round's partition labels, each block labeled by its smallest member id."""
@@ -364,24 +376,26 @@ class Agent(_Episode):
         clock = time.perf_counter
         t0 = clock()
         cfg = self.cfg
+        timing = self.timing
         i = t - 1
         camera = int(self.arrival[i])
-        self._advance_schedule(t)
+        if self._advance_schedule(t):
+            self._truth, self._compared = canonical_labels(self.assignment), None
         group = self.assignment[camera]
         self.true_groups[i] = group
 
         t1 = clock()
-        self.time_bookkeeping += t1 - t0
+        timing["bookkeeping"] += t1 - t0
         label, block = self._members_for(camera)
         self.inferred_groups[i] = label
         self.components[i] = self.component_count
 
         t2 = clock()
-        self.time_grouping += t2 - t1
+        timing["grouping"] += t2 - t1
         theta, gs, means = self._fit(label, block)
 
         t3 = clock()
-        self.time_estimation += t3 - t2
+        timing["estimation"] += t3 - t2
         if means is None:
             means = self._mu(self.features.dot(theta))
         scores = means + cfg.alpha * confidence_widths(self.features, gs)
@@ -392,7 +406,7 @@ class Agent(_Episode):
         tried, payoffs = execute_cascade(intended, lambda m: u_row[m] < p_row[m])
 
         t4 = clock()
-        self.time_selection += t4 - t3
+        timing["selection"] += t4 - t3
         # at most k_max distinct tries, absorbed one scalar at a time into the
         # camera's own block and, unless it is alone, its partition block
         own = self._own[camera]
@@ -405,11 +419,11 @@ class Agent(_Episode):
         self.counts[camera] += len(tried)
 
         t5 = clock()
-        self.time_bookkeeping += t5 - t4
+        timing["bookkeeping"] += t5 - t4
         if cfg.grouping in ("graph", "set"):
             self.camera_theta[camera] = self._fit(camera, own)[0]
             t6 = clock()
-            self.time_estimation += t6 - t5
+            timing["estimation"] += t6 - t5
             if cfg.grouping == "graph":
                 before = self.graph.edge_count()
                 if before:      # an edgeless graph has nothing to delete
@@ -420,18 +434,24 @@ class Agent(_Episode):
                 self.resets[i] = self.graph.edge_count() > after_delete
             self._regroup()
             t5 = clock()
-            self.time_grouping += t5 - t6
+            timing["grouping"] += t5 - t6
 
         n = len(tried)
         self.tried[i, :n] = tried
         self.payoffs[i, :n] = payoffs
         self.expected[i] = expected_cascade_payoff([p_row[m] for m in intended])
-        self.time_bookkeeping += clock() - t5
+        # both partitions name each block by its smallest member; a new partition is
+        # a new array, so the comparison is redone only when it or the truth changed
+        labels = self.inferred_labels()
+        if labels is not self._compared:
+            self._compared, self._match = labels, np.array_equal(labels, self._truth)
+        self.correct[i] = self._match
+        timing["bookkeeping"] += clock() - t5
 
-    def run(self) -> list[RoundRecord]:
-        for t in range(1, self.horizon + 1):
+    def run(self) -> Agent:
+        for t in range(1, len(self.arrival) + 1):
             self.step(t)
-        return self.records()
+        return self
 
 
 def run_agent(config: AgentConfig, world: World, horizon: int, seed: int,
@@ -439,14 +459,14 @@ def run_agent(config: AgentConfig, world: World, horizon: int, seed: int,
     """Run one agent for ``horizon`` sequential rounds; horizon 0 is an empty trace."""
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    return Agent(config, world, horizon, seed, schedule).run()
+    return Agent(config, world, horizon, seed, schedule).run().records()
 
 
 def baseline_greedy(world: World, profile_rounds: int, horizon: int, seed: int,
                     oracle_k: int = 3,
                     schedule: PerspectiveSchedule | None = None) -> _Episode:
     """Profile-then-commit baseline; returns its episode, whose round log
-    holds one try per round in a single pooled group.
+    holds one try per round in one pooled group, all timed as ``selection``.
 
     Phase 1 cycles through every model on the sampled cameras for
     ``profile_rounds`` rounds; phase 2 plays the single model with the best
@@ -456,6 +476,7 @@ def baseline_greedy(world: World, profile_rounds: int, horizon: int, seed: int,
         raise ConfigError(f"profile_rounds must be at least 1, got {profile_rounds}")
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    start = time.perf_counter()
     m = world.n_models
     ep = _Episode(world, horizon, seed, oracle_k, schedule)
     ids = np.arange(m)
@@ -482,4 +503,5 @@ def baseline_greedy(world: World, profile_rounds: int, horizon: int, seed: int,
         ep.tried[t - 1, 0] = model
         ep.payoffs[t - 1, 0] = r
         ep.expected[t - 1] = p
+    ep.timing["selection"] = time.perf_counter() - start
     return ep

@@ -95,17 +95,23 @@ def test_runtime_error_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_failed_pairs_exit_2_with_partial_summary(tmp_path, capsys):
+def test_failed_pairs_exit_2_with_partial_summary(tmp_path, capsys, monkeypatch):
+    from camsel import policy
+
+    def boom(self, t):
+        raise RuntimeError(f"synthetic failure at round {t}")
+
+    monkeypatch.setattr(policy.Agent, "step", boom)
     cfg = _write_config(tmp_path)
     out_dir = tmp_path / "o"
     code = main(["--quiet", "run", "--config", str(cfg), "--seeds", "0,1",
-                 "--set", "agent.k_max=25", "--output-dir", str(out_dir)])
+                 "--output-dir", str(out_dir)])
     assert code == 2
     captured = capsys.readouterr()
     summary = json.loads(captured.out)
     failed = summary["variants"]["default"]["failed"]
     assert set(failed) == {"0", "1"}
-    assert all("k_max=25" in msg for msg in failed.values())
+    assert all("RuntimeError: synthetic failure at round 1" in msg for msg in failed.values())
     assert "2 pair(s) failed" in captured.err
     written = json.loads((out_dir / "run" / "summary.json").read_text())
     assert written["variants"]["default"]["failed"] == failed
@@ -203,6 +209,37 @@ def test_bernoulli_world_with_link_outside_unit_interval_exits_1(tmp_path, capsy
     err = capsys.readouterr().err
     assert "config error: group 0: the identity link gives success probabilities" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("case", ["run-seeds", "world-seed", "gen-world"])
+def test_negative_seeds_exit_1(tmp_path, capsys, case):
+    cfg = _write_config(tmp_path)
+    out_dir, world_file = tmp_path / "o", tmp_path / "w.json"
+    if case == "gen-world":
+        argv, message = ["gen-world", "--seed", "-1", "-o", str(world_file)], "world_seed"
+    else:
+        given = ["--seeds=-1"] if case == "run-seeds" else ["--set", "world_seed=-3"]
+        argv = ["run", "--config", str(cfg), *given, "--output-dir", str(out_dir)]
+        message = "seeds" if case == "run-seeds" else "world_seed"
+    assert main(["--quiet", *argv]) == 1
+    assert f"config error: {message} must be nonnegative" in capsys.readouterr().err
+    assert not out_dir.exists() and not world_file.exists()
+
+
+@pytest.mark.parametrize("variants", [["default", "greedy"], ["greedy"]])
+def test_k_max_beyond_the_catalog_exits_1_unless_greedy_only(tmp_path, capsys, variants):
+    cfg = _write_config(tmp_path, experiment={"horizon": 5, "seeds": [0], "variants": variants})
+    out_dir = tmp_path / "o"
+    code = main(["--quiet", "run", "--config", str(cfg), "--set", "world.n_models=2",
+                 "--output-dir", str(out_dir)])
+    summary = out_dir / "run" / "summary.json"
+    if variants == ["greedy"]:
+        # greedy's oracle cascade is min(k_max, M) wide, so it runs
+        assert code == 0 and summary.exists()
+    else:
+        assert code == 1
+        assert "config error: k_max=3 exceeds the catalog size 2" in capsys.readouterr().err
+        assert not summary.exists()
 
 
 def test_theory_subcommand(tmp_path, capsys):

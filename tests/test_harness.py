@@ -315,8 +315,11 @@ def test_correct_column_matches_hand_stepped_agent(variant):
         agent.step(t)
         expected.append(np.array_equal(canonical_labels(agent.inferred_labels()),
                                        canonical_labels(agent.assignment)))
-    assert res.correct.tolist() == expected
+    assert res.correct.tolist() == agent.correct.tolist() == expected
     assert any(expected[:99]) and any(expected[100:])
+    # the greedy baseline infers no partition, so it never matches the truth
+    greedy = run_pair("greedy", 0, world, base, 300, schedule_events=events)
+    assert greedy.correct.tolist() == [False] * 300
 
 
 def test_canonical_labels():
@@ -367,6 +370,15 @@ def test_greedy_timing_buckets_add_up_to_wall(world, agent_config):
         assert run_timed <= timing["wall"], timing
         timed, wall = timed + run_timed, wall + timing["wall"]
     assert timed >= 0.95 * wall, (timed, wall)
+
+
+@pytest.mark.parametrize("variant", ["default", "set-based", "greedy"])
+def test_timing_buckets_sum_to_wall_exactly(world, agent_config, variant):
+    timing = run_pair(variant, 0, world, agent_config, 200).timing
+    assert all(timing[key] >= 0.0 for key in TIMING_BUCKETS), timing
+    assert abs(sum(timing[key] for key in TIMING_BUCKETS) - timing["wall"]) <= 1e-9, timing
+    if variant == "greedy":
+        assert timing["grouping"] == timing["estimation"] == timing["bookkeeping"] == 0.0
 
 
 def test_progress_logged_once_per_pair(monkeypatch, caplog, tmp_path):

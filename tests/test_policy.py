@@ -210,7 +210,7 @@ def test_cascade_prefix_property(world, agent_config):
 
 def test_counts_bookkeeping(world, agent_config):
     agent = Agent(agent_config, world, 600, seed=2)
-    records = agent.run()
+    records = agent.run().records()
     assert agent.counts.sum() == sum(len(r.tried_models) for r in records)
     per_camera = np.zeros(world.n_cameras, dtype=int)
     for r in records:

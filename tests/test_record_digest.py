@@ -28,6 +28,9 @@ def test_digest_covers_every_variant_and_repeats(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     lines = [line.split() for line in outputs[0].splitlines()]
+    # hashes every variant's correct flags, the schedule pairs and both fleets
+    assert lines[-1] == [
+        "overall", "9b2b1ac263349863cf971b867af6356bca9b11baf78f338dd6674e660594815f"]
     names = [name for name, _ in lines]
     assert len(names) == len(set(names)) == 13 * 10 + 3 + 4 + 3 + 1
     assert {name.split("/")[0] for name in names[:130]} == set(VARIANTS)
