@@ -172,6 +172,57 @@ def _newton(feats, weights, resp_sums, zeta, link, theta0, tol, max_iter, outer=
     return Estimate(theta, gnorm <= tol, iters, gnorm, m)
 
 
+def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
+                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                      outer=None) -> Estimate:
+    """:func:`solve_mle_weighted` for S problems sharing the catalog, ``zeta``
+    and link: ``counts``, ``successes`` are (S, M), ``theta0`` is (S, d), and
+    each estimate field gains a leading seed axis. Row s equals the per-seed
+    solve bit for bit: stacked ``np.matmul`` and ``np.linalg.solve`` match the
+    per-seed ``dot``, gesv and ``math.sqrt(g.dot(g))``, and each row takes its
+    own steps and halvings, stopping when ``_newton`` would."""
+    feats_t, d = feats.T, feats.shape[1]
+    outer = outer_products(feats) if outer is None else outer
+    (mu, mu_prime), ridge = _links(link), _ridge(zeta, d)
+
+    def score(weights, resp_sums, theta):
+        z = np.matmul(feats, theta[:, :, None])[..., 0]
+        m = mu(z)
+        g = np.matmul(feats_t, (resp_sums - weights * m)[:, :, None])[..., 0] - zeta * theta
+        return z, m, g, np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+
+    theta = np.array(theta0, dtype=float)
+    z, m, g, gnorm = score(counts, successes, theta)
+    iters = np.zeros(len(theta), dtype=int)
+    live = (gnorm > tol) & (iters < max_iter)
+    while live.any():
+        rows = np.flatnonzero(live)
+        weights, resp_sums = counts[rows], successes[rows]
+        hess = np.matmul((weights * mu_prime(z[rows], m[rows]))[:, None, :], outer)[:, 0]
+        delta = np.linalg.solve(ridge + hess.reshape(-1, d, d), g[rows][:, :, None])[..., 0]
+        base, bound, step = theta[rows], gnorm[rows], np.ones(len(rows))
+        cand = base + delta
+        for _ in range(MAX_HALVINGS):
+            z_new, m_new, g_new, gn = score(weights, resp_sums, cand)
+            ok = np.isfinite(gn) & (gn < bound)
+            done = rows[ok]
+            theta[done], z[done], m[done], g[done], gnorm[done] = (
+                cand[ok], z_new[ok], m_new[ok], g_new[ok], gn[ok])
+            iters[done] += 1
+            if ok.all():
+                break
+            rest = ~ok
+            rows, weights, resp_sums = rows[rest], weights[rest], resp_sums[rest]
+            base, bound, step, delta = base[rest], bound[rest], step[rest] * 0.5, delta[rest]
+            cand = base + step[:, None] * delta
+        else:
+            live[rows] = False      # their line search ran out: they stop where they are
+        live &= (gnorm > tol) & (iters < max_iter)
+    if not np.isfinite(theta[iters > 0]).all():
+        raise NumericError("Newton iterate became non-finite")
+    return Estimate(theta, gnorm <= tol, iters, gnorm, m)
+
+
 def solve_mle(gs: GroupStats, link: LinkFunctionSpec, X, r,
               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
               theta0=None) -> Estimate:
@@ -220,3 +271,12 @@ def confidence_widths(X: np.ndarray, gs: GroupStats) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     solved = _solve(gs.gramian_reg, X.T)
     return np.sqrt(np.einsum("ij,ji->i", X, solved))
+
+
+def confidence_widths_stacked(X: np.ndarray, gramians: np.ndarray) -> np.ndarray:
+    """:func:`confidence_widths` under each of an (S, d, d) stack of regularized
+    Gramians, row for row to the bit: the solves are copied into an (S, M, d)
+    C-ordered buffer, so each seed's transpose has the Fortran strides of
+    gesv's result."""
+    solved = np.linalg.solve(gramians, X.T).transpose(0, 2, 1).copy()
+    return np.sqrt(np.einsum("ij,sji->si", X, solved.transpose(0, 2, 1)))

@@ -4,12 +4,20 @@ Variants sharing a seed consume identical camera-arrival and payoff streams
 (the streams are keyed by seed, round, and model inside the policy), so every
 ablation delta is a paired comparison. Each (variant, seed) pair runs
 independently; failures abort only that pair and are recorded in the summary.
+
+``no-perspective`` and ``no-grouping`` run their seeds in ``min(workers,
+seeds)`` contiguous blocks through ``run_block``, one round loop per block
+holding S x T x M bools of payoff hits, with ``run_pair``'s results bit for
+bit. A block of one seed runs through ``run_pair``, and so does each seed of
+a block that raises. A blocked pair's timer buckets and wall are the block's
+divided by S; ``harness`` is the rest of that share.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import logging
 import numbers
@@ -23,7 +31,8 @@ import numpy as np
 from .environment import PerspectiveSchedule, World, WorldConfig, generate_world, load_world
 from .errors import ConfigError, typed
 from .policy import (TIMING_BUCKETS, Agent, AgentConfig, RoundRecord, baseline_greedy,
-                     canonical_labels)  # noqa: F401 - canonical_labels is re-exported
+                     canonical_labels,  # noqa: F401 - canonical_labels is re-exported
+                     lockstep_ready, run_lockstep)
 
 log = logging.getLogger(__name__)
 
@@ -148,7 +157,25 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
     else:
         episode = Agent(variant_agent_config(base_agent, variant), world, horizon, seed,
                         schedule).run()
-    wall = time.perf_counter() - started
+    return _pair_result(variant, seed, episode, time.perf_counter() - started, trace_path,
+                        keep_records)
+
+
+def run_block(variant: str, seeds, world: World, base_agent: AgentConfig, horizon: int,
+              schedule_events=(), trace_paths=None, keep_records: bool = False) -> list:
+    """``run_pair`` for a block of seeds of a ``policy.lockstep_ready`` variant,
+    in one round loop; each pair's buckets and wall are the block's over S."""
+    schedule = PerspectiveSchedule(schedule_events) if schedule_events else None
+    started = time.perf_counter()
+    episodes = run_lockstep(variant_agent_config(base_agent, variant), world, horizon, seeds,
+                            schedule)
+    wall = (time.perf_counter() - started) / len(seeds)
+    return [_pair_result(variant, seed, episode, wall, path, keep_records) for seed, episode, path
+            in zip(seeds, episodes, trace_paths or itertools.repeat(None))]
+
+
+def _pair_result(variant, seed, episode, wall, trace_path, keep_records) -> RunResult:
+    """A pair's result from its finished episode, writing its trace file if asked."""
     # the episode's harness bucket is 0, so the five buckets sum to the wall time
     timing = dict(episode.timing, wall=wall, harness=wall - sum(episode.timing.values()))
     _, inst, bandwidth = episode.outcome
@@ -173,6 +200,21 @@ def _run_pair_job(args):
         return RunResult(variant, seed, np.zeros(0), np.zeros(0), np.zeros(0),
                          np.zeros(0, dtype=int), np.zeros(0, dtype=bool), 0.0, {}), \
             f"{type(exc).__name__}: {exc} (at {where})"
+
+
+def _run_job(job):
+    """(result, error) of each pair of one job, in seed order. If a block
+    raises, its pairs rerun one by one, so a failure aborts only its own pair."""
+    variant, seeds, world, agent, horizon, events, profile_rounds, paths, keep = job
+    if len(seeds) > 1:
+        try:
+            return [(result, None) for result in
+                    run_block(variant, seeds, world, agent, horizon, events, paths, keep)]
+        except Exception as exc:  # noqa: BLE001 - the pairs rerun alone
+            log.warning("block %s seeds %d..%d failed (%s: %s); rerunning its pairs alone",
+                        variant, seeds[0], seeds[-1], type(exc).__name__, exc, exc_info=True)
+    return [_run_pair_job((variant, seed, world, agent, horizon, events, profile_rounds, path,
+                           keep)) for seed, path in zip(seeds, paths)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +331,10 @@ class ExperimentResult:
 
 
 def _collect(outcomes):
-    """(runs, errors) keyed by (variant, seed), logging one line per pair as
-    its outcome comes in (in job order)."""
+    """(runs, errors) keyed by (variant, seed) from each job's outcomes, logging
+    one line per pair as its outcome comes in (in job order)."""
     runs, errors = {}, {}
-    for result, error in outcomes:
+    for result, error in itertools.chain.from_iterable(outcomes):
         key = (result.variant, result.seed)
         if error is None:
             runs[key] = result
@@ -322,17 +364,21 @@ def run_experiment(cfg: ExperimentConfig, keep_records: bool = False) -> Experim
 
     jobs = []
     for variant in cfg.variants:
-        for seed in cfg.seeds:
-            trace_path = str(out_dir / variant / f"{seed}.csv") if out_dir else None
-            jobs.append((variant, seed, world, cfg.agent, cfg.horizon,
-                         cfg.schedule_events, cfg.greedy_profile_rounds,
-                         trace_path, keep_records))
+        blocked = variant in AGENT_VARIANTS and lockstep_ready(
+            variant_agent_config(cfg.agent, variant))
+        for span in np.array_split(cfg.seeds, min(cfg.workers, len(cfg.seeds)) if blocked
+                                   else len(cfg.seeds)):
+            seeds = tuple(span.tolist())
+            paths = tuple(str(out_dir / variant / f"{seed}.csv") if out_dir else None
+                          for seed in seeds)
+            jobs.append((variant, seeds, world, cfg.agent, cfg.horizon, cfg.schedule_events,
+                         cfg.greedy_profile_rounds, paths, keep_records))
 
     if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            runs, errors = _collect(pool.map(_run_pair_job, jobs))
+            runs, errors = _collect(pool.map(_run_job, jobs))
     else:
-        runs, errors = _collect(map(_run_pair_job, jobs))
+        runs, errors = _collect(map(_run_job, jobs))
 
     marks = checkpoints(cfg.horizon)
     variants_block = {}

@@ -25,7 +25,8 @@ import numpy as np
 from .core import LinkFunctionSpec, expected_cascade_payoff, link_callables
 from .environment import PerspectiveSchedule, World
 from .errors import ConfigError, typed
-from .estimator import GroupStats, confidence_widths, outer_products, solve_mle_weighted
+from .estimator import (GroupStats, confidence_widths, confidence_widths_stacked,
+                        outer_products, solve_mle_stacked, solve_mle_weighted)
 from .grouping import (CameraGraph, DeletionRule, ReconnectPolicy, delete_edges,
                        reconnect, set_based_groups)
 
@@ -182,6 +183,14 @@ def execute_cascade(intended, payoff_source):
     return tried, payoffs
 
 
+def _oracle_tables(world: World, oracle_k: int) -> tuple:
+    """Each group's per-model success probabilities and oracle cascade payoff."""
+    probs = np.stack([world.group_success_probs(g) for g in range(world.n_groups)])
+    ids, width = np.arange(world.n_models), min(oracle_k, world.n_models)
+    return probs, np.array([expected_cascade_payoff(p[np.lexsort((ids, -p))[:width]])
+                            for p in probs])
+
+
 class _Episode:
     """What a seed fixes before any decision is made: camera arrivals, the
     payoff uniforms, each camera's true group as the schedule moves it, and
@@ -189,10 +198,11 @@ class _Episode:
     build the same episode, so paired variants face the same world. Each
     round writes one row of the episode's round log: the columns from
     ``inferred_groups`` to ``correct``, with tries and payoffs padded by -1.
-    The run adds to ``timing``, all but ``harness``, and to ``nonconverged_solves``."""
+    The run adds to ``timing``, all but ``harness``, and to ``nonconverged_solves``.
+    ``tables``, if given, are the world's :func:`_oracle_tables`."""
 
     def __init__(self, world: World, horizon: int, seed: int, oracle_k: int,
-                 schedule: PerspectiveSchedule | None):
+                 schedule: PerspectiveSchedule | None, tables: tuple | None = None):
         n, m = world.n_cameras, world.n_models
         self.world = world
         self.arrival = np.random.default_rng(
@@ -200,14 +210,9 @@ class _Episode:
         self.payoff_u = np.random.default_rng(
             np.random.SeedSequence([seed, _PAYOFF_TAG])).random((horizon, m))
         self.assignment = world.camera_groups.copy()
-        self.group_probs = np.stack(
-            [world.group_success_probs(g) for g in range(world.n_groups)])
+        self.group_probs, self.oracle_expected = tables or _oracle_tables(world, oracle_k)
         self._probs = self.group_probs.tolist()     # read per try, as Python floats
-        ids = np.arange(m)
         width = min(oracle_k, m)
-        self.oracle_expected = np.array([
-            expected_cascade_payoff(p[np.lexsort((ids, -p))[:width]])
-            for p in self.group_probs])
         if schedule is not None:
             schedule.validate_against(world)
         self.events = schedule.events if schedule is not None else ()
@@ -232,6 +237,21 @@ class _Episode:
             self.assignment[cam] = grp
             self.events_applied += 1
         return self.events_applied > applied
+
+    def settle(self, labels: np.ndarray) -> np.ndarray:
+        """For an agent whose partition ``labels`` never changes: apply the
+        schedule, write each round's true group and ``correct`` flag, and trade
+        the payoff uniforms for the (T, M) hits u < p, all a cascade reads."""
+        horizon = len(self.arrival)
+        due = sorted({t for t, _, _ in self.events if 1 < t <= horizon})
+        for start, stop in zip([1] + due, due + [horizon + 1]):
+            self._advance_schedule(start)
+            rows = slice(start - 1, stop - 1)
+            self.true_groups[rows] = self.assignment[self.arrival[rows]]
+            self.correct[rows] = np.array_equal(labels, canonical_labels(self.assignment))
+        hits = self.payoff_u < self.group_probs[self.true_groups]
+        del self.payoff_u
+        return hits
 
     @functools.cached_property
     def outcome(self) -> tuple:
@@ -452,6 +472,100 @@ class Agent(_Episode):
         for t in range(1, len(self.arrival) + 1):
             self.step(t)
         return self
+
+
+def lockstep_ready(config: AgentConfig) -> bool:
+    """Whether :func:`run_lockstep` runs this agent: a fixed partition, no rng draws."""
+    return config.grouping in ("singletons", "pooled") and not config.no_combining
+
+
+def run_lockstep(config: AgentConfig, world: World, horizon: int, seeds,
+                 schedule: PerspectiveSchedule | None = None) -> list[_Episode]:
+    """Run a ``singletons`` or ``pooled`` agent for every seed in one round
+    loop; returns each seed's episode, equal to its :class:`Agent`'s bit for bit.
+    Each round works on (S, ...) arrays: the arriving camera's block row of
+    tries, wins and warm start, a stacked Gramian and fit, widths, ranking and
+    cascade. A fit short of tolerance gives way to its warm start, as in
+    ``Agent._fit``; no fit memo, since every round adds a try to the block it
+    fits. Each episode's timers are the loop's divided by S."""
+    if not lockstep_ready(config) or config.k_max > world.n_models:
+        raise ConfigError(f"no lockstep run of {config} over {world.n_models} models")
+    clock, pooled = time.perf_counter, config.grouping == "pooled"
+    n, m, d = world.n_cameras, world.n_models, world.dimension
+    labels = np.zeros(n, dtype=int) if pooled else np.arange(n)
+    n_seeds, k = len(seeds), min(config.k_max, m)
+    tables = _oracle_tables(world, config.k_max)
+    # set up one seed at a time, so one payoff table is alive at once; each
+    # round's whole ranking goes into the episodes' tried columns, padded at the end
+    episodes, hits = [], np.zeros((n_seeds, horizon, m), dtype=bool)
+    ranked_log = np.zeros((n_seeds, horizon, k), dtype=int)
+    for seat, seed in enumerate(seeds):
+        ep = _Episode(world, horizon, seed, config.k_max, schedule, tables)
+        hits[seat], ep.tried = ep.settle(labels), ranked_log[seat]
+        episodes.append(ep)
+    arrival = None if pooled else np.stack([ep.arrival for ep in episodes])
+
+    feats, feats_t, outer = world.features, world.features.T, outer_products(world.features)
+    eye, mu = config.zeta * np.eye(d), link_callables(config.link)[0]
+    ids = np.broadcast_to(np.arange(m), (n_seeds, m))
+    tiers = np.broadcast_to((world.tiers == "cloud").astype(int), (n_seeds, m))
+    seats, picks = np.arange(n_seeds), np.arange(k)
+    blocks = 1 if pooled else n
+    tries, wins, warm = (np.zeros((n_seeds, blocks, width)) for width in (m, m, d))
+    label, nonconverged = np.zeros(n_seeds, dtype=int), np.zeros(n_seeds, dtype=int)
+    tried_log = np.zeros((n_seeds, horizon), dtype=int)
+    timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
+    for i in range(horizon):
+        t1 = clock()
+        if not pooled:
+            label = arrival[:, i]       # the arriving cameras, each its own block
+        t2 = clock()
+        timing["grouping"] += t2 - t1
+        counts, successes, start = tries[seats, label], wins[seats, label], warm[seats, label]
+        gramians = eye + np.matmul(feats_t * counts[:, None, :], feats)
+        est = solve_mle_stacked(feats, counts, successes, config.zeta, config.link, start,
+                                outer=outer)
+        theta, means, missed = est.theta_hat, est.means, ~est.converged
+        if missed.any():
+            nonconverged += missed
+            theta[missed] = start[missed]
+            means[missed] = mu(np.matmul(feats, start[missed][:, :, None])[..., 0])
+        warm[seats, label] = theta
+
+        t3 = clock()
+        timing["estimation"] += t3 - t2
+        scores = means + config.alpha * confidence_widths_stacked(feats, gramians)
+        keys = ((ids, tiers, -scores) if config.cascade_order == "ucb-desc"
+                else (ids, -scores, tiers))
+        ranked = np.lexsort(keys, axis=-1)[:, :k]
+        paid = np.take_along_axis(hits[:, i], ranked, axis=1)
+        n_tried = np.where(paid.any(axis=1), paid.argmax(axis=1) + 1, k)
+
+        t4 = clock()
+        timing["selection"] += t4 - t3
+        taken = picks < n_tried[:, None]
+        seat = np.nonzero(taken)[0]
+        rows = (seat, label[seat], ranked[taken])
+        tries[rows] += 1.0
+        wins[rows] += paid[taken]
+        ranked_log[:, i], tried_log[:, i] = ranked, n_tried
+        timing["bookkeeping"] += clock() - t4
+
+    t5 = clock()
+    for ep, seat_hits, n_tried, missed in zip(episodes, hits, tried_log, nonconverged):
+        # expected_cascade_payoff's left fold, one column at a time
+        miss = (1.0 - tables[0][ep.true_groups[:, None], ep.tried]).T
+        ep.expected[:] = 1.0 - functools.reduce(np.multiply, miss)
+        taken = picks < n_tried[:, None]
+        ep.payoffs[:] = np.where(taken, np.take_along_axis(seat_hits, ep.tried, axis=1), -1)
+        ep.tried[~taken] = -1
+        ep.inferred_groups[:] = labels[ep.arrival]
+        ep.components[:] = blocks
+        ep.nonconverged_solves = int(missed)
+    timing["bookkeeping"] += clock() - t5
+    for ep in episodes:
+        ep.timing = {key: value / n_seeds for key, value in timing.items()}
+    return episodes
 
 
 def run_agent(config: AgentConfig, world: World, horizon: int, seed: int,

@@ -12,8 +12,8 @@ import camsel.policy as policy
 from camsel.core import LINK_KINDS, LinkFunctionSpec, link_callables, link_eval
 from camsel.estimator import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_HALVINGS, GroupStats,
                               SufficientStats, _newton, aggregate_group, confidence_width,
-                              confidence_widths, outer_products, solve_mle, solve_mle_weighted,
-                              update_stats)
+                              confidence_widths, confidence_widths_stacked, outer_products,
+                              solve_mle, solve_mle_stacked, solve_mle_weighted, update_stats)
 from camsel.policy import Agent, catalog_scores
 
 SIGMOID = LinkFunctionSpec("sigmoid")
@@ -444,6 +444,66 @@ def test_newton_bit_identical_on_drawn_problems(kind, problem):
     _assert_bit_identical(feats, counts, succ, zeta, LinkFunctionSpec(kind), theta0)
 
 
+@st.composite
+def _stacked_problems(draw):
+    """S problems over one catalog, zeta and link, each with its own counts,
+    successes and start, some of them far enough to force step halvings."""
+    feats, _, _, zeta, _ = draw(_newton_problems())
+    m, d = feats.shape
+    seeds = draw(st.integers(1, 6))
+    counts = draw(arrays(np.float64, (seeds, m), elements=st.integers(0, 15).map(float)))
+    frac = draw(arrays(np.float64, (seeds, m), elements=st.floats(0.0, 1.0)))
+    succ = np.minimum(np.floor(frac * (counts + 1.0)), counts)
+    theta0 = draw(arrays(np.float64, (seeds, d), elements=st.floats(-30.0, 30.0)))
+    return feats, counts, succ, zeta, theta0
+
+
+def _far_starts():
+    """Eight far starts on a 12 x 5 catalog at zeta 0.25, found by search:
+    under clipped-linear one row's line search runs out."""
+    rng = np.random.default_rng(905)
+    m, d = rng.integers(1, 21), rng.integers(1, 6)
+    feats = rng.uniform(-1.0, 1.0, (m, d))
+    counts = rng.integers(0, 16, (8, m)).astype(float)
+    succ = np.minimum(np.floor(rng.random((8, m)) * (counts + 1.0)), counts)
+    zeta = [0.25, 1.0, 3.0][rng.integers(3)]
+    return feats, counts, succ, zeta, rng.uniform(-30.0, 30.0, (8, d))
+
+
+_FAR_STARTS = _far_starts()
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(LINK_KINDS), problem=_stacked_problems())
+@example(kind="sigmoid", problem=_FAR_STARTS)
+@example(kind="clipped-linear", problem=_FAR_STARTS)
+def test_stacked_newton_matches_per_seed_newton_row_by_row(kind, problem):
+    feats, counts, succ, zeta, theta0 = problem
+    link = LinkFunctionSpec(kind)
+    stacked = solve_mle_stacked(feats, counts, succ, zeta, link, theta0)
+    for s in range(len(counts)):
+        est = _newton(feats, counts[s], succ[s], zeta, link, theta0[s], DEFAULT_TOL,
+                      DEFAULT_MAX_ITER)
+        assert np.array_equal(stacked.theta_hat[s], est.theta_hat)
+        assert np.array_equal(stacked.means[s], est.means)
+        assert (bool(stacked.converged[s]), int(stacked.iterations[s]),
+                float(stacked.gradient_norm[s])) == (est.converged, est.iterations,
+                                                     est.gradient_norm)
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "clipped-linear"])
+def test_stacked_far_starts_halve_and_stop_short(kind):
+    # the example above takes step halvings on its rows; under clipped-linear
+    # some rows also run out of halvings and stop short of tolerance
+    feats, counts, succ, zeta, theta0 = _FAR_STARTS
+    link = LinkFunctionSpec(kind)
+    halvings = [_assert_bit_identical(feats, c, s, zeta, link, t)[1]
+                for c, s, t in zip(counts, succ, theta0)]
+    assert sum(h > 0 for h in halvings) >= 2
+    if kind == "clipped-linear":
+        assert not solve_mle_stacked(feats, counts, succ, zeta, link, theta0).converged.all()
+
+
 @pytest.mark.parametrize("kind", ["sigmoid", "clipped-linear"])
 def test_far_start_example_halves_steps(kind):
     feats, counts, succ, zeta, theta0 = _FAR
@@ -487,8 +547,11 @@ def test_seed_stacked_products_and_solves_match_per_seed_calls(world, rng):
         g = np.matmul(feats.T, resid[:, :, None])[..., 0]
         systems = np.eye(d) + hess.reshape(seeds, d, d)
         deltas = np.linalg.solve(systems, g[:, :, None])[..., 0]
+        widths = confidence_widths_stacked(feats, systems)
         for s in range(seeds):
             assert np.array_equal(hess[s], slopes[s].dot(outer))
             assert np.array_equal(z[s], feats.dot(thetas[s]))
             assert np.array_equal(g[s], feats.T.dot(resid[s]))
             assert np.array_equal(deltas[s], dgesv(systems[s], g[s])[2])
+            assert np.array_equal(widths[s], confidence_widths(feats, GroupStats(systems[s], 0,
+                                                                                1.0)))

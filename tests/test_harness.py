@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from camsel.environment import WorldConfig
+from camsel.environment import WorldConfig, save_world
 from camsel.errors import ConfigError
 from camsel.harness import (TIMING_BUCKETS, TRACE_HEADER, TRACE_SCHEMA_VERSION,
                             ExperimentConfig, RunResult, acceleration_ratio,
@@ -402,3 +402,68 @@ def test_progress_logged_once_per_pair(monkeypatch, caplog, tmp_path):
     for seed, message in zip((0, 1), messages[2:]):
         assert message.startswith(f"pair greedy seed {seed} failed: RuntimeError: "
                                   "synthetic failure (at ")
+
+
+def _canonical_cfg(tmp_path, world, agent_config, **kw):
+    """An experiment on the canonical world, read back from a world file."""
+    path = tmp_path / "world.json"
+    save_world(world, path)
+    return ExperimentConfig(agent=agent_config, world=None, world_path=str(path), **kw)
+
+
+@pytest.mark.parametrize("variant", ["default", "no-perspective", "set-based"])
+def test_agent_timers_leave_under_a_tenth_of_the_wall_to_the_harness(world, agent_config,
+                                                                     variant):
+    # harness is the rest of the wall, so only this bound shows whether the
+    # agent's own four timers cover its rounds
+    timing = run_pair(variant, 0, world, agent_config, 2000).timing
+    assert timing["harness"] / timing["wall"] < 0.1, timing
+
+
+def test_blocked_pairs_share_their_block_timers_and_wall(tmp_path, world, agent_config):
+    cfg = _canonical_cfg(tmp_path, world, agent_config, variants=("no-perspective",),
+                         horizon=2000, seeds=tuple(range(10)))
+    runs = run_experiment(cfg).runs
+    assert len(runs) == 10
+    for run in runs.values():
+        timing = run.timing
+        assert all(timing[key] >= 0.0 for key in TIMING_BUCKETS), timing
+        assert abs(sum(timing[key] for key in TIMING_BUCKETS) - timing["wall"]) <= 1e-9, timing
+        assert timing["harness"] / timing["wall"] < 0.1, timing
+        assert timing == runs[("no-perspective", 0)].timing
+
+
+def test_failed_block_reruns_its_pairs_alone(monkeypatch, tmp_path, world, agent_config):
+    import camsel.harness as harness
+
+    def broken_engine(*args, **kwargs):
+        raise RuntimeError("engine failure")
+
+    real_agent = harness.Agent
+
+    def agent_failing_seed_2(config, world, horizon, seed, schedule=None):
+        if seed == 2:
+            raise FloatingPointError("synthetic failure")
+        return real_agent(config, world, horizon, seed, schedule)
+
+    monkeypatch.setattr(harness, "run_lockstep", broken_engine)
+    monkeypatch.setattr(harness, "Agent", agent_failing_seed_2)
+    cfg = _canonical_cfg(tmp_path, world, agent_config, variants=("no-perspective",),
+                         horizon=100, seeds=(0, 1, 2, 3))
+    result = run_experiment(cfg, keep_records=True)
+    monkeypatch.undo()
+    failed = result.summary["variants"]["no-perspective"]["failed"]
+    assert list(failed) == ["2"]
+    message = failed["2"]
+    assert message.startswith("FloatingPointError: synthetic failure (at ")
+    frames = message[message.index("(at ") + 4:-1].split(" > ")
+    assert [frame.rsplit(" in ", 1)[1] for frame in frames] == ["run_pair",
+                                                                "agent_failing_seed_2"]
+    assert result.summary["variants"]["no-perspective"]["seeds"] == [0, 1, 3]
+    for seed in (0, 1, 3):
+        ours = result.runs[("no-perspective", seed)]
+        theirs = run_pair("no-perspective", seed, result.world, agent_config, 100,
+                          keep_records=True)
+        assert ours.records == theirs.records
+        assert ours.correct.tolist() == theirs.correct.tolist()
+        assert ours.nonconverged_solves == theirs.nonconverged_solves

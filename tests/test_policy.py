@@ -495,3 +495,79 @@ def test_singleton_fit_is_never_solved_again_on_unchanged_data(monkeypatch):
     agent.run()
     assert len(solved) > 100 and agent.nonconverged_solves == 0
     assert repeats == []
+
+
+_LOG_COLUMNS = ("arrival", "inferred_groups", "true_groups", "tried", "payoffs", "expected",
+                "components", "edges_deleted", "resets", "correct")
+
+
+def _assert_same_episodes(lockstep, agents):
+    assert len(lockstep) == len(agents)
+    for ours, theirs in zip(lockstep, agents):
+        for name in _LOG_COLUMNS:
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert ours.nonconverged_solves == theirs.nonconverged_solves
+        assert ours.records() == theirs.records()
+
+
+@pytest.mark.parametrize("grouping", ["pooled", "singletons"])
+@pytest.mark.parametrize("order", ["ucb-desc", "tier-then-ucb"])
+def test_lockstep_episodes_equal_agents(world, agent_config, grouping, order):
+    import camsel.policy as policy
+
+    cfg = replace(agent_config, grouping=grouping, cascade_order=order)
+    schedule = PerspectiveSchedule(((50, 0, 1), (120, 5, 0), (120, 0, 0)))
+    seeds = (4, 0, 9, 2, 7)
+    assert policy.lockstep_ready(cfg)
+    _assert_same_episodes(policy.run_lockstep(cfg, world, 200, seeds, schedule),
+                          [Agent(cfg, world, 200, seed, schedule).run() for seed in seeds])
+
+
+def test_lockstep_runs_only_fixed_partitions_and_the_ranked_cascade(world, agent_config):
+    import camsel.policy as policy
+
+    for cfg in (agent_config, replace(agent_config, grouping="set"),
+                replace(agent_config, grouping="pooled", no_combining=True)):
+        assert not policy.lockstep_ready(cfg)
+        with pytest.raises(ConfigError):
+            policy.run_lockstep(cfg, world, 10, (0, 1))
+
+
+@pytest.mark.parametrize("grouping", ["pooled", "singletons"])
+def test_lockstep_forced_nonconvergence_matches_agent(world, agent_config, monkeypatch,
+                                                      grouping):
+    """No world makes a fit stop short of tolerance, so chosen (seed, round)
+    fits are made to report it, in the stacked solve and in the per-seed one:
+    each such round ranks by its warm start, which stays as it was."""
+    import camsel.policy as policy
+
+    seeds, horizon = (0, 1, 2, 3), 60
+    forced = {(0, 1), (0, 2), (1, 30), (1, 31), (2, 59), (3, 60)} | {(s, 10) for s in seeds}
+    cfg = replace(agent_config, grouping=grouping)
+    real_stacked, real_weighted = policy.solve_mle_stacked, policy.solve_mle_weighted
+    rounds = []
+
+    def stacked(*args, **kwargs):
+        rounds.append(None)
+        est = real_stacked(*args, **kwargs)
+        stop = np.array([(seed, len(rounds)) in forced for seed in seeds])
+        return replace(est, converged=est.converged & ~stop)
+
+    monkeypatch.setattr(policy, "solve_mle_stacked", stacked)
+    episodes = policy.run_lockstep(cfg, world, horizon, seeds)
+    assert len(rounds) == horizon
+    agents = []
+    for seed in seeds:
+        calls = []
+
+        def weighted(*args, seed=seed, calls=calls, **kwargs):
+            calls.append(None)      # one fit per round: no block's count stands still
+            est = real_weighted(*args, **kwargs)
+            return replace(est, converged=False) if (seed, len(calls)) in forced else est
+
+        monkeypatch.setattr(policy, "solve_mle_weighted", weighted)
+        agents.append(Agent(cfg, world, horizon, seed).run())
+        assert len(calls) == horizon
+    assert [a.nonconverged_solves for a in agents] == [3, 3, 2, 2]
+    _assert_same_episodes(episodes, agents)

@@ -1,8 +1,13 @@
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
 
-from camsel.harness import VARIANTS, variant_agent_config
+import pytest
+
+from camsel.environment import save_world
+from camsel.harness import (VARIANTS, ExperimentConfig, run_block, run_experiment, run_pair,
+                            variant_agent_config)
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "record_digest.py"
@@ -92,3 +97,42 @@ def test_shape_digests_are_pinned(capsys):
     assert _load_tool().main(["--shapes"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
         "overall edf2eaecff79e2aabe952e2b39191e576b82a34456f89ac5df602729cd2296a4")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocked_lockstep_pairs_equal_run_pair_on_every_shape(tmp_path, workers):
+    # the digest tool runs every pair through run_pair; a sweep runs the
+    # lockstep variants in blocks of seeds, one block per worker
+    tool = _load_tool()
+    shapes = {name.split("/")[1]: args for name, args in tool.shape_pairs()}
+    assert len(shapes) == len(tool.SHAPES)
+    horizon, seeds = 300, (0, 1, 2, 3)
+    for shape, (_, _, world, agent, _, events) in shapes.items():
+        save_world(world, tmp_path / f"{shape}.json")
+        cfg = ExperimentConfig(agent=agent, world=None, world_path=str(tmp_path / f"{shape}.json"),
+                               variants=("no-perspective", "no-grouping"), horizon=horizon,
+                               seeds=seeds, schedule_events=events, workers=workers)
+        result = run_experiment(cfg, keep_records=True)
+        assert len(result.runs) == 8, (shape, result.summary)
+        for (variant, seed), run in result.runs.items():
+            reference = run_pair(variant, seed, result.world, agent, horizon,
+                                 schedule_events=events, keep_records=True)
+            assert tool.result_digest(run) == tool.result_digest(reference), (shape, variant, seed)
+
+
+def test_bench_pooled_pairs_in_blocks_are_pinned():
+    # the 400 no-perspective --bench pairs run in ten 40-seed blocks give the
+    # lines the parent's run_pair gave them, hashed in order
+    tool = _load_tool()
+    listed = [(name, args) for name, args in tool.bench_pairs() if args[0] == "no-perspective"]
+    assert len(listed) == 400
+    overall = hashlib.sha256()
+    for start in range(0, len(listed), 40):
+        block = listed[start:start + 40]
+        variant, _, world, agent, horizon, events = block[0][1]
+        results = run_block(variant, [args[1] for _, args in block], world, agent, horizon,
+                            events, keep_records=True)
+        for (name, _), result in zip(block, results):
+            overall.update(f"{name} {tool.result_digest(result)}\n".encode())
+    assert overall.hexdigest() == (
+        "d12e70be1566162f8e36d8d61537b1f6e282828850ebc62b6348a477ea861356")

@@ -23,6 +23,11 @@ and k_max = M, M = 1, N = 1, d = 2, one camera moved twice, and the
 ``tier-first`` cascade order (see ``SHAPES``). Run it with ``PYTHONPATH``
 pointing at each checkout's ``src/`` and compare the outputs: equal lines
 mean bit-identical records.
+
+Every pair runs through ``camsel.harness.run_pair``, the per-seed agent. A
+sweep runs ``no-perspective`` and ``no-grouping`` in blocks of seeds through
+``run_block`` instead; ``tests/test_record_digest.py`` pins that those blocks
+give these same digests, on every shape and on the ``--bench`` pairs.
 """
 
 from __future__ import annotations
