@@ -5,12 +5,15 @@ Variants sharing a seed consume identical camera-arrival and payoff streams
 ablation delta is a paired comparison. Each (variant, seed) pair runs
 independently; failures abort only that pair and are recorded in the summary.
 
-``no-perspective`` and ``no-grouping`` run their seeds in ``min(workers,
-seeds)`` contiguous blocks through ``run_block``, one round loop per block
-holding S x T x M bools of payoff hits, with ``run_pair``'s results bit for
-bit. A block of one seed runs through ``run_pair``, and so does each seed of
-a block that raises. A blocked pair's timer buckets and wall are the block's
-divided by S; ``harness`` is the rest of that share.
+Every agent variant but ``set-based`` and ``no-combining`` runs its seeds in
+``min(workers, seeds)`` contiguous blocks through ``run_block``, one round
+loop per block holding S x T x M bools of payoff hits, with ``run_pair``'s
+results bit for bit. A block of one seed runs through ``run_pair``, and so
+does each seed of a block that raises; ``set-based``, ``no-combining`` and
+``greedy`` run one pair per job. A blocked pair's timer buckets and wall are
+the block's divided by S; ``harness`` is the rest of that share. A trace
+file is written from the episode's round log (``write_episode_trace``), so a
+pair builds ``RoundRecord``s only for ``keep_records``.
 """
 
 from __future__ import annotations
@@ -179,15 +182,14 @@ def _pair_result(variant, seed, episode, wall, trace_path, keep_records) -> RunR
     # the episode's harness bucket is 0, so the five buckets sum to the wall time
     timing = dict(episode.timing, wall=wall, harness=wall - sum(episode.timing.values()))
     _, inst, bandwidth = episode.outcome
-    records = episode.records() if trace_path is not None or keep_records else None
     if trace_path is not None:
-        write_trace(trace_path, records)
+        write_episode_trace(trace_path, episode)
     return RunResult(variant=variant, seed=seed, expected=episode.expected, inst_regret=inst,
                      cum_regret=np.cumsum(inst), components=episode.components,
                      correct=episode.correct, timing=timing,
                      nonconverged_solves=episode.nonconverged_solves,
                      total_bandwidth=float(sum(bandwidth.tolist())),  # not the pairwise .sum()
-                     records=records if keep_records else None)
+                     records=episode.records() if keep_records else None)
 
 
 def _run_pair_job(args):
@@ -276,23 +278,62 @@ def _mean_se(values):
 # ---------------------------------------------------------------------------
 # Trace and summary files
 
-def write_trace(path, records):
+# one data row; rows end in \r\n, as the csv module's excel dialect writes them
+_ROW = (",".join(["{}"] * len(TRACE_HEADER.split(","))) + "\r\n").format
+
+
+def _joined(padded: np.ndarray) -> list:
+    """Each row's entries before its -1 padding, joined by ';'; each distinct
+    row is formatted once."""
+    rows, inverse = np.unique(padded, axis=0, return_inverse=True)
+    text = np.array([";".join(str(v) for v in row if v >= 0) for row in rows.tolist()],
+                    dtype=object)
+    return text[inverse.reshape(-1)].tolist()
+
+
+def _reprs(values) -> list:
+    """repr of each float, computed once per distinct bit pattern."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    return np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[inverse].tolist()
+
+
+def _write_rows(path, t, camera, inferred, true, tried, payoffs, aggregate, expected, oracle,
+                regret, components, bandwidth, edges, reset):
+    """Write a trace from its columns, in header order: the integer columns
+    and the joined ``tried`` and ``payoffs`` as given, the float columns by
+    ``repr``, which round-trips them exactly, so trace files support
+    bit-level recomputation of every summary statistic. ``cum_regret`` is
+    ``np.cumsum`` of the regret, the running sum a left-to-right loop gives."""
+    regret = np.asarray(regret, dtype=float)
+    cum = list(map(repr, np.cumsum(regret).tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema_version={TRACE_SCHEMA_VERSION}\n")
         fh.write(TRACE_HEADER + "\n")
-        cum = 0.0
-        for r in records:
-            cum += r.instantaneous_regret
-            # repr round-trips floats exactly, so trace files support
-            # bit-level recomputation of every summary statistic; data rows
-            # end in \r\n, as the csv module's excel dialect writes them
-            fh.write(
-                f"{r.t},{r.camera},{r.inferred_group},{r.true_group},"
-                f"{';'.join(map(str, r.tried_models))},{';'.join(map(str, r.payoffs))},"
-                f"{r.aggregate_payoff},{float(r.expected_payoff)!r},"
-                f"{float(r.oracle_expected_payoff)!r},{float(r.instantaneous_regret)!r},"
-                f"{float(cum)!r},{r.component_count},{float(r.bandwidth_spent)!r},"
-                f"{r.edges_deleted},{int(r.graph_reset)}\r\n")
+        fh.writelines(map(_ROW, t, camera, inferred, true, tried, payoffs, aggregate,
+                          _reprs(expected), _reprs(oracle), _reprs(regret), cum, components,
+                          _reprs(bandwidth), edges, reset))
+
+
+def write_trace(path, records):
+    """Write the trace file of a list of round records."""
+    columns = list(zip(*((
+        r.t, r.camera, r.inferred_group, r.true_group, ";".join(map(str, r.tried_models)),
+        ";".join(map(str, r.payoffs)), r.aggregate_payoff, r.expected_payoff,
+        r.oracle_expected_payoff, r.instantaneous_regret, r.component_count, r.bandwidth_spent,
+        r.edges_deleted, int(r.graph_reset)) for r in records)))
+    _write_rows(path, *(columns or [()] * 14))
+
+
+def write_episode_trace(path, episode):
+    """Write the trace file of a finished episode straight from its round log."""
+    oracle, regret, bandwidth = episode.outcome
+    _write_rows(path, range(1, len(episode.arrival) + 1), episode.arrival.tolist(),
+                episode.inferred_groups.tolist(), episode.true_groups.tolist(),
+                _joined(episode.tried), _joined(episode.payoffs),
+                episode.payoffs.max(axis=1, initial=-1).tolist(), episode.expected, oracle,
+                regret, episode.components.tolist(), bandwidth, episode.edges_deleted.tolist(),
+                episode.resets.astype(int).tolist())
 
 
 def read_trace(path) -> list[RoundRecord]:

@@ -27,8 +27,8 @@ from .environment import PerspectiveSchedule, World
 from .errors import ConfigError, typed
 from .estimator import (GroupStats, confidence_widths, confidence_widths_stacked,
                         outer_products, solve_mle_stacked, solve_mle_weighted)
-from .grouping import (CameraGraph, DeletionRule, ReconnectPolicy, delete_edges,
-                       reconnect, set_based_groups)
+from .grouping import (F_FUNCTIONS, CameraGraph, DeletionRule, ReconnectPolicy, _min_labels,
+                       delete_edges, reconnect, set_based_groups)
 
 CASCADE_ORDERS = ("ucb-desc", "tier-then-ucb")
 # How cameras share statistics: graph components, from-scratch set-based
@@ -238,20 +238,22 @@ class _Episode:
             self.events_applied += 1
         return self.events_applied > applied
 
-    def settle(self, labels: np.ndarray) -> np.ndarray:
-        """For an agent whose partition ``labels`` never changes: apply the
-        schedule, write each round's true group and ``correct`` flag, and trade
-        the payoff uniforms for the (T, M) hits u < p, all a cascade reads."""
-        horizon = len(self.arrival)
+    def settle(self) -> tuple:
+        """Apply the schedule for every round up front and write each round's
+        true group, for a lockstep run. Returns the (T, M) hits u < p, all its
+        cascades read, for which the payoff uniforms are dropped, and a
+        (rows, canonically labelled true partition) pair per run of rounds
+        between schedule events."""
+        horizon, truth = len(self.arrival), []
         due = sorted({t for t, _, _ in self.events if 1 < t <= horizon})
         for start, stop in zip([1] + due, due + [horizon + 1]):
             self._advance_schedule(start)
             rows = slice(start - 1, stop - 1)
             self.true_groups[rows] = self.assignment[self.arrival[rows]]
-            self.correct[rows] = np.array_equal(labels, canonical_labels(self.assignment))
+            truth.append((rows, canonical_labels(self.assignment)))
         hits = self.payoff_u < self.group_probs[self.true_groups]
         del self.payoff_u
-        return hits
+        return hits, truth
 
     @functools.cached_property
     def outcome(self) -> tuple:
@@ -475,97 +477,243 @@ class Agent(_Episode):
 
 
 def lockstep_ready(config: AgentConfig) -> bool:
-    """Whether :func:`run_lockstep` runs this agent: a fixed partition, no rng draws."""
-    return config.grouping in ("singletons", "pooled") and not config.no_combining
+    """Whether :func:`run_lockstep` runs this agent: any grouping but ``set``,
+    and no rng draws in the cascade."""
+    return config.grouping != "set" and not config.no_combining
+
+
+class _Lockstep:
+    """What a lockstep round loop shares, for a block of S seeds: their
+    episodes and payoff hits, the stacked fit, the ranked cascade, and the
+    episodes' columns filled in at the end. Each round's whole ranking goes
+    into the episodes' tried columns, padded by :meth:`finish`."""
+
+    def __init__(self, config: AgentConfig, world: World, horizon: int, seeds, schedule):
+        n_seeds, m, d = len(seeds), world.n_models, world.dimension
+        self.cfg, self.seeds, self.k = config, seeds, min(config.k_max, m)
+        self.tables = _oracle_tables(world, config.k_max)
+        # set up one seed at a time, so one payoff table is alive at once
+        self.episodes, self.hits = [], np.zeros((n_seeds, horizon, m), dtype=bool)
+        self.ranked_log = np.zeros((n_seeds, horizon, self.k), dtype=int)
+        for seat, seed in enumerate(seeds):
+            ep = _Episode(world, horizon, seed, config.k_max, schedule, self.tables)
+            self.hits[seat], self.truth = ep.settle()   # the truth is the same for every seed
+            ep.tried = self.ranked_log[seat]
+            self.episodes.append(ep)
+        self.arrival = np.stack([ep.arrival for ep in self.episodes])
+        self.feats, self.feats_t = world.features, world.features.T
+        self.outer, self.eye = outer_products(world.features), config.zeta * np.eye(d)
+        self.mu = link_callables(config.link)[0]
+        ids = np.broadcast_to(np.arange(m), (n_seeds, m))
+        tiers = np.broadcast_to((world.tiers == "cloud").astype(int), (n_seeds, m))
+        self.keys = ((lambda scores: (ids, tiers, -scores)) if config.cascade_order == "ucb-desc"
+                     else (lambda scores: (ids, -scores, tiers)))
+        self.seats, self.picks = np.arange(n_seeds), np.arange(self.k)
+        self.nonconverged = np.zeros(n_seeds, dtype=int)
+        self.tried_log = np.zeros((n_seeds, horizon), dtype=int)
+        self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
+
+    def fit(self, rows, tries, wins, start):
+        """(theta, means, converged) of one stacked fit for seats ``rows``. A
+        row short of tolerance takes its warm start and mu of it and counts as
+        unconverged, as in ``Agent._fit``."""
+        est = solve_mle_stacked(self.feats, tries, wins, self.cfg.zeta, self.cfg.link, start,
+                                outer=self.outer)
+        theta, means, ok = est.theta_hat, est.means, est.converged
+        if not ok.all():
+            missed = ~ok
+            self.nonconverged[rows] += missed
+            theta[missed] = start[missed]
+            means[missed] = self.mu(np.matmul(self.feats, start[missed][:, :, None])[..., 0])
+        return theta, means, ok
+
+    def rank(self, i, means, tries):
+        """(ranked, paid, tries made) of round ``i``'s cascades, scored under
+        the stacked Gramians of the fitted blocks' ``tries``."""
+        gramians = self.eye + np.matmul(self.feats_t * tries[:, None, :], self.feats)
+        scores = means + self.cfg.alpha * confidence_widths_stacked(self.feats, gramians)
+        ranked = np.lexsort(self.keys(scores), axis=-1)[:, :self.k]
+        paid = np.take_along_axis(self.hits[:, i], ranked, axis=1)
+        n_tried = np.where(paid.any(axis=1), paid.argmax(axis=1) + 1, self.k)
+        self.ranked_log[:, i], self.tried_log[:, i] = ranked, n_tried
+        return ranked, paid, n_tried
+
+    def absorb(self, tries, wins, where, ranked, paid, n_tried):
+        """Add the tries made to row ``where[s]`` of each seat's tries and wins."""
+        taken = self.picks < n_tried[:, None]
+        seat = np.nonzero(taken)[0]
+        rows = (seat, where[seat], ranked[taken])
+        tries[rows] += 1.0
+        wins[rows] += paid[taken]
+
+    def finish(self) -> list[_Episode]:
+        """Each episode's expected payoffs, payoffs, padding and solver count;
+        each episode's timers are the loop's divided by S."""
+        start, n_seeds = time.perf_counter(), len(self.episodes)
+        for ep, seat_hits, n_tried, missed in zip(self.episodes, self.hits, self.tried_log,
+                                                  self.nonconverged):
+            # expected_cascade_payoff's left fold, one column at a time
+            miss = (1.0 - self.tables[0][ep.true_groups[:, None], ep.tried]).T
+            ep.expected[:] = 1.0 - functools.reduce(np.multiply, miss)
+            taken = self.picks < n_tried[:, None]
+            ep.payoffs[:] = np.where(taken, np.take_along_axis(seat_hits, ep.tried, axis=1), -1)
+            ep.tried[~taken] = -1
+            ep.nonconverged_solves = int(missed)
+        self.timing["bookkeeping"] += time.perf_counter() - start
+        for ep in self.episodes:
+            ep.timing = {key: value / n_seeds for key, value in self.timing.items()}
+        return self.episodes
 
 
 def run_lockstep(config: AgentConfig, world: World, horizon: int, seeds,
                  schedule: PerspectiveSchedule | None = None) -> list[_Episode]:
-    """Run a ``singletons`` or ``pooled`` agent for every seed in one round
-    loop; returns each seed's episode, equal to its :class:`Agent`'s bit for bit.
-    Each round works on (S, ...) arrays: the arriving camera's block row of
-    tries, wins and warm start, a stacked Gramian and fit, widths, ranking and
-    cascade. A fit short of tolerance gives way to its warm start, as in
-    ``Agent._fit``; no fit memo, since every round adds a try to the block it
-    fits. Each episode's timers are the loop's divided by S."""
+    """Run a ``graph``, ``singletons`` or ``pooled`` agent for every seed in
+    one round loop; returns each seed's episode, equal to its :class:`Agent`'s
+    bit for bit. Each round works on (S, ...) arrays: the arriving camera's
+    block row of tries, wins and warm start, a stacked Gramian and fit,
+    widths, ranking and cascade, and under ``graph`` the camera refits, edge
+    deletions and reconnections of every seed."""
     if not lockstep_ready(config) or config.k_max > world.n_models:
         raise ConfigError(f"no lockstep run of {config} over {world.n_models} models")
-    clock, pooled = time.perf_counter, config.grouping == "pooled"
-    n, m, d = world.n_cameras, world.n_models, world.dimension
-    labels = np.zeros(n, dtype=int) if pooled else np.arange(n)
-    n_seeds, k = len(seeds), min(config.k_max, m)
-    tables = _oracle_tables(world, config.k_max)
-    # set up one seed at a time, so one payoff table is alive at once; each
-    # round's whole ranking goes into the episodes' tried columns, padded at the end
-    episodes, hits = [], np.zeros((n_seeds, horizon, m), dtype=bool)
-    ranked_log = np.zeros((n_seeds, horizon, k), dtype=int)
-    for seat, seed in enumerate(seeds):
-        ep = _Episode(world, horizon, seed, config.k_max, schedule, tables)
-        hits[seat], ep.tried = ep.settle(labels), ranked_log[seat]
-        episodes.append(ep)
-    arrival = None if pooled else np.stack([ep.arrival for ep in episodes])
+    ls = _Lockstep(config, world, horizon, seeds, schedule)
+    (_graph_rounds if config.grouping == "graph" else _fixed_rounds)(ls, world, horizon)
+    return ls.finish()
 
-    feats, feats_t, outer = world.features, world.features.T, outer_products(world.features)
-    eye, mu = config.zeta * np.eye(d), link_callables(config.link)[0]
-    ids = np.broadcast_to(np.arange(m), (n_seeds, m))
-    tiers = np.broadcast_to((world.tiers == "cloud").astype(int), (n_seeds, m))
-    seats, picks = np.arange(n_seeds), np.arange(k)
+
+def _fixed_rounds(ls: _Lockstep, world: World, horizon: int):
+    """The rounds of a partition that never changes: each seed fits the
+    arriving camera's block, with no fit memo, since every round adds a try
+    to the block it fits."""
+    clock, timing, seats = time.perf_counter, ls.timing, ls.seats
+    n, n_seeds, pooled = world.n_cameras, len(seats), ls.cfg.grouping == "pooled"
+    labels = np.zeros(n, dtype=int) if pooled else np.arange(n)
     blocks = 1 if pooled else n
-    tries, wins, warm = (np.zeros((n_seeds, blocks, width)) for width in (m, m, d))
-    label, nonconverged = np.zeros(n_seeds, dtype=int), np.zeros(n_seeds, dtype=int)
-    tried_log = np.zeros((n_seeds, horizon), dtype=int)
-    timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
+    tries, wins, warm = (np.zeros((n_seeds, blocks, width))
+                         for width in (world.n_models, world.n_models, world.dimension))
+    label = np.zeros(n_seeds, dtype=int)
     for i in range(horizon):
         t1 = clock()
         if not pooled:
-            label = arrival[:, i]       # the arriving cameras, each its own block
+            label = ls.arrival[:, i]        # the arriving cameras, each its own block
         t2 = clock()
         timing["grouping"] += t2 - t1
-        counts, successes, start = tries[seats, label], wins[seats, label], warm[seats, label]
-        gramians = eye + np.matmul(feats_t * counts[:, None, :], feats)
-        est = solve_mle_stacked(feats, counts, successes, config.zeta, config.link, start,
-                                outer=outer)
-        theta, means, missed = est.theta_hat, est.means, ~est.converged
-        if missed.any():
-            nonconverged += missed
-            theta[missed] = start[missed]
-            means[missed] = mu(np.matmul(feats, start[missed][:, :, None])[..., 0])
-        warm[seats, label] = theta
+        counts, successes = tries[seats, label], wins[seats, label]
+        warm[seats, label], means, _ = ls.fit(seats, counts, successes, warm[seats, label])
 
         t3 = clock()
         timing["estimation"] += t3 - t2
-        scores = means + config.alpha * confidence_widths_stacked(feats, gramians)
-        keys = ((ids, tiers, -scores) if config.cascade_order == "ucb-desc"
-                else (ids, -scores, tiers))
-        ranked = np.lexsort(keys, axis=-1)[:, :k]
-        paid = np.take_along_axis(hits[:, i], ranked, axis=1)
-        n_tried = np.where(paid.any(axis=1), paid.argmax(axis=1) + 1, k)
+        ranked, paid, n_tried = ls.rank(i, means, counts)
 
         t4 = clock()
         timing["selection"] += t4 - t3
-        taken = picks < n_tried[:, None]
-        seat = np.nonzero(taken)[0]
-        rows = (seat, label[seat], ranked[taken])
-        tries[rows] += 1.0
-        wins[rows] += paid[taken]
-        ranked_log[:, i], tried_log[:, i] = ranked, n_tried
+        ls.absorb(tries, wins, label, ranked, paid, n_tried)
         timing["bookkeeping"] += clock() - t4
-
-    t5 = clock()
-    for ep, seat_hits, n_tried, missed in zip(episodes, hits, tried_log, nonconverged):
-        # expected_cascade_payoff's left fold, one column at a time
-        miss = (1.0 - tables[0][ep.true_groups[:, None], ep.tried]).T
-        ep.expected[:] = 1.0 - functools.reduce(np.multiply, miss)
-        taken = picks < n_tried[:, None]
-        ep.payoffs[:] = np.where(taken, np.take_along_axis(seat_hits, ep.tried, axis=1), -1)
-        ep.tried[~taken] = -1
+    correct = np.zeros(horizon, dtype=bool)
+    for rows, truth in ls.truth:
+        correct[rows] = np.array_equal(labels, truth)
+    for ep in ls.episodes:
         ep.inferred_groups[:] = labels[ep.arrival]
         ep.components[:] = blocks
-        ep.nonconverged_solves = int(missed)
-    timing["bookkeeping"] += clock() - t5
-    for ep in episodes:
-        ep.timing = {key: value / n_seeds for key, value in timing.items()}
-    return episodes
+        ep.correct[:] = correct
+
+
+def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
+    """The rounds of graph grouping. Per seed: each camera's tries, wins and
+    count, its refitted estimate, the adjacency and its edge count, the labels,
+    and warm starts keyed by label as ``Agent._warm`` is. A block's tries are
+    the masked sum of its members' rows (integer-valued floats, so exact in
+    any order). The fit memo is kept per camera: a multi-camera block's count
+    grows each time it is fitted, so only a camera alone, unchanged since its
+    last converged refit, reuses a fit. Each seed's reconnect uniforms, one per
+    round, are drawn up front from its agent stream."""
+    clock, timing, seats, cfg = time.perf_counter, ls.timing, ls.seats, ls.cfg
+    n, m, d, n_seeds = world.n_cameras, world.n_models, world.dimension, len(seats)
+    f, ids = F_FUNCTIONS[cfg.f_id], np.arange(n)
+    p0 = np.array([derive_p0(seed) if cfg.p0 is None else cfg.p0 for seed in ls.seeds])
+    draws = np.stack([np.random.default_rng(np.random.SeedSequence([seed, _AGENT_TAG]))
+                      .random(horizon) for seed in ls.seeds])
+    rounds_sq = np.arange(1, horizon + 1, dtype=float) ** 2
+    resetting = draws < np.minimum(1.0, p0[:, None] / rounds_sq)
+    tries, wins, memo_means = (np.zeros((n_seeds, n, m)) for _ in range(3))
+    warm, estimates = np.zeros((n_seeds, n, d)), np.zeros((n_seeds, n, d))
+    counts = np.zeros((n_seeds, n))
+    fitted_at = np.full((n_seeds, n), -1.0)     # the count at each camera's memo, -1 for none
+    full = n * (n - 1) // 2
+    complete = ~np.eye(n, dtype=bool)
+    adj, edges = np.tile(complete, (n_seeds, 1, 1)), np.full(n_seeds, full)
+    labels = np.tile(_min_labels(complete), (n_seeds, 1))
+    comps = np.count_nonzero(labels == ids, axis=1)
+    truths, truth_at = np.stack([truth for _, truth in ls.truth]), np.zeros(horizon, dtype=int)
+    for run, (rows, _) in enumerate(ls.truth):
+        truth_at[rows] = run
+    logs = {name: np.zeros((n_seeds, horizon), dtype=dtype) for name, dtype in (
+        ("inferred_groups", int), ("components", int), ("edges_deleted", int),
+        ("resets", bool), ("correct", bool))}
+    for seat, ep in enumerate(ls.episodes):
+        for name, log in logs.items():
+            setattr(ep, name, log[seat])
+    for i in range(horizon):
+        t1 = clock()
+        cam = ls.arrival[:, i]
+        label = labels[seats, cam]
+        members = labels == label[:, None]
+        alone = np.count_nonzero(members, axis=1) == 1
+        logs["inferred_groups"][:, i], logs["components"][:, i] = label, comps
+
+        t2 = clock()
+        timing["grouping"] += t2 - t1
+        block = members[:, None, :].astype(float)
+        block_tries, block_wins = np.matmul(block, tries)[:, 0], np.matmul(block, wins)[:, 0]
+        means = memo_means[seats, cam]
+        rows = np.flatnonzero(~alone | (fitted_at[seats, cam] != counts[seats, cam]))
+        if rows.size:
+            at = label[rows]
+            warm[rows, at], means[rows], _ = ls.fit(rows, block_tries[rows], block_wins[rows],
+                                                    warm[rows, at])
+
+        t3 = clock()
+        timing["estimation"] += t3 - t2
+        ranked, paid, n_tried = ls.rank(i, means, block_tries)
+
+        t4 = clock()
+        timing["selection"] += t4 - t3
+        ls.absorb(tries, wins, cam, ranked, paid, n_tried)
+        counts[seats, cam] += n_tried
+
+        t5 = clock()
+        timing["bookkeeping"] += t5 - t4
+        theta, means, ok = ls.fit(seats, tries[seats, cam], wins[seats, cam], warm[seats, cam])
+        warm[seats, cam] = estimates[seats, cam] = theta
+        done, at = np.flatnonzero(ok), cam[ok]
+        fitted_at[done, at], memo_means[done, at] = counts[done, at], means[ok]
+
+        t6 = clock()
+        timing["estimation"] += t6 - t5
+        live = np.flatnonzero(edges)        # an edgeless graph has nothing to delete
+        changed = np.zeros(n_seeds, dtype=bool)
+        if live.size:
+            at = cam[live]
+            nbrs, own = adj[live, at], estimates[live, at]
+            dist = np.linalg.norm(estimates[live] - own[:, None, :], axis=-1)
+            drop = nbrs & (dist > cfg.beta * (f(counts[live]) + f(counts[live, at])[:, None]))
+            gone = np.count_nonzero(drop, axis=1)
+            adj[live, at] = nbrs & ~drop
+            adj[live, :, at] &= ~drop
+            edges[live] -= gone
+            logs["edges_deleted"][live, i] = gone
+            changed[live] |= gone > 0
+        reset = resetting[:, i] & (edges < full)
+        if reset.any():
+            adj[reset], edges[reset] = complete, full
+            logs["resets"][:, i] = reset
+        for seat in np.flatnonzero(changed | reset):
+            labels[seat] = _min_labels(adj[seat])
+            comps[seat] = np.count_nonzero(labels[seat] == ids)
+
+        t5 = clock()
+        timing["grouping"] += t5 - t6
+        logs["correct"][:, i] = (labels == truths[truth_at[i]]).all(axis=1)
+        timing["bookkeeping"] += clock() - t5
 
 
 def run_agent(config: AgentConfig, world: World, horizon: int, seed: int,

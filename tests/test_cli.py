@@ -101,7 +101,12 @@ def test_failed_pairs_exit_2_with_partial_summary(tmp_path, capsys, monkeypatch)
     def boom(self, t):
         raise RuntimeError(f"synthetic failure at round {t}")
 
+    def block_boom(self, i, *args):
+        return boom(self, i + 1)
+
+    # the seeds run in one lockstep block first, then alone once it fails
     monkeypatch.setattr(policy.Agent, "step", boom)
+    monkeypatch.setattr(policy._Lockstep, "rank", block_boom)
     cfg = _write_config(tmp_path)
     out_dir = tmp_path / "o"
     code = main(["--quiet", "run", "--config", str(cfg), "--seeds", "0,1",
@@ -292,14 +297,21 @@ def _ablate_grouping_ratios(tmp_path, monkeypatch, failing=None):
     grouping pays off, with the ``default`` pair at seed ``failing`` made to fail."""
     import camsel.harness as harness
 
-    real = harness.run_pair
+    real_pair, real_block = harness.run_pair, harness.run_block
 
     def run_pair(variant, seed, *args, **kwargs):
         if (variant, seed) == ("default", failing):
             raise RuntimeError("synthetic failure")
-        return real(variant, seed, *args, **kwargs)
+        return real_pair(variant, seed, *args, **kwargs)
+
+    def run_block(variant, seeds, *args, **kwargs):
+        # a failing seed fails its block, whose seeds then rerun alone
+        if variant == "default" and failing in seeds:
+            raise RuntimeError("synthetic failure")
+        return real_block(variant, seeds, *args, **kwargs)
 
     monkeypatch.setattr(harness, "run_pair", run_pair)
+    monkeypatch.setattr(harness, "run_block", run_block)
     cfg = _write_config(
         tmp_path, world={"n_groups": 1, "n_cameras": 8, "dimension": 3, "n_models": 10},
         world_seed=2, agent={"beta": 10},

@@ -163,8 +163,9 @@ def test_records_are_built_only_for_traces_and_keep_records(tmp_path, world, mon
     agent = AgentConfig()
     res = run_pair("no-perspective", 0, world, agent, 80)
     assert res.records is None and res.cum_regret.size == 80 and built == []
+    # a trace file is written from the round log, without records
     res = run_pair("no-perspective", 0, world, agent, 80, trace_path=tmp_path / "np.csv")
-    assert res.records is None and len(built) == 80
+    assert res.records is None and built == []
     for variant in ("default", "greedy"):
         path = tmp_path / f"{variant}.csv"
         res = run_pair(variant, 0, world, agent, 80, greedy_profile_rounds=20,
@@ -421,16 +422,16 @@ def test_agent_timers_leave_under_a_tenth_of_the_wall_to_the_harness(world, agen
 
 
 def test_blocked_pairs_share_their_block_timers_and_wall(tmp_path, world, agent_config):
-    cfg = _canonical_cfg(tmp_path, world, agent_config, variants=("no-perspective",),
+    cfg = _canonical_cfg(tmp_path, world, agent_config, variants=("no-perspective", "default"),
                          horizon=2000, seeds=tuple(range(10)))
     runs = run_experiment(cfg).runs
-    assert len(runs) == 10
-    for run in runs.values():
+    assert len(runs) == 20
+    for (variant, _), run in runs.items():
         timing = run.timing
         assert all(timing[key] >= 0.0 for key in TIMING_BUCKETS), timing
         assert abs(sum(timing[key] for key in TIMING_BUCKETS) - timing["wall"]) <= 1e-9, timing
         assert timing["harness"] / timing["wall"] < 0.1, timing
-        assert timing == runs[("no-perspective", 0)].timing
+        assert timing == runs[(variant, 0)].timing
 
 
 def test_failed_block_reruns_its_pairs_alone(monkeypatch, tmp_path, world, agent_config):
@@ -448,22 +449,24 @@ def test_failed_block_reruns_its_pairs_alone(monkeypatch, tmp_path, world, agent
 
     monkeypatch.setattr(harness, "run_lockstep", broken_engine)
     monkeypatch.setattr(harness, "Agent", agent_failing_seed_2)
-    cfg = _canonical_cfg(tmp_path, world, agent_config, variants=("no-perspective",),
+    variants = ("no-perspective", "default")
+    cfg = _canonical_cfg(tmp_path, world, agent_config, variants=variants,
                          horizon=100, seeds=(0, 1, 2, 3))
     result = run_experiment(cfg, keep_records=True)
     monkeypatch.undo()
-    failed = result.summary["variants"]["no-perspective"]["failed"]
-    assert list(failed) == ["2"]
-    message = failed["2"]
-    assert message.startswith("FloatingPointError: synthetic failure (at ")
-    frames = message[message.index("(at ") + 4:-1].split(" > ")
-    assert [frame.rsplit(" in ", 1)[1] for frame in frames] == ["run_pair",
-                                                                "agent_failing_seed_2"]
-    assert result.summary["variants"]["no-perspective"]["seeds"] == [0, 1, 3]
-    for seed in (0, 1, 3):
-        ours = result.runs[("no-perspective", seed)]
-        theirs = run_pair("no-perspective", seed, result.world, agent_config, 100,
-                          keep_records=True)
-        assert ours.records == theirs.records
-        assert ours.correct.tolist() == theirs.correct.tolist()
-        assert ours.nonconverged_solves == theirs.nonconverged_solves
+    for variant in variants:
+        failed = result.summary["variants"][variant]["failed"]
+        assert list(failed) == ["2"]
+        message = failed["2"]
+        assert message.startswith("FloatingPointError: synthetic failure (at ")
+        frames = message[message.index("(at ") + 4:-1].split(" > ")
+        assert [frame.rsplit(" in ", 1)[1] for frame in frames] == ["run_pair",
+                                                                    "agent_failing_seed_2"]
+        assert result.summary["variants"][variant]["seeds"] == [0, 1, 3]
+        for seed in (0, 1, 3):
+            ours = result.runs[(variant, seed)]
+            theirs = run_pair(variant, seed, result.world, agent_config, 100,
+                              keep_records=True)
+            assert ours.records == theirs.records
+            assert ours.correct.tolist() == theirs.correct.tolist()
+            assert ours.nonconverged_solves == theirs.nonconverged_solves

@@ -511,7 +511,7 @@ def _assert_same_episodes(lockstep, agents):
         assert ours.records() == theirs.records()
 
 
-@pytest.mark.parametrize("grouping", ["pooled", "singletons"])
+@pytest.mark.parametrize("grouping", ["pooled", "singletons", "graph"])
 @pytest.mark.parametrize("order", ["ucb-desc", "tier-then-ucb"])
 def test_lockstep_episodes_equal_agents(world, agent_config, grouping, order):
     import camsel.policy as policy
@@ -524,10 +524,11 @@ def test_lockstep_episodes_equal_agents(world, agent_config, grouping, order):
                           [Agent(cfg, world, 200, seed, schedule).run() for seed in seeds])
 
 
-def test_lockstep_runs_only_fixed_partitions_and_the_ranked_cascade(world, agent_config):
+def test_lockstep_runs_every_grouping_but_set_and_only_the_ranked_cascade(world, agent_config):
     import camsel.policy as policy
 
-    for cfg in (agent_config, replace(agent_config, grouping="set"),
+    assert agent_config.grouping == "graph" and policy.lockstep_ready(agent_config)
+    for cfg in (replace(agent_config, grouping="set"), replace(agent_config, no_combining=True),
                 replace(agent_config, grouping="pooled", no_combining=True)):
         assert not policy.lockstep_ready(cfg)
         with pytest.raises(ConfigError):
@@ -570,4 +571,71 @@ def test_lockstep_forced_nonconvergence_matches_agent(world, agent_config, monke
         agents.append(Agent(cfg, world, horizon, seed).run())
         assert len(calls) == horizon
     assert [a.nonconverged_solves for a in agents] == [3, 3, 2, 2]
+    _assert_same_episodes(episodes, agents)
+
+
+def test_graph_lockstep_forced_nonconvergence_matches_agent(world, agent_config, monkeypatch):
+    """Chosen (seed, round) block fits and camera refits are made to report
+    non-convergence, in the stacked solves and in the matching per-seed ones.
+    A round's block fit comes before its ranking, and covers only the seeds
+    whose block needs a solve; its camera refit comes after, over all seeds."""
+    import camsel.policy as policy
+
+    seeds, horizon = (0, 1, 2, 3), 120
+    forced = {(seed, t, kind) for seed in seeds for kind in ("block", "camera")
+              for t in (1, 2, 5 + seed, 30, 31, 77, 120)}
+    state = {"round": 0, "ranked": False}
+    real_stacked, real_fit, real_rank = (policy.solve_mle_stacked, policy._Lockstep.fit,
+                                         policy._Lockstep.rank)
+
+    def rank(self, i, *args):
+        state["round"], state["ranked"] = i + 1, True
+        return real_rank(self, i, *args)
+
+    def fit(self, rows, *args):
+        kind = "camera" if state["ranked"] else "block"
+        t = state["round"] + (kind == "block")
+        state["ranked"], state["stop"] = False, [(seeds[r], t, kind) in forced for r in rows]
+        return real_fit(self, rows, *args)
+
+    def stacked(*args, **kwargs):
+        est = real_stacked(*args, **kwargs)
+        return replace(est, converged=est.converged & ~np.array(state["stop"]))
+
+    monkeypatch.setattr(policy._Lockstep, "rank", rank)
+    monkeypatch.setattr(policy._Lockstep, "fit", fit)
+    monkeypatch.setattr(policy, "solve_mle_stacked", stacked)
+    episodes = policy.run_lockstep(agent_config, world, horizon, seeds)
+    monkeypatch.undo()
+
+    # an agent's first fit in a round is its block's (maybe a memo hit), the second its camera's
+    made = []
+    real_step, real_agent_fit, real_weighted = Agent.step, Agent._fit, policy.solve_mle_weighted
+
+    def step(self, t):
+        state["round"], state["fits"] = t, 0
+        return real_step(self, t)
+
+    def agent_fit(self, label, block):
+        state["fits"] += 1
+        return real_agent_fit(self, label, block)
+
+    def weighted(*args, **kwargs):
+        est = real_weighted(*args, **kwargs)
+        key = (state["seed"], state["round"], "block" if state["fits"] == 1 else "camera")
+        if key not in forced:
+            return est
+        made.append(key)
+        return replace(est, converged=False)
+
+    monkeypatch.setattr(Agent, "step", step)
+    monkeypatch.setattr(Agent, "_fit", agent_fit)
+    monkeypatch.setattr(policy, "solve_mle_weighted", weighted)
+    agents = []
+    for seed in seeds:
+        state["seed"] = seed
+        agents.append(Agent(agent_config, world, horizon, seed).run())
+    kinds = [kind for _, _, kind in made]
+    assert kinds.count("block") >= 8 and kinds.count("camera") == 4 * 7, made
+    assert sum(a.nonconverged_solves for a in agents) == len(made)
     _assert_same_episodes(episodes, agents)

@@ -11,6 +11,8 @@ from camsel.harness import (VARIANTS, ExperimentConfig, run_block, run_experimen
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "record_digest.py"
+# the variants a sweep runs in lockstep blocks on every shape's world
+LOCKSTEP_VARIANTS = ("no-perspective", "no-grouping", "default", "tier-first")
 
 
 def _load(name, path):
@@ -110,21 +112,21 @@ def test_blocked_lockstep_pairs_equal_run_pair_on_every_shape(tmp_path, workers)
     for shape, (_, _, world, agent, _, events) in shapes.items():
         save_world(world, tmp_path / f"{shape}.json")
         cfg = ExperimentConfig(agent=agent, world=None, world_path=str(tmp_path / f"{shape}.json"),
-                               variants=("no-perspective", "no-grouping"), horizon=horizon,
-                               seeds=seeds, schedule_events=events, workers=workers)
+                               variants=LOCKSTEP_VARIANTS, horizon=horizon, seeds=seeds,
+                               schedule_events=events, workers=workers)
         result = run_experiment(cfg, keep_records=True)
-        assert len(result.runs) == 8, (shape, result.summary)
+        assert len(result.runs) == 4 * len(LOCKSTEP_VARIANTS), (shape, result.summary)
         for (variant, seed), run in result.runs.items():
             reference = run_pair(variant, seed, result.world, agent, horizon,
                                  schedule_events=events, keep_records=True)
             assert tool.result_digest(run) == tool.result_digest(reference), (shape, variant, seed)
 
 
-def test_bench_pooled_pairs_in_blocks_are_pinned():
-    # the 400 no-perspective --bench pairs run in ten 40-seed blocks give the
-    # lines the parent's run_pair gave them, hashed in order
+def _bench_blocks_digest(variant):
+    """The overall digest of the 400 ``--bench`` pairs of ``variant``, run in
+    ten 40-seed blocks, hashed in order."""
     tool = _load_tool()
-    listed = [(name, args) for name, args in tool.bench_pairs() if args[0] == "no-perspective"]
+    listed = [(name, args) for name, args in tool.bench_pairs() if args[0] == variant]
     assert len(listed) == 400
     overall = hashlib.sha256()
     for start in range(0, len(listed), 40):
@@ -134,5 +136,32 @@ def test_bench_pooled_pairs_in_blocks_are_pinned():
                             events, keep_records=True)
         for (name, _), result in zip(block, results):
             overall.update(f"{name} {tool.result_digest(result)}\n".encode())
-    assert overall.hexdigest() == (
+    return overall.hexdigest()
+
+
+def test_bench_pooled_pairs_in_blocks_are_pinned():
+    # the lines run_pair gives the 400 no-perspective --bench pairs
+    assert _bench_blocks_digest("no-perspective") == (
         "d12e70be1566162f8e36d8d61537b1f6e282828850ebc62b6348a477ea861356")
+
+
+def test_bench_default_pairs_in_blocks_are_pinned():
+    # the lines run_pair gives the 400 default --bench pairs
+    assert _bench_blocks_digest("default") == (
+        "0ab4691d7b9c81ba2e89a0bba43e6316cd041841bbc2556da242af84d4f43b26")
+
+
+def test_blocked_deletion_functions_equal_run_pair_on_the_canonical_world(tmp_path):
+    # criterion 4's sweep: f1..f6 on the canonical world at T = 850, in blocks of five
+    from camsel.presets import canonical_agent_config, canonical_world
+
+    tool, agent = _load_tool(), canonical_agent_config()
+    save_world(canonical_world(), tmp_path / "world.json")
+    variants, horizon = ("f1", "f2", "f3", "f4", "f5", "f6"), 850
+    cfg = ExperimentConfig(agent=agent, world=None, world_path=str(tmp_path / "world.json"),
+                           variants=variants, horizon=horizon, seeds=tuple(range(10)), workers=2)
+    result = run_experiment(cfg, keep_records=True)
+    assert len(result.runs) == 60, result.summary
+    for (variant, seed), run in result.runs.items():
+        reference = run_pair(variant, seed, result.world, agent, horizon, keep_records=True)
+        assert tool.result_digest(run) == tool.result_digest(reference), (variant, seed)

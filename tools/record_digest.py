@@ -25,9 +25,11 @@ pointing at each checkout's ``src/`` and compare the outputs: equal lines
 mean bit-identical records.
 
 Every pair runs through ``camsel.harness.run_pair``, the per-seed agent. A
-sweep runs ``no-perspective`` and ``no-grouping`` in blocks of seeds through
-``run_block`` instead; ``tests/test_record_digest.py`` pins that those blocks
-give these same digests, on every shape and on the ``--bench`` pairs.
+sweep runs every agent variant but ``set-based`` and ``no-combining`` in
+blocks of seeds through ``run_block`` instead; ``tests/test_record_digest.py``
+pins that those blocks give these same digests: ``no-perspective``,
+``no-grouping``, ``default`` and ``tier-first`` on every shape, both
+``--bench`` variants, and ``f1``..``f6`` on the canonical world.
 """
 
 from __future__ import annotations
