@@ -180,7 +180,11 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
     each estimate field gains a leading seed axis. Row s equals the per-seed
     solve bit for bit: stacked ``np.matmul`` and ``np.linalg.solve`` match the
     per-seed ``dot``, gesv and ``math.sqrt(g.dot(g))``, and each row takes its
-    own steps and halvings, stopping when ``_newton`` would."""
+    own steps and halvings, stopping when ``_newton`` would.
+
+    The rows still iterating form a compact working set, compacted only when
+    one stops; a row leaves it as soon as a step is not accepted, so all of
+    its rows share one iteration count."""
     feats_t, d = feats.T, feats.shape[1]
     outer = outer_products(feats) if outer is None else outer
     (mu, mu_prime), ridge = _links(link), _ridge(zeta, d)
@@ -194,30 +198,46 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
     theta = np.array(theta0, dtype=float)
     z, m, g, gnorm = score(counts, successes, theta)
     iters = np.zeros(len(theta), dtype=int)
-    live = (gnorm > tol) & (iters < max_iter)
-    while live.any():
-        rows = np.flatnonzero(live)
-        weights, resp_sums = counts[rows], successes[rows]
-        hess = np.matmul((weights * mu_prime(z[rows], m[rows]))[:, None, :], outer)[:, 0]
-        delta = np.linalg.solve(ridge + hess.reshape(-1, d, d), g[rows][:, :, None])[..., 0]
-        base, bound, step = theta[rows], gnorm[rows], np.ones(len(rows))
-        cand = base + delta
-        for _ in range(MAX_HALVINGS):
-            z_new, m_new, g_new, gn = score(weights, resp_sums, cand)
-            ok = np.isfinite(gn) & (gn < bound)
-            done = rows[ok]
-            theta[done], z[done], m[done], g[done], gnorm[done] = (
-                cand[ok], z_new[ok], m_new[ok], g_new[ok], gn[ok])
-            iters[done] += 1
-            if ok.all():
+    rows = np.flatnonzero(gnorm > tol) if max_iter > 0 else np.zeros(0, dtype=int)
+    # the working set: the live rows' inputs and (theta, z, m, g, gnorm)
+    weights, resp_sums, n_iter = counts[rows], successes[rows], 0
+    state = [a[rows] for a in (theta, z, m, g, gnorm)]
+    while rows.size:
+        w_theta, w_z, w_m, w_g, w_gnorm = state
+        hess = np.matmul((weights * mu_prime(w_z, w_m))[:, None, :], outer)[:, 0]
+        delta = np.linalg.solve(ridge + hess.reshape(-1, d, d), w_g[:, :, None])[..., 0]
+        cand = w_theta + delta
+        new = [cand, *score(weights, resp_sums, cand)]
+        # the full step is the first of MAX_HALVINGS tries; only failed rows halve
+        pending, step = np.flatnonzero(~(np.isfinite(new[4]) & (new[4] < w_gnorm))), 1.0
+        for _ in range(MAX_HALVINGS - 1):
+            if not pending.size:
                 break
-            rest = ~ok
-            rows, weights, resp_sums = rows[rest], weights[rest], resp_sums[rest]
-            base, bound, step, delta = base[rest], bound[rest], step[rest] * 0.5, delta[rest]
-            cand = base + step[:, None] * delta
-        else:
-            live[rows] = False      # their line search ran out: they stop where they are
-        live &= (gnorm > tol) & (iters < max_iter)
+            step *= 0.5
+            cand = w_theta[pending] + step * delta[pending]
+            tried = [cand, *score(weights[pending], resp_sums[pending], cand)]
+            ok = np.isfinite(tried[4]) & (tried[4] < w_gnorm[pending])
+            for a, b in zip(new, tried):
+                a[pending[ok]] = b[ok]
+            pending = pending[~ok]
+        n_iter += 1
+        stop = (new[4] <= tol) | (n_iter >= max_iter)
+        if pending.size:    # their line search ran out: they stop where they were
+            for a, b in zip(new, state):
+                a[pending] = b[pending]
+            stop[pending] = True
+        state = new
+        if stop.any():
+            out = rows[stop]
+            for a, b in zip((theta, m, gnorm), (new[0], new[2], new[4])):
+                a[out] = b[stop]
+            iters[out] = n_iter
+            iters[rows[pending]] = n_iter - 1
+            if stop.all():
+                break
+            keep = ~stop
+            rows, weights, resp_sums = rows[keep], weights[keep], resp_sums[keep]
+            state = [a[keep] for a in state]
     if not np.isfinite(theta[iters > 0]).all():
         raise NumericError("Newton iterate became non-finite")
     return Estimate(theta, gnorm <= tol, iters, gnorm, m)

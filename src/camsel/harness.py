@@ -10,10 +10,13 @@ Every agent variant but ``set-based`` and ``no-combining`` runs its seeds in
 loop per block holding S x T x M bools of payoff hits, with ``run_pair``'s
 results bit for bit. A block of one seed runs through ``run_pair``, and so
 does each seed of a block that raises; ``set-based``, ``no-combining`` and
-``greedy`` run one pair per job. A blocked pair's timer buckets and wall are
-the block's divided by S; ``harness`` is the rest of that share. A trace
-file is written from the episode's round log (``write_episode_trace``), so a
-pair builds ``RoundRecord``s only for ``keep_records``.
+``greedy`` run one pair per job. Under graph grouping, once every seed's
+graph in a block is edgeless, the block runs each (seed, camera) chain of
+visits on its own until the next graph reset (see ``policy.run_lockstep``).
+A blocked pair's timer buckets and wall are the block's divided by S;
+``harness`` is the rest of that share. A trace file is written from the
+episode's round log (``write_episode_trace``), so a pair builds
+``RoundRecord``s only for ``keep_records``.
 """
 
 from __future__ import annotations

@@ -485,8 +485,10 @@ def lockstep_ready(config: AgentConfig) -> bool:
 class _Lockstep:
     """What a lockstep round loop shares, for a block of S seeds: their
     episodes and payoff hits, the stacked fit, the ranked cascade, and the
-    episodes' columns filled in at the end. Each round's whole ranking goes
-    into the episodes' tried columns, padded by :meth:`finish`."""
+    episodes' columns filled in at the end. A fit or a ranking works on rows
+    ``visits`` = (seats, rounds), which need not share a round.
+    Each visit's whole ranking goes into its episode's tried column, padded by
+    :meth:`finish`, and each unconverged fit is logged at its visit."""
 
     def __init__(self, config: AgentConfig, world: World, horizon: int, seeds, schedule):
         n_seeds, m, d = len(seeds), world.n_models, world.dimension
@@ -504,61 +506,65 @@ class _Lockstep:
         self.feats, self.feats_t = world.features, world.features.T
         self.outer, self.eye = outer_products(world.features), config.zeta * np.eye(d)
         self.mu = link_callables(config.link)[0]
-        ids = np.broadcast_to(np.arange(m), (n_seeds, m))
-        tiers = np.broadcast_to((world.tiers == "cloud").astype(int), (n_seeds, m))
-        self.keys = ((lambda scores: (ids, tiers, -scores)) if config.cascade_order == "ucb-desc"
-                     else (lambda scores: (ids, -scores, tiers)))
+        # a visit's tie-break keys; a graph stretch ranks up to one row per seed and camera
+        most = (n_seeds * world.n_cameras, m)
+        ids = np.broadcast_to(np.arange(m), most)
+        tiers = np.broadcast_to((world.tiers == "cloud").astype(int), most)
+        self.keys = ((lambda scores: (ids[:len(scores)], tiers[:len(scores)], -scores))
+                     if config.cascade_order == "ucb-desc"
+                     else (lambda scores: (ids[:len(scores)], -scores, tiers[:len(scores)])))
         self.seats, self.picks = np.arange(n_seeds), np.arange(self.k)
-        self.nonconverged = np.zeros(n_seeds, dtype=int)
+        self.unconverged = np.zeros((n_seeds, horizon), dtype=np.int8)
         self.tried_log = np.zeros((n_seeds, horizon), dtype=int)
         self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
 
-    def fit(self, rows, tries, wins, start):
-        """(theta, means, converged) of one stacked fit for seats ``rows``. A
-        row short of tolerance takes its warm start and mu of it and counts as
-        unconverged, as in ``Agent._fit``."""
+    def fit(self, visits, tries, wins, start):
+        """(theta, means, converged) of one stacked fit of ``visits``.
+        A row short of tolerance takes its warm start and mu of it and counts
+        as unconverged, as in ``Agent._fit``."""
         est = solve_mle_stacked(self.feats, tries, wins, self.cfg.zeta, self.cfg.link, start,
                                 outer=self.outer)
         theta, means, ok = est.theta_hat, est.means, est.converged
         if not ok.all():
             missed = ~ok
-            self.nonconverged[rows] += missed
+            self.unconverged[visits] += missed     # one row per visit: no index repeats
             theta[missed] = start[missed]
             means[missed] = self.mu(np.matmul(self.feats, start[missed][:, :, None])[..., 0])
         return theta, means, ok
 
-    def rank(self, i, means, tries):
-        """(ranked, paid, tries made) of round ``i``'s cascades, scored under
-        the stacked Gramians of the fitted blocks' ``tries``."""
+    def rank(self, visits, means, tries):
+        """(ranked, paid, tries made) of the cascades of ``visits``, scored
+        under the stacked Gramians of the fitted blocks' ``tries``."""
         gramians = self.eye + np.matmul(self.feats_t * tries[:, None, :], self.feats)
         scores = means + self.cfg.alpha * confidence_widths_stacked(self.feats, gramians)
         ranked = np.lexsort(self.keys(scores), axis=-1)[:, :self.k]
-        paid = np.take_along_axis(self.hits[:, i], ranked, axis=1)
+        paid = np.take_along_axis(self.hits[visits], ranked, axis=1)
         n_tried = np.where(paid.any(axis=1), paid.argmax(axis=1) + 1, self.k)
-        self.ranked_log[:, i], self.tried_log[:, i] = ranked, n_tried
+        self.ranked_log[visits], self.tried_log[visits] = ranked, n_tried
         return ranked, paid, n_tried
 
     def absorb(self, tries, wins, where, ranked, paid, n_tried):
-        """Add the tries made to row ``where[s]`` of each seat's tries and wins."""
+        """Add each row's tries made to its cell of tries and wins: ``where``
+        holds one index array per leading axis, such as (seats, blocks)."""
         taken = self.picks < n_tried[:, None]
-        seat = np.nonzero(taken)[0]
-        rows = (seat, where[seat], ranked[taken])
-        tries[rows] += 1.0
-        wins[rows] += paid[taken]
+        row = np.nonzero(taken)[0]
+        cells = (*(index[row] for index in where), ranked[taken])
+        tries[cells] += 1.0
+        wins[cells] += paid[taken]
 
     def finish(self) -> list[_Episode]:
         """Each episode's expected payoffs, payoffs, padding and solver count;
         each episode's timers are the loop's divided by S."""
         start, n_seeds = time.perf_counter(), len(self.episodes)
         for ep, seat_hits, n_tried, missed in zip(self.episodes, self.hits, self.tried_log,
-                                                  self.nonconverged):
+                                                  self.unconverged):
             # expected_cascade_payoff's left fold, one column at a time
             miss = (1.0 - self.tables[0][ep.true_groups[:, None], ep.tried]).T
             ep.expected[:] = 1.0 - functools.reduce(np.multiply, miss)
             taken = self.picks < n_tried[:, None]
             ep.payoffs[:] = np.where(taken, np.take_along_axis(seat_hits, ep.tried, axis=1), -1)
             ep.tried[~taken] = -1
-            ep.nonconverged_solves = int(missed)
+            ep.nonconverged_solves = int(missed.sum())
         self.timing["bookkeeping"] += time.perf_counter() - start
         for ep in self.episodes:
             ep.timing = {key: value / n_seeds for key, value in self.timing.items()}
@@ -572,7 +578,9 @@ def run_lockstep(config: AgentConfig, world: World, horizon: int, seeds,
     bit for bit. Each round works on (S, ...) arrays: the arriving camera's
     block row of tries, wins and warm start, a stacked Gramian and fit,
     widths, ranking and cascade, and under ``graph`` the camera refits, edge
-    deletions and reconnections of every seed."""
+    deletions and reconnections of every seed. Under ``graph``, once every
+    seed's graph is edgeless, the rounds up to the next reset run as steps
+    that each take one visit of every (seed, camera) chain."""
     if not lockstep_ready(config) or config.k_max > world.n_models:
         raise ConfigError(f"no lockstep run of {config} over {world.n_models} models")
     ls = _Lockstep(config, world, horizon, seeds, schedule)
@@ -598,15 +606,16 @@ def _fixed_rounds(ls: _Lockstep, world: World, horizon: int):
         t2 = clock()
         timing["grouping"] += t2 - t1
         counts, successes = tries[seats, label], wins[seats, label]
-        warm[seats, label], means, _ = ls.fit(seats, counts, successes, warm[seats, label])
+        visits = (seats, i)
+        warm[seats, label], means, _ = ls.fit(visits, counts, successes, warm[seats, label])
 
         t3 = clock()
         timing["estimation"] += t3 - t2
-        ranked, paid, n_tried = ls.rank(i, means, counts)
+        ranked, paid, n_tried = ls.rank(visits, means, counts)
 
         t4 = clock()
         timing["selection"] += t4 - t3
-        ls.absorb(tries, wins, label, ranked, paid, n_tried)
+        ls.absorb(tries, wins, (seats, label), ranked, paid, n_tried)
         timing["bookkeeping"] += clock() - t4
     correct = np.zeros(horizon, dtype=bool)
     for rows, truth in ls.truth:
@@ -625,7 +634,14 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
     any order). The fit memo is kept per camera: a multi-camera block's count
     grows each time it is fitted, so only a camera alone, unchanged since its
     last converged refit, reuses a fit. Each seed's reconnect uniforms, one per
-    round, are drawn up front from its agent stream."""
+    round, are drawn up front from its agent stream.
+
+    A round that starts with every seed's graph edgeless begins a stretch,
+    which lasts until the next round at which some seed's graph resets. In a
+    stretch every camera is its own block, so each (seed, camera) chain of
+    visits reads and writes only its own rows: step k runs the k-th visit of
+    every chain, in the round loop's order for a camera alone. The reset
+    round goes back to the round loop."""
     clock, timing, seats, cfg = time.perf_counter, ls.timing, ls.seats, ls.cfg
     n, m, d, n_seeds = world.n_cameras, world.n_models, world.dimension, len(seats)
     f, ids = F_FUNCTIONS[cfg.f_id], np.arange(n)
@@ -646,13 +662,69 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
     truths, truth_at = np.stack([truth for _, truth in ls.truth]), np.zeros(horizon, dtype=int)
     for run, (rows, _) in enumerate(ls.truth):
         truth_at[rows] = run
+    # the first round from each on at which some seed's edgeless graph resets
+    fires = np.where(resetting.any(axis=0) & (full > 0), np.arange(horizon), horizon)
+    next_reset = np.minimum.accumulate(fires[::-1])[::-1]
     logs = {name: np.zeros((n_seeds, horizon), dtype=dtype) for name, dtype in (
         ("inferred_groups", int), ("components", int), ("edges_deleted", int),
         ("resets", bool), ("correct", bool))}
     for seat, ep in enumerate(ls.episodes):
         for name, log in logs.items():
             setattr(ep, name, log[seat])
-    for i in range(horizon):
+    # the per-camera state as views with one row per (seat, camera) cell
+    cell_tries, cell_wins, cell_means, cell_warm, cell_estimates = (
+        a.reshape(n_seeds * n, -1) for a in (tries, wins, memo_means, warm, estimates))
+    cell_counts, cell_fitted = counts.reshape(-1), fitted_at.reshape(-1)
+
+    def stretch(i: int, stop: int):
+        """Rounds ``i`` to ``stop - 1``, every graph edgeless throughout."""
+        t1 = clock()
+        cams = ls.arrival[:, i:stop]
+        logs["inferred_groups"][:, i:stop], logs["components"][:, i:stop] = cams, n
+        logs["correct"][:, i:stop] = (ids == truths[truth_at[i:stop]]).all(axis=1)
+        # the visits by (seat, camera) cell, each cell's in round order; then by index there
+        cell = (seats[:, None] * n + cams).ravel()
+        order = np.argsort(cell, kind="stable")
+        heads = np.flatnonzero(np.diff(cell[order], prepend=-1))
+        visit = np.arange(cell.size) - np.repeat(heads, np.diff(heads, append=cell.size))
+        order = order[np.argsort(visit, kind="stable")]
+        ends = np.cumsum(np.bincount(visit))
+        step_seats, step_rounds = np.divmod(order, stop - i)
+        step_cells, step_rounds = cell[order], step_rounds + i
+        timing["grouping"] += clock() - t1
+        for lo, hi in zip(np.r_[0, ends[:-1]], ends):
+            t2 = clock()
+            v, visits = step_cells[lo:hi], (step_seats[lo:hi], step_rounds[lo:hi])
+            means = cell_means[v]
+            miss = np.flatnonzero(cell_fitted[v] != cell_counts[v])
+            if miss.size:
+                w = v[miss]
+                cell_warm[w], means[miss], _ = ls.fit(tuple(a[miss] for a in visits),
+                                                      cell_tries[w], cell_wins[w], cell_warm[w])
+
+            t3 = clock()
+            timing["estimation"] += t3 - t2
+            ranked, paid, n_tried = ls.rank(visits, means, cell_tries[v])
+
+            t4 = clock()
+            timing["selection"] += t4 - t3
+            ls.absorb(cell_tries, cell_wins, (v,), ranked, paid, n_tried)
+            cell_counts[v] += n_tried
+
+            t5 = clock()
+            timing["bookkeeping"] += t5 - t4
+            theta, means, ok = ls.fit(visits, cell_tries[v], cell_wins[v], cell_warm[v])
+            cell_warm[v] = cell_estimates[v] = theta
+            v = v[ok]
+            cell_fitted[v], cell_means[v] = cell_counts[v], means[ok]
+            timing["estimation"] += clock() - t5
+
+    i = 0
+    while i < horizon:
+        if not edges.any() and next_reset[i] > i:
+            stretch(i, next_reset[i])
+            i = next_reset[i]
+            continue
         t1 = clock()
         cam = ls.arrival[:, i]
         label = labels[seats, cam]
@@ -668,21 +740,22 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
         rows = np.flatnonzero(~alone | (fitted_at[seats, cam] != counts[seats, cam]))
         if rows.size:
             at = label[rows]
-            warm[rows, at], means[rows], _ = ls.fit(rows, block_tries[rows], block_wins[rows],
-                                                    warm[rows, at])
+            warm[rows, at], means[rows], _ = ls.fit((rows, i), block_tries[rows],
+                                                    block_wins[rows], warm[rows, at])
 
         t3 = clock()
         timing["estimation"] += t3 - t2
-        ranked, paid, n_tried = ls.rank(i, means, block_tries)
+        ranked, paid, n_tried = ls.rank((seats, i), means, block_tries)
 
         t4 = clock()
         timing["selection"] += t4 - t3
-        ls.absorb(tries, wins, cam, ranked, paid, n_tried)
+        ls.absorb(tries, wins, (seats, cam), ranked, paid, n_tried)
         counts[seats, cam] += n_tried
 
         t5 = clock()
         timing["bookkeeping"] += t5 - t4
-        theta, means, ok = ls.fit(seats, tries[seats, cam], wins[seats, cam], warm[seats, cam])
+        theta, means, ok = ls.fit((seats, i), tries[seats, cam], wins[seats, cam],
+                                  warm[seats, cam])
         warm[seats, cam] = estimates[seats, cam] = theta
         done, at = np.flatnonzero(ok), cam[ok]
         fitted_at[done, at], memo_means[done, at] = counts[done, at], means[ok]
@@ -714,6 +787,7 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
         timing["grouping"] += t5 - t6
         logs["correct"][:, i] = (labels == truths[truth_at[i]]).all(axis=1)
         timing["bookkeeping"] += clock() - t5
+        i += 1
 
 
 def run_agent(config: AgentConfig, world: World, horizon: int, seed: int,

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -574,29 +575,31 @@ def test_lockstep_forced_nonconvergence_matches_agent(world, agent_config, monke
     _assert_same_episodes(episodes, agents)
 
 
-def test_graph_lockstep_forced_nonconvergence_matches_agent(world, agent_config, monkeypatch):
-    """Chosen (seed, round) block fits and camera refits are made to report
-    non-convergence, in the stacked solves and in the matching per-seed ones.
-    A round's block fit comes before its ranking, and covers only the seeds
-    whose block needs a solve; its camera refit comes after, over all seeds."""
+def _forced_lockstep(monkeypatch, cfg, world, horizon, seeds, forced):
+    """(episodes, made) of a lockstep run whose chosen (seed, round, kind)
+    fits report non-convergence. Each fit and ranking names its rows' (seat,
+    round) visits; a visit's block fit comes before its ranking, and covers
+    only the visits whose block needs a solve, its camera refit after. Each
+    forced fit made is listed as (key, fit call, whether in a stretch)."""
     import camsel.policy as policy
 
-    seeds, horizon = (0, 1, 2, 3), 120
-    forced = {(seed, t, kind) for seed in seeds for kind in ("block", "camera")
-              for t in (1, 2, 5 + seed, 30, 31, 77, 120)}
-    state = {"round": 0, "ranked": False}
+    state, made = {"ranked": False, "calls": 0}, []
     real_stacked, real_fit, real_rank = (policy.solve_mle_stacked, policy._Lockstep.fit,
                                          policy._Lockstep.rank)
 
-    def rank(self, i, *args):
-        state["round"], state["ranked"] = i + 1, True
-        return real_rank(self, i, *args)
+    def rank(self, visits, *args):
+        state["ranked"] = True
+        return real_rank(self, visits, *args)
 
-    def fit(self, rows, *args):
+    def fit(self, visits, *args):
         kind = "camera" if state["ranked"] else "block"
-        t = state["round"] + (kind == "block")
-        state["ranked"], state["stop"] = False, [(seeds[r], t, kind) in forced for r in rows]
-        return real_fit(self, rows, *args)
+        rows = zip(*(a.tolist() for a in np.broadcast_arrays(*visits)))
+        keys = [(seeds[seat], i + 1, kind) for seat, i in rows]
+        state["ranked"], state["stop"] = False, [key in forced for key in keys]
+        state["calls"] += 1
+        stretch = np.ndim(visits[1]) > 0
+        made.extend((key, state["calls"], stretch) for key in keys if key in forced)
+        return real_fit(self, visits, *args)
 
     def stacked(*args, **kwargs):
         est = real_stacked(*args, **kwargs)
@@ -605,11 +608,18 @@ def test_graph_lockstep_forced_nonconvergence_matches_agent(world, agent_config,
     monkeypatch.setattr(policy._Lockstep, "rank", rank)
     monkeypatch.setattr(policy._Lockstep, "fit", fit)
     monkeypatch.setattr(policy, "solve_mle_stacked", stacked)
-    episodes = policy.run_lockstep(agent_config, world, horizon, seeds)
+    episodes = policy.run_lockstep(cfg, world, horizon, seeds)
     monkeypatch.undo()
+    return episodes, made
 
-    # an agent's first fit in a round is its block's (maybe a memo hit), the second its camera's
-    made = []
+
+def _forced_agents(monkeypatch, cfg, world, horizon, seeds, forced):
+    """(agents, made) of per-seed agents whose chosen (seed, round, kind) fits
+    report non-convergence: an agent's first fit in a round is its block's
+    (maybe a memo hit), the second its camera's."""
+    import camsel.policy as policy
+
+    state, made = {}, []
     real_step, real_agent_fit, real_weighted = Agent.step, Agent._fit, policy.solve_mle_weighted
 
     def step(self, t):
@@ -634,8 +644,93 @@ def test_graph_lockstep_forced_nonconvergence_matches_agent(world, agent_config,
     agents = []
     for seed in seeds:
         state["seed"] = seed
-        agents.append(Agent(agent_config, world, horizon, seed).run())
+        agents.append(Agent(cfg, world, horizon, seed).run())
+    monkeypatch.undo()
+    return agents, made
+
+
+def test_graph_lockstep_forced_nonconvergence_matches_agent(world, agent_config, monkeypatch):
+    """Chosen (seed, round) block fits and camera refits are made to report
+    non-convergence, in the stacked solves and in the matching per-seed ones,
+    in the round loop and in edgeless stretches alike."""
+    seeds, horizon = (0, 1, 2, 3), 120
+    forced = {(seed, t, kind) for seed in seeds for kind in ("block", "camera")
+              for t in (1, 2, 5 + seed, 30, 31, 77, 120)}
+    episodes, stacked = _forced_lockstep(monkeypatch, agent_config, world, horizon, seeds,
+                                         forced)
+    agents, made = _forced_agents(monkeypatch, agent_config, world, horizon, seeds, forced)
     kinds = [kind for _, _, kind in made]
     assert kinds.count("block") >= 8 and kinds.count("camera") == 4 * 7, made
     assert sum(a.nonconverged_solves for a in agents) == len(made)
+    assert sorted(key for key, _, _ in stacked) == sorted(made)
+    # rounds 77 and 120 fall in a stretch: its memo-miss block fits and its refits
+    assert {kind for (_, t, kind), _, stretch in stacked if stretch} == {"block", "camera"}
     _assert_same_episodes(episodes, agents)
+
+
+def test_graph_stretch_counts_each_unconverged_visit_of_a_seed(world, agent_config,
+                                                               monkeypatch):
+    """Two cameras of one seed whose refits fail in the same stretch step
+    count twice, as in the seed's agent."""
+    import camsel.policy as policy
+
+    seeds, horizon, steps = (0, 1), 120, []
+    real_rank = policy._Lockstep.rank
+
+    def rank(self, visits, *args):
+        if np.ndim(visits[1]):
+            steps.append(list(zip(*(a.tolist() for a in visits))))
+        return real_rank(self, visits, *args)
+
+    monkeypatch.setattr(policy._Lockstep, "rank", rank)
+    policy.run_lockstep(agent_config, world, horizon, seeds)
+    monkeypatch.undo()
+    step = next(visits for visits in reversed(steps)
+                if sum(seat == 0 for seat, _ in visits) >= 2)
+    forced = {(seeds[0], i + 1, "camera") for seat, i in step if seat == 0}
+    forced = set(sorted(forced)[:2])
+    episodes, stacked = _forced_lockstep(monkeypatch, agent_config, world, horizon, seeds,
+                                         forced)
+    agents, made = _forced_agents(monkeypatch, agent_config, world, horizon, seeds, forced)
+    assert len(stacked) == 2 and stacked[0][1] == stacked[1][1] and stacked[0][2]
+    assert sorted(made) == sorted(forced)
+    assert [a.nonconverged_solves for a in agents] == [2, 0]
+    _assert_same_episodes(episodes, agents)
+
+
+def _stretch_rows(monkeypatch, cfg, world, horizon, seeds):
+    """(episodes, pattern, visits) of a lockstep run: the pattern holds one
+    letter per ranking, ``l`` for a round of the round loop and ``s`` for a
+    stretch step, and ``visits`` counts the visits ranked in stretches."""
+    import camsel.policy as policy
+
+    letters, rows = [], [0]
+    real_rank = policy._Lockstep.rank
+
+    def rank(self, visits, *args):
+        stretch = np.ndim(visits[1]) > 0
+        letters.append("s" if stretch else "l")
+        rows[0] += len(visits[0]) if stretch else 0
+        return real_rank(self, visits, *args)
+
+    monkeypatch.setattr(policy._Lockstep, "rank", rank)
+    episodes = policy.run_lockstep(cfg, world, horizon, seeds)
+    monkeypatch.undo()
+    return episodes, "".join(letters), rows[0]
+
+
+def test_graph_reset_after_edgeless_rounds_leaves_and_reenters_a_stretch(world, agent_config,
+                                                                          monkeypatch):
+    # with p0 near 1, seed 22 resets at round 117, after every graph went edgeless
+    cfg, seeds, horizon = replace(agent_config, p0=0.99), (20, 21, 22, 23), 200
+    episodes, pattern, _ = _stretch_rows(monkeypatch, cfg, world, horizon, seeds)
+    assert re.fullmatch("l+s+l+s+", pattern), pattern
+    assert episodes[2].resets[116] and episodes[2].edges_deleted[117:].sum() > 0
+    _assert_same_episodes(episodes, [Agent(cfg, world, horizon, seed).run() for seed in seeds])
+
+
+def test_canonical_block_runs_most_visits_in_stretches(world, agent_config, monkeypatch):
+    # the canonical sweep's 40 seeds: the last graph goes edgeless by round 28
+    seeds, horizon = tuple(range(320, 360)), 300
+    _, pattern, rows = _stretch_rows(monkeypatch, agent_config, world, horizon, seeds)
+    assert rows >= 0.9 * len(seeds) * horizon and pattern.count("s") < 60, pattern

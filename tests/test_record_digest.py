@@ -151,6 +151,19 @@ def test_bench_default_pairs_in_blocks_are_pinned():
         "0ab4691d7b9c81ba2e89a0bba43e6316cd041841bbc2556da242af84d4f43b26")
 
 
+def test_long_default_block_equals_run_pair():
+    # at T = 2,000 almost every round of a canonical default block runs in an
+    # edgeless stretch, one chain of visits per (seed, camera)
+    from camsel.presets import canonical_agent_config, canonical_world
+
+    tool, world, agent = _load_tool(), canonical_world(), canonical_agent_config()
+    seeds, horizon = tuple(range(10)), 2000
+    results = run_block("default", seeds, world, agent, horizon, keep_records=True)
+    for seed, result in zip(seeds, results):
+        reference = run_pair("default", seed, world, agent, horizon, keep_records=True)
+        assert tool.result_digest(result) == tool.result_digest(reference), seed
+
+
 def test_blocked_deletion_functions_equal_run_pair_on_the_canonical_world(tmp_path):
     # criterion 4's sweep: f1..f6 on the canonical world at T = 850, in blocks of five
     from camsel.presets import canonical_agent_config, canonical_world
