@@ -687,8 +687,7 @@ def test_graph_stretch_counts_each_unconverged_visit_of_a_seed(world, agent_conf
     monkeypatch.undo()
     step = next(visits for visits in reversed(steps)
                 if sum(seat == 0 for seat, _ in visits) >= 2)
-    forced = {(seeds[0], i + 1, "camera") for seat, i in step if seat == 0}
-    forced = set(sorted(forced)[:2])
+    forced = set(sorted((seeds[0], i + 1, "camera") for seat, i in step if seat == 0)[:2])
     episodes, stacked = _forced_lockstep(monkeypatch, agent_config, world, horizon, seeds,
                                          forced)
     agents, made = _forced_agents(monkeypatch, agent_config, world, horizon, seeds, forced)
