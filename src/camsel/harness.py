@@ -14,9 +14,10 @@ does each seed of a block that raises; ``set-based``, ``no-combining`` and
 graph in a block is edgeless, the block runs each (seed, camera) chain of
 visits on its own until the next graph reset (see ``policy.run_lockstep``).
 A blocked pair's timer buckets and wall are the block's divided by S;
-``harness`` is the rest of that share. A trace file is written from the
-episode's round log (``write_episode_trace``), so a pair builds
-``RoundRecord``s only for ``keep_records``.
+``harness`` is the rest of that share. A block's trace files are written in
+one pass over its episodes' round logs (``write_traces``), which formats each
+column's distinct values once; ``run_pair`` writes the one-trace case, and a
+pair builds ``RoundRecord``s only for ``keep_records``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numbers
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -163,8 +164,10 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
     else:
         episode = Agent(variant_agent_config(base_agent, variant), world, horizon, seed,
                         schedule).run()
-    return _pair_result(variant, seed, episode, time.perf_counter() - started, trace_path,
-                        keep_records)
+    wall = time.perf_counter() - started
+    if trace_path is not None:
+        write_episode_trace(trace_path, episode)
+    return _pair_result(variant, seed, episode, wall, keep_records)
 
 
 def run_block(variant: str, seeds, world: World, base_agent: AgentConfig, horizon: int,
@@ -176,17 +179,17 @@ def run_block(variant: str, seeds, world: World, base_agent: AgentConfig, horizo
     episodes = run_lockstep(variant_agent_config(base_agent, variant), world, horizon, seeds,
                             schedule)
     wall = (time.perf_counter() - started) / len(seeds)
-    return [_pair_result(variant, seed, episode, wall, path, keep_records) for seed, episode, path
-            in zip(seeds, episodes, trace_paths or itertools.repeat(None))]
+    if trace_paths is not None:
+        write_traces(trace_paths, episodes)
+    return [_pair_result(variant, seed, episode, wall, keep_records)
+            for seed, episode in zip(seeds, episodes)]
 
 
-def _pair_result(variant, seed, episode, wall, trace_path, keep_records) -> RunResult:
-    """A pair's result from its finished episode, writing its trace file if asked."""
+def _pair_result(variant, seed, episode, wall, keep_records) -> RunResult:
+    """A pair's result from its finished episode."""
     # the episode's harness bucket is 0, so the five buckets sum to the wall time
     timing = dict(episode.timing, wall=wall, harness=wall - sum(episode.timing.values()))
     _, inst, bandwidth = episode.outcome
-    if trace_path is not None:
-        write_episode_trace(trace_path, episode)
     return RunResult(variant=variant, seed=seed, expected=episode.expected, inst_regret=inst,
                      cum_regret=np.cumsum(inst), components=episode.components,
                      correct=episode.correct, timing=timing,
@@ -219,7 +222,7 @@ def _run_job(job):
             log.warning("block %s seeds %d..%d failed (%s: %s); rerunning its pairs alone",
                         variant, seeds[0], seeds[-1], type(exc).__name__, exc, exc_info=True)
     return [_run_pair_job((variant, seed, world, agent, horizon, events, profile_rounds, path,
-                           keep)) for seed, path in zip(seeds, paths)]
+                           keep)) for seed, path in zip(seeds, paths or itertools.repeat(None))]
 
 
 # ---------------------------------------------------------------------------
@@ -281,62 +284,73 @@ def _mean_se(values):
 # ---------------------------------------------------------------------------
 # Trace and summary files
 
-# one data row; rows end in \r\n, as the csv module's excel dialect writes them
-_ROW = (",".join(["{}"] * len(TRACE_HEADER.split(","))) + "\r\n").format
+def _joined(padded) -> tuple:
+    """(codes, (dtype, text of each code)) of each row's entries before its
+    -1 padding, joined by ';', in (S, T, k) ``padded``: one integer code per
+    row, renumbered after each entry so that it stays below S * T."""
+    padded = np.asarray(padded, dtype=np.int64)
+    rows = padded.reshape(-1, padded.shape[-1])
+    code, base = np.zeros(len(rows), dtype=np.int64), rows.max(initial=0) + 2
+    for column in rows.T:
+        code = np.unique(code * base + column + 1, return_inverse=True)[1].reshape(-1)
+    first = np.zeros(code.max(initial=-1) + 1, dtype=np.int64)
+    first[code] = np.arange(len(rows))          # a row of each code
+    texts = [";".join(str(v) for v in row if v >= 0) for row in rows[first].tolist()]
+    return code.reshape(padded.shape[:-1]), (np.int64, texts.__getitem__)
 
 
-def _joined(padded: np.ndarray) -> list:
-    """Each row's entries before its -1 padding, joined by ';'; each distinct
-    row is formatted once."""
-    rows, inverse = np.unique(padded, axis=0, return_inverse=True)
-    text = np.array([";".join(str(v) for v in row if v >= 0) for row in rows.tolist()],
-                    dtype=object)
-    return text[inverse.reshape(-1)].tolist()
-
-
-def _reprs(values) -> list:
-    """repr of each float, computed once per distinct bit pattern."""
-    bits = np.asarray(values, dtype=float).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    return np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[inverse].tolist()
-
-
-def _write_rows(path, t, camera, inferred, true, tried, payoffs, aggregate, expected, oracle,
-                regret, components, bandwidth, edges, reset):
-    """Write a trace from its columns, in header order: the integer columns
-    and the joined ``tried`` and ``payoffs`` as given, the float columns by
-    ``repr``, which round-trips them exactly, so trace files support
-    bit-level recomputation of every summary statistic. ``cum_regret`` is
-    ``np.cumsum`` of the regret, the running sum a left-to-right loop gives."""
-    regret = np.asarray(regret, dtype=float)
-    cum = list(map(repr, np.cumsum(regret).tolist()))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# schema_version={TRACE_SCHEMA_VERSION}\n")
-        fh.write(TRACE_HEADER + "\n")
-        fh.writelines(map(_ROW, t, camera, inferred, true, tried, payoffs, aggregate,
-                          _reprs(expected), _reprs(oracle), _reprs(regret), cum, components,
-                          _reprs(bandwidth), edges, reset))
+def _write_traces(paths, t, camera, inferred, true, tried, payoffs, aggregate, expected,
+                  oracle, regret, components, bandwidth, edges, reset):
+    """Write one trace file per path from its row of each (S, T) column, in
+    header order (``tried`` and ``payoffs`` (S, T, k), padded by -1). Each
+    column's distinct values get their text once, in a table indexed by codes
+    of the smallest integer type that fits: ``str`` of an integer, the
+    ';'-join of a cascade, ``repr`` of a float bit pattern, which round-trips
+    it exactly. ``cum_regret`` is ``np.cumsum`` of the regret, a left-to-right
+    running sum. Each file's rows are joined from lookups into those tables,
+    one file at a time, and end in CRLF, as the csv module's excel dialect does."""
+    regret, ints, floats = np.asarray(regret, dtype=float), (np.int64, str), (float, repr)
+    columns = ((t, ints), (camera, ints), (inferred, ints), (true, ints), _joined(tried),
+               _joined(payoffs), (aggregate, ints), (expected, floats), (oracle, floats),
+               (regret, floats), (np.cumsum(regret, axis=-1), floats), (components, ints),
+               (bandwidth, floats), (edges, ints), (reset, ints))
+    tables, codes = [], []
+    for column, (dtype, text) in columns:
+        keys = np.asarray(column, dtype=dtype)
+        distinct, inverse = np.unique(keys.view(np.int64), return_inverse=True)
+        codes.append(inverse.reshape(keys.shape).astype(np.min_scalar_type(len(distinct))))
+        tables.append(np.array(list(map(text, distinct.view(dtype).tolist())), dtype=object))
+    for s, path in enumerate(paths):
+        lookups = (table[code[s]].tolist() for table, code in zip(tables, codes))
+        rows = "\r\n".join([*map(",".join, zip(*lookups)), ""])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# schema_version={TRACE_SCHEMA_VERSION}\n{TRACE_HEADER}\n{rows}")
 
 
 def write_trace(path, records):
-    """Write the trace file of a list of round records."""
-    columns = list(zip(*((
-        r.t, r.camera, r.inferred_group, r.true_group, ";".join(map(str, r.tried_models)),
-        ";".join(map(str, r.payoffs)), r.aggregate_payoff, r.expected_payoff,
-        r.oracle_expected_payoff, r.instantaneous_regret, r.component_count, r.bandwidth_spent,
-        r.edges_deleted, int(r.graph_reset)) for r in records)))
-    _write_rows(path, *(columns or [()] * 14))
+    """Write the trace file of round records (their fields are the header's but cum_regret)."""
+    columns = [[getattr(r, f.name) for r in records] for f in fields(RoundRecord)]
+    width = max([1, *map(len, columns[4] + columns[5])])
+    columns[4:6] = (np.reshape([[*v, *[-1] * (width - len(v))] for v in cascades], (-1, width))
+                    for cascades in columns[4:6])
+    _write_traces([path], *([column] for column in columns))
+
+
+def write_traces(paths, episodes):
+    """Write each finished episode's trace file straight from its round log,
+    formatting the block's columns together."""
+    log = lambda name: [getattr(ep, name) for ep in episodes]  # noqa: E731
+    oracle, regret, bandwidth = zip(*(ep.outcome for ep in episodes))
+    _write_traces(paths, [np.arange(1, len(regret[0]) + 1)] * len(regret),
+                  *map(log, ("arrival", "inferred_groups", "true_groups", "tried", "payoffs")),
+                  [ep.payoffs.max(axis=1, initial=-1) for ep in episodes], log("expected"),
+                  oracle, regret, log("components"), bandwidth, log("edges_deleted"),
+                  log("resets"))
 
 
 def write_episode_trace(path, episode):
     """Write the trace file of a finished episode straight from its round log."""
-    oracle, regret, bandwidth = episode.outcome
-    _write_rows(path, range(1, len(episode.arrival) + 1), episode.arrival.tolist(),
-                episode.inferred_groups.tolist(), episode.true_groups.tolist(),
-                _joined(episode.tried), _joined(episode.payoffs),
-                episode.payoffs.max(axis=1, initial=-1).tolist(), episode.expected, oracle,
-                regret, episode.components.tolist(), bandwidth, episode.edges_deleted.tolist(),
-                episode.resets.astype(int).tolist())
+    write_traces([path], [episode])
 
 
 def read_trace(path) -> list[RoundRecord]:
@@ -351,16 +365,22 @@ def read_trace(path) -> list[RoundRecord]:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise ConfigError(f"{path}: unexpected trace header")
-        for row in csv.reader(fh):
-            records.append(RoundRecord(
-                t=int(row[0]), camera=int(row[1]), inferred_group=int(row[2]),
-                true_group=int(row[3]),
-                tried_models=tuple(int(v) for v in row[4].split(";") if v),
-                payoffs=tuple(int(v) for v in row[5].split(";") if v),
-                aggregate_payoff=int(row[6]), expected_payoff=float(row[7]),
-                oracle_expected_payoff=float(row[8]), instantaneous_regret=float(row[9]),
-                component_count=int(row[11]), bandwidth_spent=float(row[12]),
-                edges_deleted=int(row[13]), graph_reset=bool(int(row[14]))))
+        reader, width = csv.reader(fh), len(TRACE_HEADER.split(","))
+        for row in reader:     # a row cut short or run long names its line
+            try:
+                if len(row) != width:
+                    raise ValueError(f"{len(row)} fields, expected {width}")
+                records.append(RoundRecord(
+                    t=int(row[0]), camera=int(row[1]), inferred_group=int(row[2]),
+                    true_group=int(row[3]),
+                    tried_models=tuple(int(v) for v in row[4].split(";") if v),
+                    payoffs=tuple(int(v) for v in row[5].split(";") if v),
+                    aggregate_payoff=int(row[6]), expected_payoff=float(row[7]),
+                    oracle_expected_payoff=float(row[8]), instantaneous_regret=float(row[9]),
+                    component_count=int(row[11]), bandwidth_spent=float(row[12]),
+                    edges_deleted=int(row[13]), graph_reset=bool(int(row[14]))))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {reader.line_num + 2}: {exc}") from None
     return records
 
 
@@ -413,8 +433,8 @@ def run_experiment(cfg: ExperimentConfig, keep_records: bool = False) -> Experim
         for span in np.array_split(cfg.seeds, min(cfg.workers, len(cfg.seeds)) if blocked
                                    else len(cfg.seeds)):
             seeds = tuple(span.tolist())
-            paths = tuple(str(out_dir / variant / f"{seed}.csv") if out_dir else None
-                          for seed in seeds)
+            paths = tuple(str(out_dir / variant / f"{seed}.csv") for seed in seeds) \
+                if out_dir else None
             jobs.append((variant, seeds, world, cfg.agent, cfg.horizon, cfg.schedule_events,
                          cfg.greedy_profile_rounds, paths, keep_records))
 

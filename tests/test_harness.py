@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +229,30 @@ def test_trace_rejects_wrong_version(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# schema_version=99\nwhatever\n")
     with pytest.raises(ConfigError):
+        read_trace(path)
+
+
+def _twenty_round_trace(tmp_path, world, agent_config):
+    path = tmp_path / "trace.csv"
+    run_pair("default", 0, world, agent_config, 20, trace_path=path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [40, 3])
+def test_trace_with_a_truncated_last_row_names_its_line(tmp_path, world, agent_config, cut):
+    # cut 40 bytes: the row loses its last fields; cut 3: its last field is empty
+    path, data = _twenty_round_trace(tmp_path, world, agent_config)
+    path.write_bytes(data[:-cut])
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: line 22: ")):
+        read_trace(path)
+
+
+def test_trace_row_with_an_extra_field_names_its_line(tmp_path, world, agent_config):
+    path, data = _twenty_round_trace(tmp_path, world, agent_config)
+    lines = data.split(b"\n")
+    lines[4] = lines[4].replace(b"\r", b",7\r")      # the third row, on line 5
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: line 5: 16 fields, expected 15")):
         read_trace(path)
 
 
@@ -470,3 +495,20 @@ def test_failed_block_reruns_its_pairs_alone(monkeypatch, tmp_path, world, agent
             assert ours.records == theirs.records
             assert ours.correct.tolist() == theirs.correct.tolist()
             assert ours.nonconverged_solves == theirs.nonconverged_solves
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unwritable_trace_path_fails_only_its_own_pair(tmp_path, world, agent_config, workers):
+    # a block writes its traces together; one that cannot be written fails its
+    # block, whose pairs then rerun alone, so only that pair fails
+    out = tmp_path / "out"
+    (out / "default" / "2.csv").mkdir(parents=True)
+    cfg = _canonical_cfg(tmp_path, world, agent_config, variants=("default",), horizon=100,
+                         seeds=(0, 1, 2, 3), workers=workers, output_dir=str(out))
+    block = run_experiment(cfg).summary["variants"]["default"]
+    assert list(block["failed"]) == ["2"] and "2.csv" in block["failed"]["2"]
+    assert block["seeds"] == [0, 1, 3]
+    for seed in (0, 1, 3):
+        run_pair("default", seed, world, agent_config, 100, trace_path=tmp_path / "pair.csv")
+        assert (out / "default" / f"{seed}.csv").read_bytes() == \
+            (tmp_path / "pair.csv").read_bytes(), seed

@@ -104,22 +104,31 @@ def test_shape_digests_are_pinned(capsys):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_blocked_lockstep_pairs_equal_run_pair_on_every_shape(tmp_path, workers):
     # the digest tool runs every pair through run_pair; a sweep runs the
-    # lockstep variants in blocks of seeds, one block per worker
+    # lockstep variants in blocks of seeds, one block per worker, and writes
+    # each block's trace files together
     tool = _load_tool()
     shapes = {name.split("/")[1]: args for name, args in tool.shape_pairs()}
     assert len(shapes) == len(tool.SHAPES)
-    horizon, seeds = 300, (0, 1, 2, 3)
+    seeds, reference_trace = (0, 1, 2, 3), tmp_path / "pair.csv"
     for shape, (_, _, world, agent, _, events) in shapes.items():
         save_world(world, tmp_path / f"{shape}.json")
-        cfg = ExperimentConfig(agent=agent, world=None, world_path=str(tmp_path / f"{shape}.json"),
-                               variants=LOCKSTEP_VARIANTS, horizon=horizon, seeds=seeds,
-                               schedule_events=events, workers=workers)
-        result = run_experiment(cfg, keep_records=True)
-        assert len(result.runs) == 4 * len(LOCKSTEP_VARIANTS), (shape, result.summary)
-        for (variant, seed), run in result.runs.items():
-            reference = run_pair(variant, seed, result.world, agent, horizon,
-                                 schedule_events=events, keep_records=True)
-            assert tool.result_digest(run) == tool.result_digest(reference), (shape, variant, seed)
+        for horizon in (0, 1, 300):
+            out = tmp_path / f"{shape}-{horizon}"
+            cfg = ExperimentConfig(agent=agent, world=None,
+                                   world_path=str(tmp_path / f"{shape}.json"),
+                                   variants=LOCKSTEP_VARIANTS, horizon=horizon, seeds=seeds,
+                                   schedule_events=events, workers=workers, output_dir=str(out))
+            result = run_experiment(cfg, keep_records=True)
+            assert len(result.runs) == 4 * len(LOCKSTEP_VARIANTS), (shape, result.summary)
+            for (variant, seed), run in result.runs.items():
+                where = (shape, variant, seed, horizon)
+                reference = run_pair(variant, seed, result.world, agent, horizon,
+                                     schedule_events=events, trace_path=reference_trace,
+                                     keep_records=True)
+                assert tool.result_digest(run) == tool.result_digest(reference), where
+                trace = (out / variant / f"{seed}.csv").read_bytes()
+                assert trace == reference_trace.read_bytes(), where
+                assert trace.count(b"\n") == horizon + 2, where     # T = 0: the header alone
 
 
 def _bench_blocks_digest(variant):
