@@ -6,13 +6,14 @@ ablation delta is a paired comparison. Each (variant, seed) pair runs
 independently; failures abort only that pair and are recorded in the summary.
 
 Every agent variant but ``set-based`` and ``no-combining`` runs its seeds in
-``min(workers, seeds)`` contiguous blocks through ``run_block``, one round
+``min(workers, seeds)`` contiguous blocks through ``run_block``, one lockstep
 loop per block holding S x T x M bools of payoff hits, with ``run_pair``'s
 results bit for bit. A block of one seed runs through ``run_pair``, and so
 does each seed of a block that raises; ``set-based``, ``no-combining`` and
-``greedy`` run one pair per job. Under graph grouping, once every seed's
-graph in a block is edgeless, the block runs each (seed, camera) chain of
-visits on its own until the next graph reset (see ``policy.run_lockstep``).
+``greedy`` run one pair per job. The loop runs each (seed, block) chain of
+visits on its own rows: ``no-grouping`` and ``no-perspective`` for the whole
+horizon, graph grouping once every seed's graph in a block is edgeless and
+until the next graph reset (see ``policy.run_lockstep``).
 A blocked pair's timer buckets and wall are the block's divided by S;
 ``harness`` is the rest of that share. A block's trace files are written in
 one pass over its episodes' round logs (``write_traces``), which formats each
@@ -166,7 +167,7 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
                         schedule).run()
     wall = time.perf_counter() - started
     if trace_path is not None:
-        write_episode_trace(trace_path, episode)
+        write_traces([trace_path], [episode])
     return _pair_result(variant, seed, episode, wall, keep_records)
 
 
@@ -346,11 +347,6 @@ def write_traces(paths, episodes):
                   [ep.payoffs.max(axis=1, initial=-1) for ep in episodes], log("expected"),
                   oracle, regret, log("components"), bandwidth, log("edges_deleted"),
                   log("resets"))
-
-
-def write_episode_trace(path, episode):
-    """Write the trace file of a finished episode straight from its round log."""
-    write_traces([path], [episode])
 
 
 def read_trace(path) -> list[RoundRecord]:

@@ -483,37 +483,58 @@ def lockstep_ready(config: AgentConfig) -> bool:
 
 
 class _Lockstep:
-    """What a lockstep round loop shares, for a block of S seeds: their
-    episodes and payoff hits, the stacked fit, the ranked cascade, and the
-    episodes' columns filled in at the end. A fit or a ranking works on rows
-    ``visits`` = (seats, rounds), which need not share a round.
-    Each visit's whole ranking goes into its episode's tried column, padded by
-    :meth:`finish`, and each unconverged fit is logged at its visit."""
+    """A lockstep run of a block of S seeds: their episodes and payoff hits,
+    the learner state of every (seat, block) cell, and the one visit step
+    every loop takes. A block is the seat's one pool under ``pooled`` and a
+    camera otherwise, so a cell is one flat row: its tries, wins and warm
+    start and, kept only under ``graph``, its count, refitted estimate and
+    the memo of its last converged refit (its means and the count it was
+    made at, -1 for none). A graph block fits under its label, the smallest
+    member's cell. A call works on rows ``visits`` = (seats, rounds), which
+    need not share a round. Each visit's whole ranking goes into its
+    episode's tried column, padded by :meth:`finish`, each unconverged fit
+    is logged at its visit, and the other round-log columns are (S, T)
+    arrays bound to the episodes."""
 
     def __init__(self, config: AgentConfig, world: World, horizon: int, seeds, schedule):
-        n_seeds, m, d = len(seeds), world.n_models, world.dimension
+        n_seeds, n, m, d = len(seeds), world.n_cameras, world.n_models, world.dimension
         self.cfg, self.seeds, self.k = config, seeds, min(config.k_max, m)
         self.tables = _oracle_tables(world, config.k_max)
         # set up one seed at a time, so one payoff table is alive at once
         self.episodes, self.hits = [], np.zeros((n_seeds, horizon, m), dtype=bool)
         self.ranked_log = np.zeros((n_seeds, horizon, self.k), dtype=int)
+        self.logs = {name: np.zeros((n_seeds, horizon), dtype=dtype) for name, dtype in (
+            ("inferred_groups", int), ("components", int), ("edges_deleted", int),
+            ("resets", bool), ("correct", bool))}
         for seat, seed in enumerate(seeds):
             ep = _Episode(world, horizon, seed, config.k_max, schedule, self.tables)
-            self.hits[seat], self.truth = ep.settle()   # the truth is the same for every seed
+            self.hits[seat], truth = ep.settle()   # the truth is the same for every seed
             ep.tried = self.ranked_log[seat]
+            for name, log in self.logs.items():
+                setattr(ep, name, log[seat])
             self.episodes.append(ep)
+        self.truths = np.stack([labels for _, labels in truth])
+        self.truth_at = np.zeros(horizon, dtype=int)    # each round's row of truths
+        for run, (rows, _) in enumerate(truth):
+            self.truth_at[rows] = run
         self.arrival = np.stack([ep.arrival for ep in self.episodes])
         self.feats, self.feats_t = world.features, world.features.T
         self.outer, self.eye = outer_products(world.features), config.zeta * np.eye(d)
         self.mu = link_callables(config.link)[0]
-        # a visit's tie-break keys; a graph stretch ranks up to one row per seed and camera
-        most = (n_seeds * world.n_cameras, m)
+        # a visit's tie-break keys; a step ranks up to one row per seed and camera
+        most = (n_seeds * n, m)
         ids = np.broadcast_to(np.arange(m), most)
         tiers = np.broadcast_to((world.tiers == "cloud").astype(int), most)
         self.keys = ((lambda scores: (ids[:len(scores)], tiers[:len(scores)], -scores))
                      if config.cascade_order == "ucb-desc"
                      else (lambda scores: (ids[:len(scores)], -scores, tiers[:len(scores)])))
         self.seats, self.picks = np.arange(n_seeds), np.arange(self.k)
+        self.partition, self.n_blocks = ((np.zeros(n, dtype=int), 1)
+                                         if config.grouping == "pooled" else (np.arange(n), n))
+        cells = n_seeds * self.n_blocks
+        self.tries, self.wins, self.memo_means = (np.zeros((cells, m)) for _ in range(3))
+        self.warm, self.estimates = np.zeros((cells, d)), np.zeros((cells, d))
+        self.counts, self.fitted_at = np.zeros(cells), np.full(cells, -1.0)
         self.unconverged = np.zeros((n_seeds, horizon), dtype=np.int8)
         self.tried_log = np.zeros((n_seeds, horizon), dtype=int)
         self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
@@ -543,14 +564,84 @@ class _Lockstep:
         self.ranked_log[visits], self.tried_log[visits] = ranked, n_tried
         return ranked, paid, n_tried
 
-    def absorb(self, tries, wins, where, ranked, paid, n_tried):
-        """Add each row's tries made to its cell of tries and wins: ``where``
-        holds one index array per leading axis, such as (seats, blocks)."""
+    def absorb(self, own, ranked, paid, n_tried):
+        """Add each row's tries made to the tries and wins of its cell ``own``."""
         taken = self.picks < n_tried[:, None]
-        row = np.nonzero(taken)[0]
-        cells = (*(index[row] for index in where), ranked[taken])
-        tries[cells] += 1.0
-        wins[cells] += paid[taken]
+        cells = (own[np.nonzero(taken)[0]], ranked[taken])
+        self.tries[cells] += 1.0
+        self.wins[cells] += paid[taken]
+
+    def visit(self, visits, own, tries, wins, block, stale):
+        """One visit of each row, from cell ``own``, whose block has ``tries``
+        and ``wins`` and keeps its warm start in cell ``block``: fit the block
+        where it is ``stale`` or ``own``'s memo missed, rank, absorb into
+        ``own`` and, under ``graph``, refit ``own`` and memoize a converged
+        refit. No cell repeats in one call."""
+        clock, timing = time.perf_counter, self.timing
+        t0 = clock()
+        if self.cfg.grouping == "graph":
+            miss = stale | (self.fitted_at[own] != self.counts[own])
+        else:       # only graph refits, so no other grouping has a memo to hit
+            miss = np.True_
+        if miss.all():
+            self.warm[block], means, _ = self.fit(visits, tries, wins, self.warm[block])
+        else:
+            means, miss = self.memo_means[own], np.flatnonzero(miss)
+            if miss.size:
+                at = block[miss]
+                self.warm[at], means[miss], _ = self.fit(
+                    tuple(a[miss] if np.ndim(a) else a for a in visits), tries[miss],
+                    wins[miss], self.warm[at])
+
+        t1 = clock()
+        timing["estimation"] += t1 - t0
+        ranked, paid, n_tried = self.rank(visits, means, tries)
+
+        t2 = clock()
+        timing["selection"] += t2 - t1
+        self.absorb(own, ranked, paid, n_tried)
+
+        t3 = clock()
+        timing["bookkeeping"] += t3 - t2
+        if self.cfg.grouping == "graph":
+            self.counts[own] += n_tried
+            theta, means, ok = self.fit(visits, self.tries[own], self.wins[own], self.warm[own])
+            self.warm[own] = self.estimates[own] = theta
+            own = own[ok]
+            self.fitted_at[own], self.memo_means[own] = self.counts[own], means[ok]
+            timing["estimation"] += clock() - t3
+
+    def chains(self, i: int, stop: int):
+        """Rounds ``i`` to ``stop - 1`` under ``partition``, which holds
+        throughout: each (seat, block) cell's chain of visits reads and writes
+        only its own cell, so step k runs the k-th visit of every chain
+        longer than k, longest chains first. A step's gathers count as
+        grouping."""
+        clock, timing, width, logs = time.perf_counter, self.timing, stop - i, self.logs
+        t1 = clock()
+        blocks = logs["inferred_groups"][:, i:stop]
+        blocks[:] = self.partition[self.arrival[:, i:stop]]
+        logs["components"][:, i:stop] = self.n_blocks
+        logs["correct"][:, i:stop] = (self.partition == self.truths[self.truth_at[i:stop]]).all(
+            axis=1)
+        # each cell's chain: the rounds of its visits, in order, from ``heads`` on in ``rounds``
+        cells = (self.seats[:, None] * self.n_blocks + blocks).ravel().astype(np.int32)
+        lengths, rounds = np.bincount(cells), np.argsort(cells, kind="stable")
+        del cells       # the steps keep only the S x T rounds, as int32
+        rounds %= width
+        rounds += i
+        rounds = rounds.astype(np.int32)
+        chains = np.argsort(-lengths, kind="stable")    # cells, longest chain first
+        heads, seats = (np.cumsum(lengths) - lengths)[chains], chains // self.n_blocks
+        alive = np.count_nonzero(lengths > np.arange(lengths.max(initial=0))[:, None], axis=1)
+        for k, n_alive in enumerate(alive.tolist()):
+            v = chains[:n_alive]
+            at, tries, wins = rounds[heads[:n_alive] + k], self.tries[v], self.wins[v]
+            t2 = clock()
+            timing["grouping"] += t2 - t1
+            self.visit((seats[:n_alive], at), v, tries, wins, v, False)
+            t1 = clock()
+        timing["grouping"] += clock() - t1
 
     def finish(self) -> list[_Episode]:
         """Each episode's expected payoffs, payoffs, padding and solver count;
@@ -574,194 +665,77 @@ class _Lockstep:
 def run_lockstep(config: AgentConfig, world: World, horizon: int, seeds,
                  schedule: PerspectiveSchedule | None = None) -> list[_Episode]:
     """Run a ``graph``, ``singletons`` or ``pooled`` agent for every seed in
-    one round loop; returns each seed's episode, equal to its :class:`Agent`'s
-    bit for bit. Each round works on (S, ...) arrays: the arriving camera's
-    block row of tries, wins and warm start, a stacked Gramian and fit,
-    widths, ranking and cascade, and under ``graph`` the camera refits, edge
-    deletions and reconnections of every seed. Under ``graph``, once every
-    seed's graph is edgeless, the rounds up to the next reset run as steps
-    that each take one visit of every (seed, camera) chain."""
+    one lockstep loop; returns each seed's episode, equal to its
+    :class:`Agent`'s bit for bit. Every visit is one :meth:`_Lockstep.visit`
+    over (rows, ...) arrays: the visiting cells' block tries, wins and warm
+    start, a stacked fit, widths, ranking and cascade, and under ``graph``
+    the camera refits. ``pooled`` and ``singletons`` never change their
+    partition, so the whole horizon runs as one set of chains: step k takes
+    the k-th visit of every (seed, block) chain, which is round k under
+    ``pooled``. Under ``graph`` the rounds run one at a time, with every
+    seed's edge deletions and reconnections, until every seed's graph is
+    edgeless; the rounds up to the next reset then run as chains of
+    (seed, camera) visits."""
     if not lockstep_ready(config) or config.k_max > world.n_models:
         raise ConfigError(f"no lockstep run of {config} over {world.n_models} models")
     ls = _Lockstep(config, world, horizon, seeds, schedule)
-    (_graph_rounds if config.grouping == "graph" else _fixed_rounds)(ls, world, horizon)
+    if config.grouping == "graph":
+        _graph_rounds(ls, world, horizon)
+    else:
+        ls.chains(0, horizon)
     return ls.finish()
 
 
-def _fixed_rounds(ls: _Lockstep, world: World, horizon: int):
-    """The rounds of a partition that never changes: each seed fits the
-    arriving camera's block, with no fit memo, since every round adds a try
-    to the block it fits."""
-    clock, timing, seats = time.perf_counter, ls.timing, ls.seats
-    n, n_seeds, pooled = world.n_cameras, len(seats), ls.cfg.grouping == "pooled"
-    labels = np.zeros(n, dtype=int) if pooled else np.arange(n)
-    blocks = 1 if pooled else n
-    tries, wins, warm = (np.zeros((n_seeds, blocks, width))
-                         for width in (world.n_models, world.n_models, world.dimension))
-    label = np.zeros(n_seeds, dtype=int)
-    for i in range(horizon):
-        t1 = clock()
-        if not pooled:
-            label = ls.arrival[:, i]        # the arriving cameras, each its own block
-        t2 = clock()
-        timing["grouping"] += t2 - t1
-        counts, successes = tries[seats, label], wins[seats, label]
-        visits = (seats, i)
-        warm[seats, label], means, _ = ls.fit(visits, counts, successes, warm[seats, label])
-
-        t3 = clock()
-        timing["estimation"] += t3 - t2
-        ranked, paid, n_tried = ls.rank(visits, means, counts)
-
-        t4 = clock()
-        timing["selection"] += t4 - t3
-        ls.absorb(tries, wins, (seats, label), ranked, paid, n_tried)
-        timing["bookkeeping"] += clock() - t4
-    correct = np.zeros(horizon, dtype=bool)
-    for rows, truth in ls.truth:
-        correct[rows] = np.array_equal(labels, truth)
-    for ep in ls.episodes:
-        ep.inferred_groups[:] = labels[ep.arrival]
-        ep.components[:] = blocks
-        ep.correct[:] = correct
-
-
 def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
-    """The rounds of graph grouping. Per seed: each camera's tries, wins and
-    count, its refitted estimate, the adjacency and its edge count, the labels,
-    and warm starts keyed by label as ``Agent._warm`` is. A block's tries are
-    the masked sum of its members' rows (integer-valued floats, so exact in
-    any order). The fit memo is kept per camera: a multi-camera block's count
+    """The rounds of graph grouping. Per seed: the adjacency and its edge
+    count and the labels, beside ``ls``'s cells. A block's tries are the
+    masked sum of its members' rows (integer-valued floats, so exact in any
+    order). The fit memo is kept per camera: a multi-camera block's count
     grows each time it is fitted, so only a camera alone, unchanged since its
-    last converged refit, reuses a fit. Each seed's reconnect uniforms, one per
-    round, are drawn up front from its agent stream.
+    last converged refit, reuses a fit. Each seed's reconnect uniforms, one
+    per round, are drawn up front from its agent stream.
 
     A round that starts with every seed's graph edgeless begins a stretch,
     which lasts until the next round at which some seed's graph resets. In a
-    stretch every camera is its own block, so each (seed, camera) chain of
-    visits reads and writes only its own rows: step k runs the k-th visit of
-    every chain, in the round loop's order for a camera alone. The reset
-    round goes back to the round loop."""
-    clock, timing, seats, cfg = time.perf_counter, ls.timing, ls.seats, ls.cfg
-    n, m, d, n_seeds = world.n_cameras, world.n_models, world.dimension, len(seats)
+    stretch every camera is its own block, so it runs as :meth:`_Lockstep.chains`.
+    The reset round goes back to the round loop."""
+    clock, timing, seats, cfg, logs = time.perf_counter, ls.timing, ls.seats, ls.cfg, ls.logs
+    n, n_seeds = world.n_cameras, len(seats)
     f, ids = F_FUNCTIONS[cfg.f_id], np.arange(n)
     p0 = np.array([derive_p0(seed) if cfg.p0 is None else cfg.p0 for seed in ls.seeds])
     draws = np.stack([np.random.default_rng(np.random.SeedSequence([seed, _AGENT_TAG]))
                       .random(horizon) for seed in ls.seeds])
     rounds_sq = np.arange(1, horizon + 1, dtype=float) ** 2
     resetting = draws < np.minimum(1.0, p0[:, None] / rounds_sq)
-    tries, wins, memo_means = (np.zeros((n_seeds, n, m)) for _ in range(3))
-    warm, estimates = np.zeros((n_seeds, n, d)), np.zeros((n_seeds, n, d))
-    counts = np.zeros((n_seeds, n))
-    fitted_at = np.full((n_seeds, n), -1.0)     # the count at each camera's memo, -1 for none
     full = n * (n - 1) // 2
     complete = ~np.eye(n, dtype=bool)
     adj, edges = np.tile(complete, (n_seeds, 1, 1)), np.full(n_seeds, full)
     labels = np.tile(_min_labels(complete), (n_seeds, 1))
     comps = np.count_nonzero(labels == ids, axis=1)
-    truths, truth_at = np.stack([truth for _, truth in ls.truth]), np.zeros(horizon, dtype=int)
-    for run, (rows, _) in enumerate(ls.truth):
-        truth_at[rows] = run
     # the first round from each on at which some seed's edgeless graph resets
     fires = np.where(resetting.any(axis=0) & (full > 0), np.arange(horizon), horizon)
     next_reset = np.minimum.accumulate(fires[::-1])[::-1]
-    logs = {name: np.zeros((n_seeds, horizon), dtype=dtype) for name, dtype in (
-        ("inferred_groups", int), ("components", int), ("edges_deleted", int),
-        ("resets", bool), ("correct", bool))}
-    for seat, ep in enumerate(ls.episodes):
-        for name, log in logs.items():
-            setattr(ep, name, log[seat])
-    # the per-camera state as views with one row per (seat, camera) cell
-    cell_tries, cell_wins, cell_means, cell_warm, cell_estimates = (
-        a.reshape(n_seeds * n, -1) for a in (tries, wins, memo_means, warm, estimates))
-    cell_counts, cell_fitted = counts.reshape(-1), fitted_at.reshape(-1)
-
-    def stretch(i: int, stop: int):
-        """Rounds ``i`` to ``stop - 1``, every graph edgeless throughout."""
-        t1 = clock()
-        cams = ls.arrival[:, i:stop]
-        logs["inferred_groups"][:, i:stop], logs["components"][:, i:stop] = cams, n
-        logs["correct"][:, i:stop] = (ids == truths[truth_at[i:stop]]).all(axis=1)
-        # the visits by (seat, camera) cell, each cell's in round order; then by index there
-        cell = (seats[:, None] * n + cams).ravel()
-        order = np.argsort(cell, kind="stable")
-        heads = np.flatnonzero(np.diff(cell[order], prepend=-1))
-        visit = np.arange(cell.size) - np.repeat(heads, np.diff(heads, append=cell.size))
-        order = order[np.argsort(visit, kind="stable")]
-        ends = np.cumsum(np.bincount(visit))
-        step_seats, step_rounds = np.divmod(order, stop - i)
-        step_cells, step_rounds = cell[order], step_rounds + i
-        timing["grouping"] += clock() - t1
-        for lo, hi in zip(np.r_[0, ends[:-1]], ends):
-            t2 = clock()
-            v, visits = step_cells[lo:hi], (step_seats[lo:hi], step_rounds[lo:hi])
-            means = cell_means[v]
-            miss = np.flatnonzero(cell_fitted[v] != cell_counts[v])
-            if miss.size:
-                w = v[miss]
-                cell_warm[w], means[miss], _ = ls.fit(tuple(a[miss] for a in visits),
-                                                      cell_tries[w], cell_wins[w], cell_warm[w])
-
-            t3 = clock()
-            timing["estimation"] += t3 - t2
-            ranked, paid, n_tried = ls.rank(visits, means, cell_tries[v])
-
-            t4 = clock()
-            timing["selection"] += t4 - t3
-            ls.absorb(cell_tries, cell_wins, (v,), ranked, paid, n_tried)
-            cell_counts[v] += n_tried
-
-            t5 = clock()
-            timing["bookkeeping"] += t5 - t4
-            theta, means, ok = ls.fit(visits, cell_tries[v], cell_wins[v], cell_warm[v])
-            cell_warm[v] = cell_estimates[v] = theta
-            v = v[ok]
-            cell_fitted[v], cell_means[v] = cell_counts[v], means[ok]
-            timing["estimation"] += clock() - t5
-
+    # ls's cells, seen per seed
+    tries, wins = ls.tries.reshape(n_seeds, n, -1), ls.wins.reshape(n_seeds, n, -1)
+    counts, estimates = ls.counts.reshape(n_seeds, n), ls.estimates.reshape(n_seeds, n, -1)
     i = 0
     while i < horizon:
         if not edges.any() and next_reset[i] > i:
-            stretch(i, next_reset[i])
+            ls.chains(i, next_reset[i])
             i = next_reset[i]
             continue
         t1 = clock()
         cam = ls.arrival[:, i]
         label = labels[seats, cam]
         members = labels == label[:, None]
-        alone = np.count_nonzero(members, axis=1) == 1
         logs["inferred_groups"][:, i], logs["components"][:, i] = label, comps
-
-        t2 = clock()
-        timing["grouping"] += t2 - t1
         block = members[:, None, :].astype(float)
         block_tries, block_wins = np.matmul(block, tries)[:, 0], np.matmul(block, wins)[:, 0]
-        means = memo_means[seats, cam]
-        rows = np.flatnonzero(~alone | (fitted_at[seats, cam] != counts[seats, cam]))
-        if rows.size:
-            at = label[rows]
-            warm[rows, at], means[rows], _ = ls.fit((rows, i), block_tries[rows],
-                                                    block_wins[rows], warm[rows, at])
+        stale = np.count_nonzero(members, axis=1) > 1
+        timing["grouping"] += clock() - t1
+        ls.visit((seats, i), seats * n + cam, block_tries, block_wins, seats * n + label, stale)
 
-        t3 = clock()
-        timing["estimation"] += t3 - t2
-        ranked, paid, n_tried = ls.rank((seats, i), means, block_tries)
-
-        t4 = clock()
-        timing["selection"] += t4 - t3
-        ls.absorb(tries, wins, (seats, cam), ranked, paid, n_tried)
-        counts[seats, cam] += n_tried
-
-        t5 = clock()
-        timing["bookkeeping"] += t5 - t4
-        theta, means, ok = ls.fit((seats, i), tries[seats, cam], wins[seats, cam],
-                                  warm[seats, cam])
-        warm[seats, cam] = estimates[seats, cam] = theta
-        done, at = np.flatnonzero(ok), cam[ok]
-        fitted_at[done, at], memo_means[done, at] = counts[done, at], means[ok]
-
-        t6 = clock()
-        timing["estimation"] += t6 - t5
+        t2 = clock()
         live = np.flatnonzero(edges)        # an edgeless graph has nothing to delete
         changed = np.zeros(n_seeds, dtype=bool)
         if live.size:
@@ -783,10 +757,10 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
             labels[seat] = _min_labels(adj[seat])
             comps[seat] = np.count_nonzero(labels[seat] == ids)
 
-        t5 = clock()
-        timing["grouping"] += t5 - t6
-        logs["correct"][:, i] = (labels == truths[truth_at[i]]).all(axis=1)
-        timing["bookkeeping"] += clock() - t5
+        t3 = clock()
+        timing["grouping"] += t3 - t2
+        logs["correct"][:, i] = (labels == ls.truths[ls.truth_at[i]]).all(axis=1)
+        timing["bookkeeping"] += clock() - t3
         i += 1
 
 

@@ -541,24 +541,36 @@ def test_lockstep_forced_nonconvergence_matches_agent(world, agent_config, monke
                                                       grouping):
     """No world makes a fit stop short of tolerance, so chosen (seed, round)
     fits are made to report it, in the stacked solve and in the per-seed one:
-    each such round ranks by its warm start, which stays as it was."""
+    each such round ranks by its warm start, which stays as it was. Every
+    visit is fitted once; under ``singletons`` seed 0's first visits of three
+    cameras (rounds 1, 2 and 10) share the first chain step."""
     import camsel.policy as policy
 
     seeds, horizon = (0, 1, 2, 3), 60
     forced = {(0, 1), (0, 2), (1, 30), (1, 31), (2, 59), (3, 60)} | {(s, 10) for s in seeds}
     cfg = replace(agent_config, grouping=grouping)
-    real_stacked, real_weighted = policy.solve_mle_stacked, policy.solve_mle_weighted
-    rounds = []
+    real_stacked, real_fit = policy.solve_mle_stacked, policy._Lockstep.fit
+    real_weighted = policy.solve_mle_weighted
+    fitted, stop = [], []
+
+    def fit(self, visits, *args):
+        keys = [(seeds[seat], i + 1)
+                for seat, i in zip(*(a.tolist() for a in np.broadcast_arrays(*visits)))]
+        fitted.append(keys)
+        stop[:] = [key in forced for key in keys]
+        return real_fit(self, visits, *args)
 
     def stacked(*args, **kwargs):
-        rounds.append(None)
         est = real_stacked(*args, **kwargs)
-        stop = np.array([(seed, len(rounds)) in forced for seed in seeds])
-        return replace(est, converged=est.converged & ~stop)
+        return replace(est, converged=est.converged & ~np.array(stop))
 
+    monkeypatch.setattr(policy._Lockstep, "fit", fit)
     monkeypatch.setattr(policy, "solve_mle_stacked", stacked)
     episodes = policy.run_lockstep(cfg, world, horizon, seeds)
-    assert len(rounds) == horizon
+    assert sorted(key for keys in fitted for key in keys) == sorted(
+        (seed, t) for seed in seeds for t in range(1, horizon + 1))
+    shared = max(sum(seed == 0 and (seed, t) in forced for seed, t in keys) for keys in fitted)
+    assert shared == (3 if grouping == "singletons" else 1)
     agents = []
     for seed in seeds:
         calls = []
@@ -725,6 +737,19 @@ def test_graph_reset_after_edgeless_rounds_leaves_and_reenters_a_stretch(world, 
     episodes, pattern, _ = _stretch_rows(monkeypatch, cfg, world, horizon, seeds)
     assert re.fullmatch("l+s+l+s+", pattern), pattern
     assert episodes[2].resets[116] and episodes[2].edges_deleted[117:].sum() > 0
+    _assert_same_episodes(episodes, [Agent(cfg, world, horizon, seed).run() for seed in seeds])
+
+
+@pytest.mark.parametrize("grouping", ["singletons", "pooled"])
+def test_fixed_partitions_run_as_chains(world, agent_config, monkeypatch, grouping):
+    """A partition that never changes runs its whole horizon as chain steps:
+    ``singletons`` in as many as its longest (seed, camera) chain, ``pooled``
+    in T steps of S rows (one chain per seed, so no step has more)."""
+    cfg, seeds, horizon = replace(agent_config, grouping=grouping), tuple(range(10)), 300
+    episodes, pattern, rows = _stretch_rows(monkeypatch, cfg, world, horizon, seeds)
+    longest = (max(np.bincount(ep.arrival).max() for ep in episodes)
+               if grouping == "singletons" else horizon)
+    assert pattern == "s" * longest and rows == len(seeds) * horizon
     _assert_same_episodes(episodes, [Agent(cfg, world, horizon, seed).run() for seed in seeds])
 
 
