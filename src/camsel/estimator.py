@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg.lapack import dgesv
 
 from .core import LinkFunctionSpec, link_callables
@@ -113,6 +114,20 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve_stacked(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """np.linalg.solve of a stack of systems with (..., d, n) right-hand
+    sides, bit for bit: the gufunc it dispatches to, without its wrapper's
+    argument checks and conversions, written into ``out`` if given. A
+    singular system raises LinAlgError."""
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.solve(a, b, signature="dd->d", out=out)
+
+
 # resolved once per link and once per (zeta, d), not once per solve
 _links = functools.cache(link_callables)
 
@@ -178,69 +193,94 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
     """:func:`solve_mle_weighted` for S problems sharing the catalog, ``zeta``
     and link: ``counts``, ``successes`` are (S, M), ``theta0`` is (S, d), and
     each estimate field gains a leading seed axis. Row s equals the per-seed
-    solve bit for bit: stacked ``np.matmul`` and ``np.linalg.solve`` match the
-    per-seed ``dot``, gesv and ``math.sqrt(g.dot(g))``, and each row takes its
-    own steps and halvings, stopping when ``_newton`` would.
+    solve bit for bit: stacked ``np.matmul`` and :func:`_solve_stacked` match
+    the per-seed ``dot``, gesv and ``math.sqrt(g.dot(g))``, and each row takes
+    its own steps and halvings, stopping when ``_newton`` would.
 
-    The rows still iterating form a compact working set, compacted only when
-    one stops; a row leaves it as soon as a step is not accepted, so all of
-    its rows share one iteration count."""
+    The state is kept in column shape, theta as (S, d, 1) and z, mu(z) as
+    (S, M, 1), so every product reads and writes it without reshaping. A
+    step is accepted where its score norm is below the old one, one
+    comparison: a NaN norm compares false, and an infinite one is never
+    below. Only when some row's full step fails do the failed rows halve.
+    The rows still iterating form a working set: all rows while every row
+    is live, compacted only when some row stops. A row leaves it as soon as
+    a step is not accepted, so all of its rows share one iteration count."""
     feats_t, d = feats.T, feats.shape[1]
     outer = outer_products(feats) if outer is None else outer
     (mu, mu_prime), ridge = _links(link), _ridge(zeta, d)
 
     def score(weights, resp_sums, theta):
-        z = np.matmul(feats, theta[:, :, None])[..., 0]
+        z = np.matmul(feats, theta)
         m = mu(z)
-        g = np.matmul(feats_t, (resp_sums - weights * m)[:, :, None])[..., 0] - zeta * theta
-        return z, m, g, np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+        g = np.matmul(feats_t, resp_sums - weights * m) - zeta * theta
+        return z, m, g, np.sqrt(np.matmul(g[:, None, :, 0], g))
 
-    theta = np.array(theta0, dtype=float)
-    z, m, g, gnorm = score(counts, successes, theta)
+    weights, resp_sums = counts[:, :, None], successes[:, :, None]
+    theta = np.array(theta0, dtype=float)[:, :, None]
+    state = [theta, *score(weights, resp_sums, theta)]
+    theta, _, m, _, gnorm = state      # each row's estimate, as it stops
     iters = np.zeros(len(theta), dtype=int)
-    rows = np.flatnonzero(gnorm > tol) if max_iter > 0 else np.zeros(0, dtype=int)
-    # the working set: the live rows' inputs and (theta, z, m, g, gnorm)
-    weights, resp_sums, n_iter = counts[rows], successes[rows], 0
-    state = [a[rows] for a in (theta, z, m, g, gnorm)]
-    while rows.size:
+    live = (gnorm > tol).ravel()
+    rows = None     # the working set's rows; None while it holds every row
+    if np.count_nonzero(live) < len(live):
+        rows = live.nonzero()[0]
+        weights, resp_sums = weights[rows], resp_sums[rows]
+        state = [a[rows] for a in state]
+    n_iter = 0
+    while max_iter > 0 and len(state[0]):
         w_theta, w_z, w_m, w_g, w_gnorm = state
-        hess = np.matmul((weights * mu_prime(w_z, w_m))[:, None, :], outer)[:, 0]
-        delta = np.linalg.solve(ridge + hess.reshape(-1, d, d), w_g[:, :, None])[..., 0]
+        system = np.matmul((weights * mu_prime(w_z, w_m))[:, None, :, 0], outer).reshape(-1, d, d)
+        system += ridge     # the Hessian's ridge, added in place
+        delta = _solve_stacked(system, w_g)
         cand = w_theta + delta
         new = [cand, *score(weights, resp_sums, cand)]
-        # the full step is the first of MAX_HALVINGS tries; only failed rows halve
-        pending, step = np.flatnonzero(~(np.isfinite(new[4]) & (new[4] < w_gnorm))), 1.0
-        for _ in range(MAX_HALVINGS - 1):
-            if not pending.size:
-                break
-            step *= 0.5
-            cand = w_theta[pending] + step * delta[pending]
-            tried = [cand, *score(weights[pending], resp_sums[pending], cand)]
-            ok = np.isfinite(tried[4]) & (tried[4] < w_gnorm[pending])
-            for a, b in zip(new, tried):
-                a[pending[ok]] = b[ok]
-            pending = pending[~ok]
-        n_iter += 1
-        stop = (new[4] <= tol) | (n_iter >= max_iter)
-        if pending.size:    # their line search ran out: they stop where they were
-            for a, b in zip(new, state):
+        accepted = new[4] < w_gnorm
+        pending = None
+        if np.count_nonzero(accepted) < len(accepted):
+            pending = (~accepted).ravel().nonzero()[0]
+            # the full step is the first of MAX_HALVINGS tries; only failed rows halve
+            step = 1.0
+            for _ in range(MAX_HALVINGS - 1):
+                step *= 0.5
+                cand = w_theta[pending] + step * delta[pending]
+                tried = [cand, *score(weights[pending], resp_sums[pending], cand)]
+                ok = (tried[4] < w_gnorm[pending]).ravel()
+                for a, b in zip(new, tried):
+                    a[pending[ok]] = b[ok]
+                pending = pending[~ok]
+                if not pending.size:
+                    break
+            for a, b in zip(new, state):    # their line search ran out: they stop where they were
                 a[pending] = b[pending]
+        n_iter += 1
+        stop = (new[4] <= tol).ravel()
+        if n_iter >= max_iter:
+            stop[:] = True
+        elif pending is not None:
             stop[pending] = True
-        state = new
-        if stop.any():
-            out = rows[stop]
+        n_stop, state = np.count_nonzero(stop), new
+        if not n_stop:
+            continue
+        if rows is None and n_stop == len(stop):    # every row stops together
+            theta, m, gnorm = new[0], new[2], new[4]
+            iters[:] = n_iter
+        else:
+            out = stop if rows is None else rows[stop]
             for a, b in zip((theta, m, gnorm), (new[0], new[2], new[4])):
                 a[out] = b[stop]
             iters[out] = n_iter
-            iters[rows[pending]] = n_iter - 1
-            if stop.all():
-                break
-            keep = ~stop
-            rows, weights, resp_sums = rows[keep], weights[keep], resp_sums[keep]
-            state = [a[keep] for a in state]
+        if pending is not None:
+            iters[pending if rows is None else rows[pending]] = n_iter - 1
+        if n_stop == len(stop):
+            break
+        keep = ~stop
+        rows = keep.nonzero()[0] if rows is None else rows[keep]
+        weights, resp_sums = weights[keep], resp_sums[keep]
+        state = [a[keep] for a in state]
+    theta, gnorm = theta[..., 0], gnorm.ravel()
     if not np.isfinite(theta[iters > 0]).all():
         raise NumericError("Newton iterate became non-finite")
-    return Estimate(theta, gnorm <= tol, iters, gnorm, m)
+    return Estimate(theta, gnorm <= tol, iters, gnorm, m[..., 0])
 
 
 def solve_mle(gs: GroupStats, link: LinkFunctionSpec, X, r,
@@ -295,8 +335,9 @@ def confidence_widths(X: np.ndarray, gs: GroupStats) -> np.ndarray:
 
 def confidence_widths_stacked(X: np.ndarray, gramians: np.ndarray) -> np.ndarray:
     """:func:`confidence_widths` under each of an (S, d, d) stack of regularized
-    Gramians, row for row to the bit: the solves are copied into an (S, M, d)
-    C-ordered buffer, so each seed's transpose has the Fortran strides of
-    gesv's result."""
-    solved = np.linalg.solve(gramians, X.T).transpose(0, 2, 1).copy()
-    return np.sqrt(np.einsum("ij,sji->si", X, solved.transpose(0, 2, 1)))
+    Gramians, row for row to the bit: the solves are written into an (S, M, d)
+    C-ordered buffer, so each seed's (d, M) solution has the Fortran strides
+    of gesv's result."""
+    solved = np.empty((len(gramians), *X.shape)).transpose(0, 2, 1)
+    _solve_stacked(gramians, X.T, out=solved)
+    return np.sqrt(np.einsum("ij,sji->si", X, solved))

@@ -46,6 +46,13 @@ _PAYOFF_TAG = 2
 _AGENT_TAG = 3
 _P0_TAG = 4
 
+# The most rows one lockstep chain step stacks. A wider step runs in parts of
+# this many rows, which bounds its temporaries (the stacked fit peaks at about
+# 2.2 KB a row); rows never interact, so the parts give the same bits. Each
+# part pays a visit's fixed cost (about 150 us) once, so the cap keeps parts
+# wide: 160 rows is a 20-seed block of the 8-camera canonical world.
+ROW_CAP = 160
+
 
 def derive_p0(seed: int) -> float:
     """Reproducible stand-in for the algorithm's random p0 in (0, 1)."""
@@ -490,11 +497,11 @@ class _Lockstep:
     start and, kept only under ``graph``, its count, refitted estimate and
     the memo of its last converged refit (its means and the count it was
     made at, -1 for none). A graph block fits under its label, the smallest
-    member's cell. A call works on rows ``visits`` = (seats, rounds), which
-    need not share a round. Each visit's whole ranking goes into its
-    episode's tried column, padded by :meth:`finish`, each unconverged fit
-    is logged at its visit, and the other round-log columns are (S, T)
-    arrays bound to the episodes."""
+    member's cell. A call works on rows ``visits`` = (seats, rounds), where
+    rounds is one round for every row or one round per row. Each visit's
+    whole ranking goes into its episode's tried column, padded by
+    :meth:`finish`, each unconverged fit is logged at its visit, and the
+    other round-log columns are (S, T) arrays bound to the episodes."""
 
     def __init__(self, config: AgentConfig, world: World, horizon: int, seeds, schedule):
         n_seeds, n, m, d = len(seeds), world.n_cameras, world.n_models, world.dimension
@@ -521,20 +528,21 @@ class _Lockstep:
         self.feats, self.feats_t = world.features, world.features.T
         self.outer, self.eye = outer_products(world.features), config.zeta * np.eye(d)
         self.mu = link_callables(config.link)[0]
-        # a visit's tie-break keys; a step ranks up to one row per seed and camera
-        most = (n_seeds * n, m)
-        ids = np.broadcast_to(np.arange(m), most)
-        tiers = np.broadcast_to((world.tiers == "cloud").astype(int), most)
-        self.keys = ((lambda scores: (ids[:len(scores)], tiers[:len(scores)], -scores))
+        # a visit's sort keys; lexsort is stable, so the last tie-break, the
+        # lower id, needs no key. A step ranks up to one row per seed and camera
+        tiers = np.broadcast_to((world.tiers == "cloud").astype(int), (n_seeds * n, m))
+        self.keys = ((lambda scores: (tiers[:len(scores)], -scores))
                      if config.cascade_order == "ucb-desc"
-                     else (lambda scores: (ids[:len(scores)], -scores, tiers[:len(scores)])))
+                     else (lambda scores: (-scores, tiers[:len(scores)])))
         self.seats, self.picks = np.arange(n_seeds), np.arange(self.k)
         self.partition, self.n_blocks = ((np.zeros(n, dtype=int), 1)
                                          if config.grouping == "pooled" else (np.arange(n), n))
         cells = n_seeds * self.n_blocks
-        self.tries, self.wins, self.memo_means = (np.zeros((cells, m)) for _ in range(3))
-        self.warm, self.estimates = np.zeros((cells, d)), np.zeros((cells, d))
-        self.counts, self.fitted_at = np.zeros(cells), np.full(cells, -1.0)
+        self.tries, self.wins, self.warm = (np.zeros((cells, k)) for k in (m, m, d))
+        self.flat_tries, self.flat_wins, self.n_models = self.tries.ravel(), self.wins.ravel(), m
+        kept = cells if config.grouping == "graph" else 0
+        self.memo_means, self.estimates = np.zeros((kept, m)), np.zeros((kept, d))
+        self.counts, self.fitted_at = np.zeros(kept), np.full(kept, -1.0)
         self.unconverged = np.zeros((n_seeds, horizon), dtype=np.int8)
         self.tried_log = np.zeros((n_seeds, horizon), dtype=int)
         self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
@@ -559,7 +567,8 @@ class _Lockstep:
         gramians = self.eye + np.matmul(self.feats_t * tries[:, None, :], self.feats)
         scores = means + self.cfg.alpha * confidence_widths_stacked(self.feats, gramians)
         ranked = np.lexsort(self.keys(scores), axis=-1)[:, :self.k]
-        paid = np.take_along_axis(self.hits[visits], ranked, axis=1)
+        seats, at = visits
+        paid = self.hits[seats[:, None], at if np.ndim(at) == 0 else at[:, None], ranked]
         n_tried = np.where(paid.any(axis=1), paid.argmax(axis=1) + 1, self.k)
         self.ranked_log[visits], self.tried_log[visits] = ranked, n_tried
         return ranked, paid, n_tried
@@ -567,9 +576,9 @@ class _Lockstep:
     def absorb(self, own, ranked, paid, n_tried):
         """Add each row's tries made to the tries and wins of its cell ``own``."""
         taken = self.picks < n_tried[:, None]
-        cells = (own[np.nonzero(taken)[0]], ranked[taken])
-        self.tries[cells] += 1.0
-        self.wins[cells] += paid[taken]
+        cells = (own[:, None] * self.n_models + ranked)[taken]
+        self.flat_tries[cells] += 1.0
+        self.flat_wins[cells] += paid[taken]
 
     def visit(self, visits, own, tries, wins, block, stale):
         """One visit of each row, from cell ``own``, whose block has ``tries``
@@ -577,13 +586,11 @@ class _Lockstep:
         where it is ``stale`` or ``own``'s memo missed, rank, absorb into
         ``own`` and, under ``graph``, refit ``own`` and memoize a converged
         refit. No cell repeats in one call."""
-        clock, timing = time.perf_counter, self.timing
+        clock, timing, graph = time.perf_counter, self.timing, self.cfg.grouping == "graph"
         t0 = clock()
-        if self.cfg.grouping == "graph":
-            miss = stale | (self.fitted_at[own] != self.counts[own])
-        else:       # only graph refits, so no other grouping has a memo to hit
-            miss = np.True_
-        if miss.all():
+        # only graph refits, so no other grouping has a memo to hit
+        miss = stale | (self.fitted_at[own] != self.counts[own]) if graph else None
+        if miss is None or miss.all():
             self.warm[block], means, _ = self.fit(visits, tries, wins, self.warm[block])
         else:
             means, miss = self.memo_means[own], np.flatnonzero(miss)
@@ -603,7 +610,7 @@ class _Lockstep:
 
         t3 = clock()
         timing["bookkeeping"] += t3 - t2
-        if self.cfg.grouping == "graph":
+        if graph:
             self.counts[own] += n_tried
             theta, means, ok = self.fit(visits, self.tries[own], self.wins[own], self.warm[own])
             self.warm[own] = self.estimates[own] = theta
@@ -615,15 +622,21 @@ class _Lockstep:
         """Rounds ``i`` to ``stop - 1`` under ``partition``, which holds
         throughout: each (seat, block) cell's chain of visits reads and writes
         only its own cell, so step k runs the k-th visit of every chain
-        longer than k, longest chains first. A step's gathers count as
-        grouping."""
-        clock, timing, width, logs = time.perf_counter, self.timing, stop - i, self.logs
-        t1 = clock()
+        longer than k, longest chains first. With one block per seat, step k
+        is round ``i + k`` for every seat, passed as one scalar round. A
+        step's gathers count as grouping."""
+        width, logs = stop - i, self.logs
+        t1 = time.perf_counter()
         blocks = logs["inferred_groups"][:, i:stop]
         blocks[:] = self.partition[self.arrival[:, i:stop]]
         logs["components"][:, i:stop] = self.n_blocks
         logs["correct"][:, i:stop] = (self.partition == self.truths[self.truth_at[i:stop]]).all(
             axis=1)
+        if self.n_blocks == 1:
+            self.timing["grouping"] += time.perf_counter() - t1
+            for at in range(i, stop):
+                self.step(self.seats, self.seats, at)
+            return
         # each cell's chain: the rounds of its visits, in order, from ``heads`` on in ``rounds``
         cells = (self.seats[:, None] * self.n_blocks + blocks).ravel().astype(np.int32)
         lengths, rounds = np.bincount(cells), np.argsort(cells, kind="stable")
@@ -634,14 +647,22 @@ class _Lockstep:
         chains = np.argsort(-lengths, kind="stable")    # cells, longest chain first
         heads, seats = (np.cumsum(lengths) - lengths)[chains], chains // self.n_blocks
         alive = np.count_nonzero(lengths > np.arange(lengths.max(initial=0))[:, None], axis=1)
+        self.timing["grouping"] += time.perf_counter() - t1
         for k, n_alive in enumerate(alive.tolist()):
-            v = chains[:n_alive]
-            at, tries, wins = rounds[heads[:n_alive] + k], self.tries[v], self.wins[v]
-            t2 = clock()
-            timing["grouping"] += t2 - t1
-            self.visit((seats[:n_alive], at), v, tries, wins, v, False)
+            self.step(seats[:n_alive], chains[:n_alive], rounds[heads[:n_alive] + k])
+
+    def step(self, seats, cells, at):
+        """One chain step: each of ``cells`` visits round ``at`` (one per
+        row, or one for all) of its seat, in parts of at most ``ROW_CAP``
+        rows. The gathers of its cells' tries and wins count as grouping."""
+        clock, timing = time.perf_counter, self.timing
+        for lo in range(0, len(cells), ROW_CAP):
             t1 = clock()
-        timing["grouping"] += clock() - t1
+            v = cells[lo:lo + ROW_CAP]
+            visits = (seats[lo:lo + ROW_CAP], at if np.ndim(at) == 0 else at[lo:lo + ROW_CAP])
+            tries, wins = self.tries[v], self.wins[v]
+            timing["grouping"] += clock() - t1
+            self.visit(visits, v, tries, wins, v, False)
 
     def finish(self) -> list[_Episode]:
         """Each episode's expected payoffs, payoffs, padding and solver count;

@@ -11,7 +11,8 @@ from scipy.linalg.lapack import dgesv
 import camsel.policy as policy
 from camsel.core import LINK_KINDS, LinkFunctionSpec, link_callables, link_eval
 from camsel.estimator import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_HALVINGS, GroupStats,
-                              SufficientStats, _newton, aggregate_group, confidence_width,
+                              SufficientStats, _newton, _solve_stacked, aggregate_group,
+                              confidence_width,
                               confidence_widths, confidence_widths_stacked, outer_products,
                               solve_mle, solve_mle_stacked, solve_mle_weighted, update_stats)
 from camsel.policy import Agent, catalog_scores
@@ -555,3 +556,85 @@ def test_seed_stacked_products_and_solves_match_per_seed_calls(world, rng):
             assert np.array_equal(deltas[s], dgesv(systems[s], g[s])[2])
             assert np.array_equal(widths[s], confidence_widths(feats, GroupStats(systems[s], 0,
                                                                                 1.0)))
+
+
+def _assert_rows_match_newton(feats, counts, succ, zeta, link, theta0, max_iter=DEFAULT_MAX_ITER):
+    """The stacked solve equals the per-seed Newton on every row; returns it."""
+    stacked = solve_mle_stacked(feats, counts, succ, zeta, link, theta0, max_iter=max_iter)
+    for s in range(len(counts)):
+        est = _newton(feats, counts[s], succ[s], zeta, link, theta0[s], DEFAULT_TOL, max_iter)
+        assert np.array_equal(stacked.theta_hat[s], est.theta_hat)
+        assert np.array_equal(stacked.means[s], est.means)
+        assert (bool(stacked.converged[s]), int(stacked.iterations[s]),
+                float(stacked.gradient_norm[s])) == (est.converged, est.iterations,
+                                                     est.gradient_norm)
+    return stacked
+
+
+def _agent_like_stack(world, rng, seeds=8):
+    counts = rng.integers(0, 15, (seeds, world.n_models)).astype(float)
+    succ = np.floor(rng.random(counts.shape) * (counts + 1.0))
+    return world.features, counts, succ, 1.0, rng.normal(0.0, 0.5, (seeds, world.dimension))
+
+
+@pytest.mark.parametrize("kind", LINK_KINDS)
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_stacked_newton_with_zero_or_one_iteration(world, rng, kind, max_iter):
+    # max_iter 0 returns every start as it is; max_iter 1 stops every live row after one step
+    for idle in (False, True):
+        feats, counts, succ, zeta, theta0 = _agent_like_stack(world, rng)
+        if idle:    # a row with no data sits at tolerance at theta = 0
+            counts[0] = succ[0] = theta0[0] = 0.0
+        stacked = _assert_rows_match_newton(feats, counts, succ, zeta, LinkFunctionSpec(kind),
+                                            theta0, max_iter)
+        assert stacked.iterations.max() == max_iter and stacked.iterations[0] == (
+            0 if idle else max_iter)
+        if max_iter == 0:
+            assert np.array_equal(stacked.theta_hat, theta0)
+
+
+@pytest.mark.parametrize("kind", LINK_KINDS)
+def test_stacked_newton_from_the_optimum_takes_no_step(world, rng, kind):
+    feats, counts, succ, zeta, theta0 = _agent_like_stack(world, rng)
+    link = LinkFunctionSpec(kind)
+    optimum = solve_mle_stacked(feats, counts, succ, zeta, link, theta0)
+    assert optimum.converged.all() and optimum.iterations.min() > 0
+    again = _assert_rows_match_newton(feats, counts, succ, zeta, link, optimum.theta_hat)
+    assert not again.iterations.any() and again.converged.all()
+    assert np.array_equal(again.theta_hat, optimum.theta_hat)
+
+
+@pytest.mark.parametrize("kind", LINK_KINDS)
+def test_stacked_newton_on_a_single_row(world, rng, kind):
+    for _ in range(10):
+        feats, counts, succ, zeta, theta0 = _agent_like_stack(world, rng, seeds=1)
+        _assert_rows_match_newton(feats, counts, succ, zeta, LinkFunctionSpec(kind), theta0)
+    # a far start: the single row halves its steps
+    feats, counts, succ, zeta, theta0 = _FAR_STARTS
+    _assert_rows_match_newton(feats, counts[:1], succ[:1], zeta, SIGMOID, theta0[:1])
+
+
+@pytest.mark.parametrize("kind", LINK_KINDS)
+def test_stacked_newton_rows_that_stop_together(world, rng, kind):
+    # copies of one problem stop at one iteration, so no row leaves the working set early
+    feats, counts, succ, zeta, theta0 = _agent_like_stack(world, rng, seeds=1)
+    counts, succ, theta0 = (np.repeat(a, 6, axis=0) for a in (counts, succ, theta0))
+    stacked = _assert_rows_match_newton(feats, counts, succ, zeta, LinkFunctionSpec(kind), theta0)
+    assert stacked.iterations.min() == stacked.iterations.max() > 0
+
+
+def test_stacked_solve_equals_numpy_solve_and_raises_on_singular(rng):
+    d, m = 5, 20
+    for seeds in (1, 3, 40):
+        half = rng.normal(size=(seeds, d, d))
+        systems = np.eye(d) + np.matmul(half, half.transpose(0, 2, 1))
+        for rhs in (rng.normal(size=(seeds, d, 1)), rng.normal(size=(seeds, d, m)),
+                    rng.normal(size=(d, m))):
+            assert np.array_equal(_solve_stacked(systems, rhs), np.linalg.solve(systems, rhs))
+        out = np.empty((seeds, m, d)).transpose(0, 2, 1)
+        rhs = rng.normal(size=(d, m))
+        assert _solve_stacked(systems, rhs, out=out) is out
+        assert np.array_equal(out, np.linalg.solve(systems, rhs))
+    singular = np.stack([np.eye(d), np.zeros((d, d))])
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_stacked(singular, np.ones((2, d, 1)))

@@ -711,20 +711,31 @@ def test_graph_stretch_counts_each_unconverged_visit_of_a_seed(world, agent_conf
 
 def _stretch_rows(monkeypatch, cfg, world, horizon, seeds):
     """(episodes, pattern, visits) of a lockstep run: the pattern holds one
-    letter per ranking, ``l`` for a round of the round loop and ``s`` for a
-    stretch step, and ``visits`` counts the visits ranked in stretches."""
+    letter per ranking of the round loop, ``l``, and one per chain step,
+    ``s``, however many parts the step runs in; ``visits`` counts the visits
+    of chain steps. A chain step may pass one scalar round for all its rows,
+    as a loop round does, so steps are told apart by ``_Lockstep.step``."""
     import camsel.policy as policy
 
-    letters, rows = [], [0]
-    real_rank = policy._Lockstep.rank
+    letters, rows, depth = [], [0], [0]
+    real_rank, real_step = policy._Lockstep.rank, policy._Lockstep.step
+
+    def step(self, seats, *args):
+        letters.append("s")
+        rows[0] += len(seats)
+        depth[0] += 1
+        try:
+            return real_step(self, seats, *args)
+        finally:
+            depth[0] -= 1
 
     def rank(self, visits, *args):
-        stretch = np.ndim(visits[1]) > 0
-        letters.append("s" if stretch else "l")
-        rows[0] += len(visits[0]) if stretch else 0
+        if not depth[0]:
+            letters.append("l")
         return real_rank(self, visits, *args)
 
     monkeypatch.setattr(policy._Lockstep, "rank", rank)
+    monkeypatch.setattr(policy._Lockstep, "step", step)
     episodes = policy.run_lockstep(cfg, world, horizon, seeds)
     monkeypatch.undo()
     return episodes, "".join(letters), rows[0]
@@ -750,6 +761,41 @@ def test_fixed_partitions_run_as_chains(world, agent_config, monkeypatch, groupi
     longest = (max(np.bincount(ep.arrival).max() for ep in episodes)
                if grouping == "singletons" else horizon)
     assert pattern == "s" * longest and rows == len(seeds) * horizon
+    _assert_same_episodes(episodes, [Agent(cfg, world, horizon, seed).run() for seed in seeds])
+
+
+@pytest.mark.parametrize("grouping", ["singletons", "pooled", "graph"])
+def test_steps_wider_than_the_row_cap_run_in_parts(world, agent_config, monkeypatch, grouping):
+    """A chain step of more than ``ROW_CAP`` rows runs as consecutive parts
+    of at most that many rows, with the same episodes as per-seed agents."""
+    import camsel.policy as policy
+
+    cfg, seeds, horizon = replace(agent_config, grouping=grouping), (5, 1, 8, 3, 6), 150
+    steps, open_step = [], [None]
+    real_rank, real_step = policy._Lockstep.rank, policy._Lockstep.step
+
+    def step(self, seats, *args):
+        steps.append((len(seats), []))      # the step's width and its parts' widths
+        open_step[0] = steps[-1][1]
+        try:
+            return real_step(self, seats, *args)
+        finally:
+            open_step[0] = None
+
+    def rank(self, visits, *args):
+        if open_step[0] is not None:
+            open_step[0].append(len(visits[0]))
+        return real_rank(self, visits, *args)
+
+    monkeypatch.setattr(policy, "ROW_CAP", 3)
+    monkeypatch.setattr(policy._Lockstep, "rank", rank)
+    monkeypatch.setattr(policy._Lockstep, "step", step)
+    episodes = policy.run_lockstep(cfg, world, horizon, seeds)
+    monkeypatch.undo()
+    # under graph the round loop ranks one row per seed, uncapped
+    assert all(parts == [3] * (width // 3) + [width % 3] * (width % 3 > 0)
+               for width, parts in steps)
+    assert max(width for width, _ in steps) > 3
     _assert_same_episodes(episodes, [Agent(cfg, world, horizon, seed).run() for seed in seeds])
 
 
