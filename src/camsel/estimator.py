@@ -276,7 +276,8 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
         keep = ~stop
         rows = keep.nonzero()[0] if rows is None else rows[keep]
         weights, resp_sums = weights[keep], resp_sums[keep]
-        state = [a[keep] for a in state]
+        # rebinding ``new`` too frees the uncompacted arrays now, not in the next iteration
+        state = new = [a[keep] for a in new]
     theta, gnorm = theta[..., 0], gnorm.ravel()
     if not np.isfinite(theta[iters > 0]).all():
         raise NumericError("Newton iterate became non-finite")

@@ -9,8 +9,9 @@ deletion rule, then maybe reconnect the graph.
 Randomness is split into keyed streams so paired variants on the same seed
 see the same camera arrivals and the same per-(round, model) payoff draws:
 the payoff of model m at round t is 1 iff u[t, m] < p(camera_t, m), with u a
-pre-drawn uniform table. Stopping earlier or later in the cascade therefore
-never desynchronizes variants.
+uniform table drawn from the seed. Each episode settles these hits, the true
+groups and the true partitions once, before any decision. Stopping earlier or
+later in the cascade therefore never desynchronizes variants.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .environment import PerspectiveSchedule, World
 from .errors import ConfigError, typed
 from .estimator import (GroupStats, confidence_widths, confidence_widths_stacked,
                         outer_products, solve_mle_stacked, solve_mle_weighted)
-from .grouping import (F_FUNCTIONS, CameraGraph, DeletionRule, ReconnectPolicy, _min_labels,
-                       delete_edges, reconnect, set_based_groups)
+from .grouping import (CameraGraph, DeletionRule, ReconnectPolicy, _min_labels, delete_edges,
+                       deletion_threshold, reconnect, set_based_groups)
 
 CASCADE_ORDERS = ("ucb-desc", "tier-then-ucb")
 # How cameras share statistics: graph components, from-scratch set-based
@@ -48,10 +49,13 @@ _P0_TAG = 4
 
 # The most rows one lockstep chain step stacks. A wider step runs in parts of
 # this many rows, which bounds its temporaries (the stacked fit peaks at about
-# 2.2 KB a row); rows never interact, so the parts give the same bits. Each
+# 2.1 KB a row); rows never interact, so the parts give the same bits. Each
 # part pays a visit's fixed cost (about 150 us) once, so the cap keeps parts
 # wide: 160 rows is a 20-seed block of the 8-camera canonical world.
 ROW_CAP = 160
+# The rounds of payoff uniforms an episode draws and compares at a time, so
+# its set-up holds the (T, M) hits and one chunk of floats, never T x M floats.
+_HIT_ROWS = 1024
 
 
 def derive_p0(seed: int) -> float:
@@ -199,14 +203,16 @@ def _oracle_tables(world: World, oracle_k: int) -> tuple:
 
 
 class _Episode:
-    """What a seed fixes before any decision is made: camera arrivals, the
-    payoff uniforms, each camera's true group as the schedule moves it, and
-    each group's oracle cascade payoff. The agent and the greedy baseline
-    build the same episode, so paired variants face the same world. Each
-    round writes one row of the episode's round log: the columns from
-    ``inferred_groups`` to ``correct``, with tries and payoffs padded by -1.
-    The run adds to ``timing``, all but ``harness``, and to ``nonconverged_solves``.
-    ``tables``, if given, are the world's :func:`_oracle_tables`."""
+    """What a seed fixes before any decision is made, settled once for every
+    loop: camera arrivals, each round's true group as the schedule moves
+    cameras, the canonically labelled true partitions ``truths`` (one per run
+    of rounds between events) with each round's row ``truth_at``, the (T, M)
+    payoff ``hits`` u < p(true group), and each group's success probabilities
+    and oracle payoff. Paired variants build the same episode, so they face
+    the same world. Each round writes one row of the round log: the columns
+    from ``inferred_groups`` to ``correct``, with tries and payoffs padded by
+    -1. The run adds to ``timing``, all but ``harness``, and to
+    ``nonconverged_solves``. ``tables``, if given, are :func:`_oracle_tables`."""
 
     def __init__(self, world: World, horizon: int, seed: int, oracle_k: int,
                  schedule: PerspectiveSchedule | None, tables: tuple | None = None):
@@ -214,18 +220,32 @@ class _Episode:
         self.world = world
         self.arrival = np.random.default_rng(
             np.random.SeedSequence([seed, _ARRIVAL_TAG])).integers(0, n, size=horizon)
-        self.payoff_u = np.random.default_rng(
-            np.random.SeedSequence([seed, _PAYOFF_TAG])).random((horizon, m))
-        self.assignment = world.camera_groups.copy()
         self.group_probs, self.oracle_expected = tables or _oracle_tables(world, oracle_k)
-        self._probs = self.group_probs.tolist()     # read per try, as Python floats
-        width = min(oracle_k, m)
+        events = () if schedule is None else schedule.events
         if schedule is not None:
             schedule.validate_against(world)
-        self.events = schedule.events if schedule is not None else ()
-        self.events_applied = 0     # the assignment changes only when this grows
+        # a run starts at round 1 and at each later round an event is due
+        starts = sorted({1, *(t for t, _, _ in events if 1 < t <= horizon)})
+        assignment, truths, applied = world.camera_groups.copy(), [], 0
+        self.true_groups, self.truth_at = np.zeros(horizon, dtype=int), np.zeros(horizon, dtype=int)
+        for run, (start, stop) in enumerate(zip(starts, starts[1:] + [horizon + 1])):
+            # the events due by ``start``, in order, so the last writer wins
+            while applied < len(events) and events[applied][0] <= start:
+                _, cam, grp = events[applied]
+                assignment[cam] = grp
+                applied += 1
+            rows = slice(start - 1, stop - 1)
+            self.true_groups[rows], self.truth_at[rows] = assignment[self.arrival[rows]], run
+            truths.append(canonical_labels(assignment))
+        self.truths = np.stack(truths)
+        # the uniforms are drawn and compared in row chunks, the same numbers as one draw
+        uniforms = np.random.default_rng(np.random.SeedSequence([seed, _PAYOFF_TAG]))
+        self.hits = np.zeros((horizon, m), dtype=bool)
+        for lo in range(0, horizon, _HIT_ROWS):
+            chunk, groups = self.hits[lo:lo + _HIT_ROWS], self.true_groups[lo:lo + _HIT_ROWS]
+            np.less(uniforms.random(chunk.shape), self.group_probs[groups], out=chunk)
+        width = min(oracle_k, m)
         self.inferred_groups = np.zeros(horizon, dtype=int)
-        self.true_groups = np.zeros(horizon, dtype=int)
         self.tried = np.full((horizon, width), -1)
         self.payoffs = np.full((horizon, width), -1, dtype=np.int8)
         self.expected = np.zeros(horizon)
@@ -235,32 +255,6 @@ class _Episode:
         self.correct = np.zeros(horizon, dtype=bool)   # the partition equals the truth
         self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
         self.nonconverged_solves = 0
-
-    def _advance_schedule(self, t: int) -> bool:
-        """Apply the schedule's events due by round ``t``; True if any was."""
-        applied = self.events_applied
-        while self.events_applied < len(self.events) and self.events[self.events_applied][0] <= t:
-            _, cam, grp = self.events[self.events_applied]
-            self.assignment[cam] = grp
-            self.events_applied += 1
-        return self.events_applied > applied
-
-    def settle(self) -> tuple:
-        """Apply the schedule for every round up front and write each round's
-        true group, for a lockstep run. Returns the (T, M) hits u < p, all its
-        cascades read, for which the payoff uniforms are dropped, and a
-        (rows, canonically labelled true partition) pair per run of rounds
-        between schedule events."""
-        horizon, truth = len(self.arrival), []
-        due = sorted({t for t, _, _ in self.events if 1 < t <= horizon})
-        for start, stop in zip([1] + due, due + [horizon + 1]):
-            self._advance_schedule(start)
-            rows = slice(start - 1, stop - 1)
-            self.true_groups[rows] = self.assignment[self.arrival[rows]]
-            truth.append((rows, canonical_labels(self.assignment)))
-        hits = self.payoff_u < self.group_probs[self.true_groups]
-        del self.payoff_u
-        return hits, truth
 
     @functools.cached_property
     def outcome(self) -> tuple:
@@ -324,7 +318,9 @@ class Agent(_Episode):
         self._use_partition(
             np.zeros(n, dtype=int) if config.grouping == "pooled" else np.arange(n))
         self._regroup()
-        self._truth, self._compared, self._match = canonical_labels(self.assignment), None, False
+        self._probs = self.group_probs.tolist()     # read per round, as Python floats
+        # the last (partition, truths row) compared, and whether they matched
+        self._compared, self._compared_run, self._match = None, None, False
 
     def inferred_labels(self) -> np.ndarray:
         """This round's partition labels, each block labeled by its smallest member id."""
@@ -408,10 +404,6 @@ class Agent(_Episode):
         timing = self.timing
         i = t - 1
         camera = int(self.arrival[i])
-        if self._advance_schedule(t):
-            self._truth, self._compared = canonical_labels(self.assignment), None
-        group = self.assignment[camera]
-        self.true_groups[i] = group
 
         t1 = clock()
         timing["bookkeeping"] += t1 - t0
@@ -430,9 +422,7 @@ class Agent(_Episode):
         scores = means + cfg.alpha * confidence_widths(self.features, gs)
         intended = plan_cascade(scores, self.tier_ranks, cfg.k_max, cfg.cascade_order,
                                 rng=self.rng, random_after_first=cfg.no_combining).tolist()
-        u_row = self.payoff_u[i].tolist()
-        p_row = self._probs[group]
-        tried, payoffs = execute_cascade(intended, lambda m: u_row[m] < p_row[m])
+        tried, payoffs = execute_cascade(intended, self.hits[i].tolist().__getitem__)
 
         t4 = clock()
         timing["selection"] += t4 - t3
@@ -468,12 +458,14 @@ class Agent(_Episode):
         n = len(tried)
         self.tried[i, :n] = tried
         self.payoffs[i, :n] = payoffs
+        p_row = self._probs[self.true_groups[i]]
         self.expected[i] = expected_cascade_payoff([p_row[m] for m in intended])
         # both partitions name each block by its smallest member; a new partition is
         # a new array, so the comparison is redone only when it or the truth changed
-        labels = self.inferred_labels()
-        if labels is not self._compared:
-            self._compared, self._match = labels, np.array_equal(labels, self._truth)
+        labels, run = self.inferred_labels(), self.truth_at[i]
+        if labels is not self._compared or run != self._compared_run:
+            self._compared, self._compared_run = labels, run
+            self._match = np.array_equal(labels, self.truths[run])
         self.correct[i] = self._match
         timing["bookkeeping"] += clock() - t5
 
@@ -515,15 +507,13 @@ class _Lockstep:
             ("resets", bool), ("correct", bool))}
         for seat, seed in enumerate(seeds):
             ep = _Episode(world, horizon, seed, config.k_max, schedule, self.tables)
-            self.hits[seat], truth = ep.settle()   # the truth is the same for every seed
-            ep.tried = self.ranked_log[seat]
+            self.hits[seat] = ep.hits
+            ep.hits, ep.tried = self.hits[seat], self.ranked_log[seat]
             for name, log in self.logs.items():
                 setattr(ep, name, log[seat])
             self.episodes.append(ep)
-        self.truths = np.stack([labels for _, labels in truth])
-        self.truth_at = np.zeros(horizon, dtype=int)    # each round's row of truths
-        for run, (rows, _) in enumerate(truth):
-            self.truth_at[rows] = run
+        # the truths are the same for every seed
+        self.truths, self.truth_at = self.episodes[0].truths, self.episodes[0].truth_at
         self.arrival = np.stack([ep.arrival for ep in self.episodes])
         self.feats, self.feats_t = world.features, world.features.T
         self.outer, self.eye = outer_products(world.features), config.zeta * np.eye(d)
@@ -668,13 +658,12 @@ class _Lockstep:
         """Each episode's expected payoffs, payoffs, padding and solver count;
         each episode's timers are the loop's divided by S."""
         start, n_seeds = time.perf_counter(), len(self.episodes)
-        for ep, seat_hits, n_tried, missed in zip(self.episodes, self.hits, self.tried_log,
-                                                  self.unconverged):
+        for ep, n_tried, missed in zip(self.episodes, self.tried_log, self.unconverged):
             # expected_cascade_payoff's left fold, one column at a time
             miss = (1.0 - self.tables[0][ep.true_groups[:, None], ep.tried]).T
             ep.expected[:] = 1.0 - functools.reduce(np.multiply, miss)
             taken = self.picks < n_tried[:, None]
-            ep.payoffs[:] = np.where(taken, np.take_along_axis(seat_hits, ep.tried, axis=1), -1)
+            ep.payoffs[:] = np.where(taken, np.take_along_axis(ep.hits, ep.tried, axis=1), -1)
             ep.tried[~taken] = -1
             ep.nonconverged_solves = int(missed.sum())
         self.timing["bookkeeping"] += time.perf_counter() - start
@@ -722,7 +711,7 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
     The reset round goes back to the round loop."""
     clock, timing, seats, cfg, logs = time.perf_counter, ls.timing, ls.seats, ls.cfg, ls.logs
     n, n_seeds = world.n_cameras, len(seats)
-    f, ids = F_FUNCTIONS[cfg.f_id], np.arange(n)
+    rule, ids = DeletionRule(cfg.beta, cfg.f_id), np.arange(n)
     p0 = np.array([derive_p0(seed) if cfg.p0 is None else cfg.p0 for seed in ls.seeds])
     draws = np.stack([np.random.default_rng(np.random.SeedSequence([seed, _AGENT_TAG]))
                       .random(horizon) for seed in ls.seeds])
@@ -763,7 +752,7 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
             at = cam[live]
             nbrs, own = adj[live, at], estimates[live, at]
             dist = np.linalg.norm(estimates[live] - own[:, None, :], axis=-1)
-            drop = nbrs & (dist > cfg.beta * (f(counts[live]) + f(counts[live, at])[:, None]))
+            drop = nbrs & (dist > deletion_threshold(rule, counts[live], counts[live, at][:, None]))
             gone = np.count_nonzero(drop, axis=1)
             adj[live, at] = nbrs & ~drop
             adj[live, :, at] &= ~drop
@@ -810,29 +799,16 @@ def baseline_greedy(world: World, profile_rounds: int, horizon: int, seed: int,
     start = time.perf_counter()
     m = world.n_models
     ep = _Episode(world, horizon, seed, oracle_k, schedule)
-    ids = np.arange(m)
-    tries = np.zeros(m)
-    wins = np.zeros(m)
-    committed = None
+    rounds = np.arange(horizon)
+    models = rounds % m
+    if horizon > profile_rounds:
+        # commit to the best profiled mean, ties to the lower id
+        profiled = models[:profile_rounds]
+        wins = np.bincount(profiled, ep.hits[rounds[:profile_rounds], profiled], minlength=m)
+        means = wins / np.maximum(np.bincount(profiled, minlength=m), 1.0)
+        models[profile_rounds:] = np.lexsort((np.arange(m), -means))[0]
     ep.components.fill(1)
-    for t in range(1, horizon + 1):
-        ep._advance_schedule(t)
-        camera = int(ep.arrival[t - 1])
-        if t <= profile_rounds:
-            model = (t - 1) % m
-        else:
-            if committed is None:
-                means = wins / np.maximum(tries, 1.0)
-                committed = int(np.lexsort((ids, -means))[0])
-            model = committed
-        group = ep.assignment[camera]
-        p = ep._probs[group][model]
-        r = int(ep.payoff_u[t - 1, model] < p)
-        tries[model] += 1
-        wins[model] += r
-        ep.true_groups[t - 1] = group
-        ep.tried[t - 1, 0] = model
-        ep.payoffs[t - 1, 0] = r
-        ep.expected[t - 1] = p
+    ep.tried[:, 0], ep.payoffs[:, 0] = models, ep.hits[rounds, models]
+    ep.expected[:] = ep.group_probs[ep.true_groups, models]
     ep.timing["selection"] = time.perf_counter() - start
     return ep

@@ -10,7 +10,7 @@ from camsel.environment import (PerspectiveSchedule, VisualModel, World, WorldCo
                                 generate_world, load_world, oracle_best_set, sample_camera,
                                 sample_payoff, save_world, world_from_dict, world_to_dict)
 from camsel.errors import ConfigError, GenerationError, ScheduleError
-from camsel.policy import _Episode
+from camsel.policy import _HIT_ROWS, _PAYOFF_TAG, _Episode, canonical_labels
 
 
 def test_generate_single_group_trivial_dispersion():
@@ -150,28 +150,83 @@ def test_thresholded_success_prob_is_gaussian_tail():
 
 
 def _episode(world, schedule):
-    """A 300-round episode at seed 0; runs apply schedule events through it."""
+    """A 300-round episode at seed 0."""
     return _Episode(world, 300, 0, 3, schedule)
 
 
+def _assignment_at(world, events, t):
+    """Each camera's true group at round ``t``: every event due by then, in order."""
+    assignment = world.camera_groups.copy()
+    for due, cam, grp in events:
+        if due <= t:
+            assignment[cam] = grp
+    return assignment
+
+
+def _settled(world, events, horizon=300, seed=0):
+    """An episode at ``seed``, after checking round by round that its true
+    groups, true partitions and payoff hits replay the schedule and the
+    seed's uniform table."""
+    ep = _Episode(world, horizon, seed, 3, PerspectiveSchedule(events))
+    u = np.random.default_rng(np.random.SeedSequence([seed, _PAYOFF_TAG])).random(
+        (horizon, world.n_models))
+    for t in range(1, horizon + 1):
+        assignment = _assignment_at(world, events, t)
+        group = assignment[ep.arrival[t - 1]]
+        assert ep.true_groups[t - 1] == group, t
+        assert np.array_equal(ep.truths[ep.truth_at[t - 1]], canonical_labels(assignment)), t
+        assert np.array_equal(ep.hits[t - 1], u[t - 1] < world.group_success_probs(group)), t
+    return ep
+
+
 def test_perspective_shift_semantics(world):
-    ep = _episode(world, PerspectiveSchedule(((100, 2, 1),)))
-    ep._advance_schedule(99)
-    assert ep.assignment[2] == 0
-    ep._advance_schedule(100)
-    assert ep.assignment[2] == 1
+    ep = _settled(world, ((100, 2, 1),))
+    before, after = ep.truths[ep.truth_at[98]], ep.truths[ep.truth_at[99]]
+    assert before[2] == before[0] != before[4]      # round 99: camera 2 still in group 0
+    assert after[2] == after[4] != after[0]         # round 100: camera 2 moved to group 1
+    visits = np.flatnonzero(ep.arrival == 2)
+    assert (ep.true_groups[visits[visits < 99]] == 0).all() and (visits < 99).any()
+    assert (ep.true_groups[visits[visits >= 99]] == 1).all() and (visits >= 99).any()
     assert world.camera_groups[2] == 0  # original untouched
 
 
 def test_perspective_shift_empty_and_last_writer(world):
-    ep = _episode(world, PerspectiveSchedule(()))
-    ep._advance_schedule(10)
-    assert np.array_equal(ep.assignment, world.camera_groups)
-    ep = _episode(world, PerspectiveSchedule(((100, 2, 1), (200, 2, 0))))
-    ep._advance_schedule(150)
-    assert ep.assignment[2] == 1
-    ep._advance_schedule(300)
-    assert ep.assignment[2] == 0
+    for schedule in (PerspectiveSchedule(()), None):
+        ep = _episode(world, schedule)
+        assert np.array_equal(ep.truths, [canonical_labels(world.camera_groups)])
+        assert not ep.truth_at.any()
+        assert np.array_equal(ep.true_groups, world.camera_groups[ep.arrival])
+    ep = _settled(world, ((100, 2, 1), (200, 2, 0)))
+    assert ep.truths[ep.truth_at[149]][2] == ep.truths[ep.truth_at[149]][4]
+    assert np.array_equal(ep.truths[ep.truth_at[299]], canonical_labels(world.camera_groups))
+    # two moves of one camera in one round: the later one holds from that round
+    ep = _settled(world, ((100, 2, 1), (100, 2, 0)))
+    assert np.array_equal(ep.truths[ep.truth_at[99]], canonical_labels(world.camera_groups))
+
+
+def test_event_at_round_one_holds_from_the_first_round(world):
+    ep = _settled(world, ((1, 2, 1),))
+    assert len(ep.truths) == 1 and not ep.truth_at.any()
+    assert ep.truths[0][2] == ep.truths[0][4] != ep.truths[0][0]
+    assert (ep.true_groups[ep.arrival == 2] == 1).all()
+
+
+def test_events_after_the_horizon_never_apply(world):
+    ep = _settled(world, ((300, 2, 1), (301, 3, 1)))
+    assert len(ep.truths) == 2 and ep.truth_at.tolist() == [0] * 299 + [1]
+    assert ep.truths[1][2] == ep.truths[1][4] and ep.truths[1][3] == ep.truths[1][0]
+    ep = _settled(world, ((301, 2, 1),))
+    assert np.array_equal(ep.truths, [canonical_labels(world.camera_groups)])
+
+
+def test_hits_drawn_in_chunks_equal_one_draw(world):
+    # a horizon of two full chunks and a part, with a move in the second chunk
+    horizon = 2 * _HIT_ROWS + 7
+    ep = _Episode(world, horizon, 5, 3, PerspectiveSchedule(((_HIT_ROWS + 3, 0, 1),)))
+    u = np.random.default_rng(np.random.SeedSequence([5, _PAYOFF_TAG])).random(
+        (horizon, world.n_models))
+    assert np.array_equal(ep.hits, u < ep.group_probs[ep.true_groups])
+    assert len(ep.truths) == 2
 
 
 def test_schedule_validation(world):

@@ -336,11 +336,14 @@ def test_correct_column_matches_hand_stepped_agent(variant):
     res = run_pair(variant, 0, world, base, 300, schedule_events=events)
     agent = Agent(variant_agent_config(base, variant), world, 300, 0,
                   PerspectiveSchedule(events))
-    expected = []
+    expected, assignment = [], world.camera_groups.copy()
     for t in range(1, 301):
         agent.step(t)
+        for due, cam, grp in events:      # the truth at round t, from the events
+            if due == t:
+                assignment[cam] = grp
         expected.append(np.array_equal(canonical_labels(agent.inferred_labels()),
-                                       canonical_labels(agent.assignment)))
+                                       canonical_labels(assignment)))
     assert res.correct.tolist() == agent.correct.tolist() == expected
     assert any(expected[:99]) and any(expected[100:])
     # the greedy baseline infers no partition, so it never matches the truth

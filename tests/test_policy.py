@@ -10,8 +10,9 @@ from camsel.environment import (PerspectiveSchedule, VisualModel, World, WorldCo
 from camsel.errors import ConfigError
 from camsel.estimator import GroupStats, aggregate_group
 from camsel.harness import canonical_labels
-from camsel.policy import (GROUPINGS, Agent, AgentConfig, baseline_greedy, catalog_scores,
-                           derive_p0, execute_cascade, plan_cascade, run_agent)
+from camsel.policy import (_ARRIVAL_TAG, _PAYOFF_TAG, GROUPINGS, Agent, AgentConfig,
+                           baseline_greedy, catalog_scores, derive_p0, execute_cascade,
+                           plan_cascade, run_agent)
 
 
 def _tiny_world(mus, tiers=None, link="identity"):
@@ -341,6 +342,55 @@ def test_greedy_never_leaves_profiling_when_profile_exceeds_horizon(world):
     assert [r.tried_models[0] for r in records] == [(t - 1) % 20 for t in range(1, 61)]
 
 
+def _greedy_reference(world, profile_rounds, horizon, seed, events=()):
+    """The per-round profile-then-commit loop: it applies the schedule and
+    draws each payoff from the seed's uniform table one round at a time.
+    Returns each round's (model, payoff, expected payoff bits, true group)."""
+    m, assignment, pending = world.n_models, world.camera_groups.copy(), list(events)
+    arrival = np.random.default_rng(np.random.SeedSequence([seed, _ARRIVAL_TAG])).integers(
+        0, world.n_cameras, size=horizon)
+    u = np.random.default_rng(np.random.SeedSequence([seed, _PAYOFF_TAG])).random((horizon, m))
+    probs = [world.group_success_probs(g).tolist() for g in range(world.n_groups)]
+    ids, tries, wins, committed, rounds = np.arange(m), np.zeros(m), np.zeros(m), None, []
+    for t in range(1, horizon + 1):
+        while pending and pending[0][0] <= t:
+            _, cam, grp = pending.pop(0)
+            assignment[cam] = grp
+        if t <= profile_rounds:
+            model = (t - 1) % m
+        else:
+            if committed is None:
+                means = wins / np.maximum(tries, 1.0)
+                committed = int(np.lexsort((ids, -means))[0])
+            model = committed
+        group = int(assignment[arrival[t - 1]])
+        p = probs[group][model]
+        r = int(u[t - 1, model] < p)
+        tries[model] += 1
+        wins[model] += r
+        rounds.append((model, r, p.hex(), group))
+    return rounds
+
+
+@pytest.mark.parametrize("case", ["shorter", "equal", "longer", "one-model", "schedule", "empty"])
+def test_greedy_equals_the_per_round_loop(world, case):
+    # the greedy episode is array operations over the settled hits; the
+    # per-round loop it replaced gives the same round log bit for bit
+    events = ((30, 0, 1), (150, 5, 0), (150, 6, 0), (400, 1, 1)) if case == "schedule" else ()
+    if case == "one-model":
+        world = generate_world(WorldConfig(n_models=1), 3)
+    profile, horizon = {"shorter": (80, 50), "equal": (80, 80), "empty": (80, 0)}.get(
+        case, (80, 300))
+    ep = baseline_greedy(world, profile, horizon, seed=2, oracle_k=3,
+                         schedule=PerspectiveSchedule(events) if events else None)
+    got = [(int(model), int(r), float(p).hex(), int(g)) for model, r, p, g in zip(
+        ep.tried[:, 0], ep.payoffs[:, 0], ep.expected, ep.true_groups)]
+    assert got == _greedy_reference(world, profile, horizon, 2, events)
+    assert (ep.tried[:, 1:] == -1).all() and (ep.payoffs[:, 1:] == -1).all()
+    assert ep.tried.shape == (horizon, min(3, world.n_models))
+    assert (ep.components == 1).all() and not ep.correct.any()
+
+
 def test_greedy_validates_profile_rounds(world):
     with pytest.raises(ConfigError):
         baseline_greedy(world, profile_rounds=0, horizon=10, seed=0)
@@ -396,7 +446,11 @@ def test_block_totals_match_the_members_rows(world, grouping, p0):
         _assert_totals_match_rows(agent, (grouping, t))
         if t == 1 and grouping == "graph" and p0 is not None:
             assert agent.resets[0]
-    assert agent.events_applied == 2
+    # both moves show: the truth changes at rounds 40 and 90
+    moved = world.camera_groups.copy()
+    moved[[0, 5]] = 1, 0
+    assert agent.truth_at[[38, 39, 88, 89]].tolist() == [0, 1, 1, 2]
+    assert np.array_equal(agent.truths[2], canonical_labels(moved))
 
 
 @pytest.mark.parametrize("grouping", ["graph", "set"])

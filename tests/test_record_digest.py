@@ -49,6 +49,26 @@ def test_digest_covers_every_variant_and_repeats(capsys):
                     if name.startswith(variant + "/")}) == 10, variant
 
 
+def test_blocks_mode_prints_the_default_lines(capsys, monkeypatch):
+    # --blocks runs each lockstep-ready variant's seeds in one block of the engine
+    import camsel.harness as harness
+
+    tool, blocks, run_block = _load_tool(), [], harness.run_block
+
+    def counted(variant, seeds, *args, **kwargs):
+        blocks.append((variant, len(seeds)))
+        return run_block(variant, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_block", counted)
+    assert tool.main(["--horizon", "30", "--blocks"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "overall 9b2b1ac263349863cf971b867af6356bca9b11baf78f338dd6674e660594815f")
+    # the canonical variants' ten seeds, the schedule's default pair and the fleet's graph seeds
+    blocked = [v for v in VARIANTS if v not in ("set-based", "no-combining", "greedy")]
+    assert len(blocked) == 10
+    assert blocks == [(v, 10) for v in blocked] + [("default", 1), ("default", 4)]
+
+
 def test_bench_pairs_are_the_canonical_workloads_pairs():
     tool = _load_tool()
     workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py").WORKLOADS

@@ -5,6 +5,7 @@ Usage (from the repository root):
     PYTHONPATH=src python3 tools/record_digest.py [--horizon 2000] > digests.txt
     PYTHONPATH=src python3 tools/record_digest.py --bench > bench-digests.txt
     PYTHONPATH=src python3 tools/record_digest.py --shapes > shape-digests.txt
+    PYTHONPATH=src python3 tools/record_digest.py --blocks [--horizon 2000] > digests.txt
 
 Each line names one (variant, seed) pair and the sha256 of its round records
 (``dataclasses.astuple``, every float by its exact bits), its per-round
@@ -26,10 +27,14 @@ mean bit-identical records.
 
 Every pair runs through ``camsel.harness.run_pair``, the per-seed agent. A
 sweep runs every agent variant but ``set-based`` and ``no-combining`` in
-blocks of seeds through ``run_block`` instead; ``tests/test_record_digest.py``
-pins that those blocks give these same digests: ``no-perspective``,
-``no-grouping``, ``default`` and ``tier-first`` on every shape, both
-``--bench`` variants, and ``f1``..``f6`` on the canonical world.
+blocks of seeds through ``run_block``, the lockstep engine, instead.
+``--blocks`` fingerprints the default mode's pairs that way: the seeds of
+each lockstep-ready variant's pairs run as one block, and ``set-based``,
+``no-combining`` and ``greedy`` run through ``run_pair`` as before. Its lines
+must equal the default mode's. ``tests/test_record_digest.py`` also pins
+that blocks give these same digests: ``no-perspective``, ``no-grouping``,
+``default`` and ``tier-first`` on every shape, both ``--bench`` variants,
+and ``f1``..``f6`` on the canonical world.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import numbers
 import sys
 
@@ -144,6 +150,27 @@ def shape_pairs():
                    (variant, SHAPE_RUN_SEED, world, agent, SHAPE_HORIZON, events))
 
 
+def results(chosen, blocks: bool = False):
+    """(name, result) of every chosen pair, in order. With ``blocks``, the
+    pairs whose names differ only in the seed run as one ``run_block`` when
+    their variant is lockstep-ready."""
+    from camsel.harness import run_block, run_pair, variant_agent_config
+    from camsel.policy import lockstep_ready
+
+    for _, group in itertools.groupby(chosen, key=lambda pair: pair[0].rsplit("/", 1)[0]):
+        group = list(group)
+        variant, _, world, agent, horizon, events = group[0][1]
+        if blocks and variant != "greedy" and lockstep_ready(variant_agent_config(agent, variant)):
+            seeds = [seed for _, (_, seed, *_rest) in group]
+            yield from zip([name for name, _ in group],
+                           run_block(variant, seeds, world, agent, horizon, events,
+                                     keep_records=True))
+            continue
+        for name, (variant, seed, world, agent, horizon, events) in group:
+            yield name, run_pair(variant, seed, world, agent, horizon, schedule_events=events,
+                                 keep_records=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--horizon", type=int, default=2000,
@@ -153,15 +180,14 @@ def main(argv=None) -> int:
                       help="fingerprint the benchmark's 800 canonical pairs instead")
     mode.add_argument("--shapes", action="store_true",
                       help="fingerprint the 40 pairs on small generated worlds instead")
+    mode.add_argument("--blocks", action="store_true",
+                      help="run the default pairs of lockstep-ready variants in blocks of seeds")
     args = parser.parse_args(argv)
-    from camsel.harness import run_pair
 
     overall = hashlib.sha256()
     chosen = (bench_pairs() if args.bench else shape_pairs() if args.shapes
               else pairs(args.horizon))
-    for name, (variant, seed, world, agent, horizon, events) in chosen:
-        result = run_pair(variant, seed, world, agent, horizon, schedule_events=events,
-                          keep_records=True)
+    for name, result in results(chosen, args.blocks):
         digest = result_digest(result)
         overall.update(f"{name} {digest}\n".encode())
         print(name, digest)
