@@ -8,6 +8,9 @@ where each row may carry an integer weight (repeated observations of the same
 feature vector collapse into one weighted row; w_i * rbar_i is the summed
 response). With zeta > 0 the Newton system matrix zeta*I + sum w_i mu'(x_i.theta)
 x_i x_i^T is always positive definite, so no invertibility guard is needed.
+
+Every linear system, one or a stack, is solved by :func:`_solve` through numpy's
+LAPACK, so the per-seed ``Agent`` and the lockstep engine share one build.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg.lapack import dgesv
 
 from .core import LinkFunctionSpec, link_callables
 from .errors import NumericError
@@ -105,27 +107,25 @@ def aggregate_group(members, zeta: float, dim: int | None = None) -> GroupStats:
     return GroupStats(gram, count, zeta)
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^{-1} b by LAPACK gesv, called directly: at d = 5 most of the cost
-    of np.linalg.solve is its per-call overhead, and the result is the same."""
-    x, info = dgesv(a, b)[2:]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"gesv failed with info={info}: singular matrix")
+def _solve(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a^{-1} b for one (d, d) system or a stack, into ``out`` if given: the
+    gesv gufunc behind ``np.linalg.solve``, bit for bit, without its wrapper's
+    checks and ``errstate``. A 1-D ``b`` is one vector, any other holds
+    (..., d, n) right-hand sides. A system the gufunc cannot solve comes back
+    NaN-filled after numpy's RuntimeWarning; a NaN first entry raises LinAlgError."""
+    vector = b.ndim == 1
+    x = (_umath_linalg.solve1 if vector else _umath_linalg.solve)(a, b, signature="dd->d", out=out)
+    if a.ndim == 2:     # one matrix fails all its solutions; a float compares fastest
+        first = x.item(0)
+        failed = first != first
+    else:
+        failed = np.isnan(x[..., 0] if vector else x[..., 0, 0]).any()
+    if failed:
+        raise np.linalg.LinAlgError("Singular matrix")
     return x
 
 
-def _singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-def _solve_stacked(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """np.linalg.solve of a stack of systems with (..., d, n) right-hand
-    sides, bit for bit: the gufunc it dispatches to, without its wrapper's
-    argument checks and conversions, written into ``out`` if given. A
-    singular system raises LinAlgError."""
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        return _umath_linalg.solve(a, b, signature="dd->d", out=out)
+_solve_stacked = _solve     # the name the stacked solver's tests import
 
 
 # resolved once per link and once per (zeta, d), not once per solve
@@ -193,9 +193,10 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
     """:func:`solve_mle_weighted` for S problems sharing the catalog, ``zeta``
     and link: ``counts``, ``successes`` are (S, M), ``theta0`` is (S, d), and
     each estimate field gains a leading seed axis. Row s equals the per-seed
-    solve bit for bit: stacked ``np.matmul`` and :func:`_solve_stacked` match
-    the per-seed ``dot``, gesv and ``math.sqrt(g.dot(g))``, and each row takes
-    its own steps and halvings, stopping when ``_newton`` would.
+    solve bit for bit: stacked ``np.matmul``, :func:`_solve` of the stack and
+    ``np.sqrt`` match the per-seed ``dot``, one-system solve and
+    ``math.sqrt(g.dot(g))``, and each row takes its own steps and halvings,
+    stopping when ``_newton`` would.
 
     The state is kept in column shape, theta as (S, d, 1) and z, mu(z) as
     (S, M, 1), so every product reads and writes it without reshaping. A
@@ -231,7 +232,7 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
         w_theta, w_z, w_m, w_g, w_gnorm = state
         system = np.matmul((weights * mu_prime(w_z, w_m))[:, None, :, 0], outer).reshape(-1, d, d)
         system += ridge     # the Hessian's ridge, added in place
-        delta = _solve_stacked(system, w_g)
+        delta = _solve(system, w_g)
         cand = w_theta + delta
         new = [cand, *score(weights, resp_sums, cand)]
         accepted = new[4] < w_gnorm
@@ -328,9 +329,10 @@ def confidence_width(x: np.ndarray, gs: GroupStats) -> float:
 def confidence_widths(X: np.ndarray, gs: GroupStats) -> np.ndarray:
     """Row-wise confidence widths for a whole catalog at once. Keep the arithmetic and
     even the operand layout: rounding orders ties (at theta = 0 the canonical rows 0 and 3
-    get 0x1.d2cb4d7e37c36p-1 and ...c37p-1; 13 of its 20 widths are distinct)."""
+    get 0x1.d2cb4d7e37c36p-1 and ...c37p-1; 13 of its 20 widths are distinct), so the
+    (d, M) solution gets LAPACK's column-major strides: a C-ordered one changes einsum's bits."""
     X = np.asarray(X, dtype=float)
-    solved = _solve(gs.gramian_reg, X.T)
+    solved = _solve(gs.gramian_reg, X.T, out=np.empty(X.shape).T)
     return np.sqrt(np.einsum("ij,ji->i", X, solved))
 
 
@@ -338,7 +340,7 @@ def confidence_widths_stacked(X: np.ndarray, gramians: np.ndarray) -> np.ndarray
     """:func:`confidence_widths` under each of an (S, d, d) stack of regularized
     Gramians, row for row to the bit: the solves are written into an (S, M, d)
     C-ordered buffer, so each seed's (d, M) solution has the Fortran strides
-    of gesv's result."""
+    of :func:`confidence_widths`' one."""
     solved = np.empty((len(gramians), *X.shape)).transpose(0, 2, 1)
-    _solve_stacked(gramians, X.T, out=solved)
+    _solve(gramians, X.T, out=solved)
     return np.sqrt(np.einsum("ij,sji->si", X, solved))

@@ -31,7 +31,6 @@ import logging
 import numbers
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -435,6 +434,9 @@ def run_experiment(cfg: ExperimentConfig, keep_records: bool = False) -> Experim
                          cfg.greedy_profile_rounds, paths, keep_records))
 
     if cfg.workers > 1 and len(jobs) > 1:
+        # imported here, so a run without a pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             runs, errors = _collect(pool.map(_run_job, jobs))
     else:

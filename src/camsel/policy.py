@@ -58,6 +58,11 @@ ROW_CAP = 160
 _HIT_ROWS = 1024
 
 
+def _int_type(top: int) -> np.dtype:
+    """The smallest signed integer type holding -1..``top``."""
+    return np.min_scalar_type(-top - 1)
+
+
 def derive_p0(seed: int) -> float:
     """Reproducible stand-in for the algorithm's random p0 in (0, 1)."""
     u = float(np.random.default_rng(np.random.SeedSequence([seed, _P0_TAG])).random())
@@ -211,15 +216,19 @@ class _Episode:
     and oracle payoff. Paired variants build the same episode, so they face
     the same world. Each round writes one row of the round log: the columns
     from ``inferred_groups`` to ``correct``, with tries and payoffs padded by
-    -1. The run adds to ``timing``, all but ``harness``, and to
-    ``nonconverged_solves``. ``tables``, if given, are :func:`_oracle_tables`."""
+    -1, each integer column in the smallest signed type that holds it. The run
+    adds to ``timing``, all but ``harness``, and to ``nonconverged_solves``.
+    ``tables`` and ``hits``, if given, are :func:`_oracle_tables` and the
+    (T, M) bool buffer the hits are drawn into."""
 
     def __init__(self, world: World, horizon: int, seed: int, oracle_k: int,
-                 schedule: PerspectiveSchedule | None, tables: tuple | None = None):
+                 schedule: PerspectiveSchedule | None, tables: tuple | None = None,
+                 hits: np.ndarray | None = None):
         n, m = world.n_cameras, world.n_models
         self.world = world
-        self.arrival = np.random.default_rng(
-            np.random.SeedSequence([seed, _ARRIVAL_TAG])).integers(0, n, size=horizon)
+        # drawn as int64 and then narrowed: the draws depend on the requested dtype
+        self.arrival = np.random.default_rng(np.random.SeedSequence([seed, _ARRIVAL_TAG])).integers(
+            0, n, size=horizon).astype(_int_type(n))
         self.group_probs, self.oracle_expected = tables or _oracle_tables(world, oracle_k)
         events = () if schedule is None else schedule.events
         if schedule is not None:
@@ -227,7 +236,8 @@ class _Episode:
         # a run starts at round 1 and at each later round an event is due
         starts = sorted({1, *(t for t, _, _ in events if 1 < t <= horizon)})
         assignment, truths, applied = world.camera_groups.copy(), [], 0
-        self.true_groups, self.truth_at = np.zeros(horizon, dtype=int), np.zeros(horizon, dtype=int)
+        self.true_groups = np.zeros(horizon, dtype=_int_type(world.n_groups))
+        self.truth_at = np.zeros(horizon, dtype=_int_type(len(starts)))
         for run, (start, stop) in enumerate(zip(starts, starts[1:] + [horizon + 1])):
             # the events due by ``start``, in order, so the last writer wins
             while applied < len(events) and events[applied][0] <= start:
@@ -240,17 +250,17 @@ class _Episode:
         self.truths = np.stack(truths)
         # the uniforms are drawn and compared in row chunks, the same numbers as one draw
         uniforms = np.random.default_rng(np.random.SeedSequence([seed, _PAYOFF_TAG]))
-        self.hits = np.zeros((horizon, m), dtype=bool)
+        self.hits = np.zeros((horizon, m), dtype=bool) if hits is None else hits
         for lo in range(0, horizon, _HIT_ROWS):
             chunk, groups = self.hits[lo:lo + _HIT_ROWS], self.true_groups[lo:lo + _HIT_ROWS]
             np.less(uniforms.random(chunk.shape), self.group_probs[groups], out=chunk)
-        width = min(oracle_k, m)
-        self.inferred_groups = np.zeros(horizon, dtype=int)
-        self.tried = np.full((horizon, width), -1)
+        width, cams = min(oracle_k, m), _int_type(n)
+        self.inferred_groups = np.zeros(horizon, dtype=cams)
+        self.tried = np.full((horizon, width), -1, dtype=_int_type(m))
         self.payoffs = np.full((horizon, width), -1, dtype=np.int8)
         self.expected = np.zeros(horizon)
-        self.components = np.zeros(horizon, dtype=int)
-        self.edges_deleted = np.zeros(horizon, dtype=int)
+        self.components = np.zeros(horizon, dtype=cams)
+        self.edges_deleted = np.zeros(horizon, dtype=cams)
         self.resets = np.zeros(horizon, dtype=bool)
         self.correct = np.zeros(horizon, dtype=bool)   # the partition equals the truth
         self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
@@ -499,16 +509,17 @@ class _Lockstep:
         n_seeds, n, m, d = len(seeds), world.n_cameras, world.n_models, world.dimension
         self.cfg, self.seeds, self.k = config, seeds, min(config.k_max, m)
         self.tables = _oracle_tables(world, config.k_max)
-        # set up one seed at a time, so one payoff table is alive at once
+        # each episode draws its hits into its row of the block's table
         self.episodes, self.hits = [], np.zeros((n_seeds, horizon, m), dtype=bool)
-        self.ranked_log = np.zeros((n_seeds, horizon, self.k), dtype=int)
+        self.ranked_log = np.zeros((n_seeds, horizon, self.k), dtype=_int_type(m))
+        cams = _int_type(n)     # the types of the episodes' own columns
         self.logs = {name: np.zeros((n_seeds, horizon), dtype=dtype) for name, dtype in (
-            ("inferred_groups", int), ("components", int), ("edges_deleted", int),
+            ("inferred_groups", cams), ("components", cams), ("edges_deleted", cams),
             ("resets", bool), ("correct", bool))}
         for seat, seed in enumerate(seeds):
-            ep = _Episode(world, horizon, seed, config.k_max, schedule, self.tables)
-            self.hits[seat] = ep.hits
-            ep.hits, ep.tried = self.hits[seat], self.ranked_log[seat]
+            ep = _Episode(world, horizon, seed, config.k_max, schedule, self.tables,
+                          self.hits[seat])
+            ep.tried = self.ranked_log[seat]
             for name, log in self.logs.items():
                 setattr(ep, name, log[seat])
             self.episodes.append(ep)
@@ -534,7 +545,7 @@ class _Lockstep:
         self.memo_means, self.estimates = np.zeros((kept, m)), np.zeros((kept, d))
         self.counts, self.fitted_at = np.zeros(kept), np.full(kept, -1.0)
         self.unconverged = np.zeros((n_seeds, horizon), dtype=np.int8)
-        self.tried_log = np.zeros((n_seeds, horizon), dtype=int)
+        self.tried_log = np.zeros((n_seeds, horizon), dtype=_int_type(self.k))
         self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
 
     def fit(self, visits, tries, wins, start):

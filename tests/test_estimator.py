@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg.lapack import dgesv
 
+import camsel.estimator as estimator
 import camsel.policy as policy
 from camsel.core import LINK_KINDS, LinkFunctionSpec, link_callables, link_eval
 from camsel.estimator import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_HALVINGS, GroupStats,
-                              SufficientStats, _newton, _solve_stacked, aggregate_group,
+                              SufficientStats, _newton, _solve, _solve_stacked, aggregate_group,
                               confidence_width,
                               confidence_widths, confidence_widths_stacked, outer_products,
                               solve_mle, solve_mle_stacked, solve_mle_weighted, update_stats)
@@ -638,3 +640,78 @@ def test_stacked_solve_equals_numpy_solve_and_raises_on_singular(rng):
     singular = np.stack([np.eye(d), np.zeros((d, d))])
     with pytest.raises(np.linalg.LinAlgError):
         _solve_stacked(singular, np.ones((2, d, 1)))
+
+
+def _spd_systems(rng, d, count):
+    """``count`` ridge-regularised Gramians zeta * I + F^T F, as the agent solves."""
+    feats = rng.normal(size=(count, 3 * d, d)) * rng.integers(0, 4, (count, 1, 1))
+    zetas = rng.choice([0.1, 1.0, 5.0], count)[:, None, None]
+    return zetas * np.eye(d) + np.matmul(feats.transpose(0, 2, 1), feats)
+
+
+def _old_widths(X, gramian):
+    """The widths as scipy's dgesv and einsum computed them."""
+    return np.sqrt(np.einsum("ij,ji->i", X, dgesv(gramian, X.T)[2]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_solve_equals_dgesv_on_random_ridge_systems(rng, d):
+    """Up to d = 5, every dimension the digested worlds use, scipy's separately
+    bundled LAPACK gives numpy's bits; from d = 6 on it differs on some systems."""
+    for a in _spd_systems(rng, d, 40):
+        for b in (rng.normal(size=d), rng.normal(size=(d, 20)), rng.normal(size=(20, d)).T):
+            assert np.array_equal(_solve(a, b), dgesv(a, b)[2])
+        X = rng.normal(size=(20, d))
+        assert np.array_equal(confidence_widths(X, GroupStats(a, 0, 1.0)), _old_widths(X, a))
+
+
+def test_solve_equals_dgesv_on_an_agents_systems(world, agent_config, monkeypatch):
+    """Every system a graph agent solves, Newton steps and widths alike,
+    equals dgesv's solution, and its widths the dgesv formula's; none warns."""
+    calls, real = [], estimator._solve
+
+    def recorded(a, b, out=None):
+        x = real(a, b, out)
+        calls.append((a.copy(), b.copy(), x.copy()))
+        return x
+
+    monkeypatch.setattr(estimator, "_solve", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Agent(agent_config, world, 300, 5).run()
+    monkeypatch.undo()
+    vectors = [c for c in calls if c[1].ndim == 1]
+    assert len(vectors) > 300 and len(calls) - len(vectors) == 300
+    for a, b, x in calls:
+        assert np.array_equal(x, dgesv(a, b)[2])
+        if b.ndim == 2:
+            assert np.array_equal(confidence_widths(b.T, GroupStats(a, 0, 1.0)),
+                                  _old_widths(b.T, a))
+
+
+def test_singular_inputs_raise_after_numpys_warning(rng):
+    d = 3
+    singular = np.zeros((d, d))
+    stack = np.stack([np.eye(d), singular, 2.0 * np.eye(d)])
+    cases = [(singular, np.ones(d), None), (singular, np.ones((d, 4)), None),
+             (singular, np.ones((d, 4)), np.empty((4, d)).T), (stack, np.ones((3, d, 1)), None),
+             (stack, np.ones((d, 4)), np.empty((3, 4, d)).transpose(0, 2, 1))]
+    for a, b, out in cases:
+        with pytest.warns(RuntimeWarning), pytest.raises(np.linalg.LinAlgError):
+            _solve(a, b, out)
+    with pytest.warns(RuntimeWarning), pytest.raises(np.linalg.LinAlgError):
+        confidence_widths_stacked(np.ones((4, d)), stack)
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_stacked_and_single_solves_agree_beyond_five_dimensions(rng, d):
+    """The engine's stacked fits and widths equal the per-seed ones bit for bit
+    at dimensions where scipy's dgesv and numpy's gesv give different bits."""
+    feats = rng.normal(size=(12, d)) / math.sqrt(d)
+    counts = rng.integers(0, 15, (10, 12)).astype(float)
+    succ = np.floor(rng.random(counts.shape) * (counts + 1.0))
+    _assert_rows_match_newton(feats, counts, succ, 1.0, SIGMOID, rng.normal(0.0, 0.5, (10, d)))
+    gramians = _spd_systems(rng, d, 40)
+    widths = confidence_widths_stacked(feats, gramians)
+    for s, gramian in enumerate(gramians):
+        assert np.array_equal(widths[s], confidence_widths(feats, GroupStats(gramian, 0, 1.0)))

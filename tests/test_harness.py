@@ -2,6 +2,9 @@ import csv
 import json
 import logging
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -515,3 +518,35 @@ def test_unwritable_trace_path_fails_only_its_own_pair(tmp_path, world, agent_co
         run_pair("default", seed, world, agent_config, 100, trace_path=tmp_path / "pair.csv")
         assert (out / "default" / f"{seed}.csv").read_bytes() == \
             (tmp_path / "pair.csv").read_bytes(), seed
+
+
+def test_runs_never_load_scipy_linalg_and_one_process_never_loads_a_pool():
+    """Each step prints the watched modules loaded so far: no step loads
+    ``scipy.linalg``, and only the 2-worker sweep loads the process pool."""
+    code = """
+import sys
+from dataclasses import replace
+def loaded():
+    print([m for m in ('scipy.linalg', 'concurrent.futures.process') if m in sys.modules])
+import camsel
+from camsel.environment import WorldConfig
+from camsel.harness import ExperimentConfig, run_block, run_experiment, run_pair
+from camsel.presets import canonical_agent_config, canonical_world
+loaded()
+world, agent = canonical_world(), canonical_agent_config()
+run_pair('default', 0, world, agent, 20)
+loaded()
+run_block('default', (0, 1, 2), world, agent, 20)
+loaded()
+cfg = ExperimentConfig(agent=agent, world=WorldConfig(n_groups=2, n_cameras=4, dimension=3,
+                                                      n_models=6),
+                       variants=('default', 'greedy'), seeds=(0, 1, 2), horizon=20)
+run_experiment(cfg)
+loaded()
+run_experiment(replace(cfg, workers=2))
+loaded()
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines() == ["[]"] * 4 + ["['concurrent.futures.process']"]

@@ -10,9 +10,9 @@ from camsel.environment import (PerspectiveSchedule, VisualModel, World, WorldCo
 from camsel.errors import ConfigError
 from camsel.estimator import GroupStats, aggregate_group
 from camsel.harness import canonical_labels
-from camsel.policy import (_ARRIVAL_TAG, _PAYOFF_TAG, GROUPINGS, Agent, AgentConfig,
-                           baseline_greedy, catalog_scores, derive_p0, execute_cascade,
-                           plan_cascade, run_agent)
+from camsel.policy import (_ARRIVAL_TAG, _PAYOFF_TAG, GROUPINGS, Agent, AgentConfig, _Episode,
+                           _int_type, baseline_greedy, catalog_scores, derive_p0,
+                           execute_cascade, plan_cascade, run_agent)
 
 
 def _tiny_world(mus, tiers=None, link="identity"):
@@ -858,3 +858,36 @@ def test_canonical_block_runs_most_visits_in_stretches(world, agent_config, monk
     seeds, horizon = tuple(range(320, 360)), 300
     _, pattern, rows = _stretch_rows(monkeypatch, agent_config, world, horizon, seeds)
     assert rows >= 0.9 * len(seeds) * horizon and pattern.count("s") < 60, pattern
+
+
+def test_block_episodes_draw_their_hits_into_the_block_table(world, agent_config):
+    import camsel.policy as policy
+
+    seeds, horizon = (3, 4, 9), 2 * policy._HIT_ROWS + 5
+    ls = policy._Lockstep(agent_config, world, horizon, seeds, None)
+    for seat, (seed, ep) in enumerate(zip(seeds, ls.episodes)):
+        assert ep.hits.base is ls.hits and np.shares_memory(ep.hits, ls.hits[seat])
+        alone = _Episode(world, horizon, seed, agent_config.k_max, None)
+        assert np.array_equal(ls.hits[seat], alone.hits)
+        buffer = np.ones_like(alone.hits)
+        assert _Episode(world, horizon, seed, agent_config.k_max, None, hits=buffer).hits is buffer
+        assert np.array_equal(buffer, alone.hits)
+
+
+def test_round_log_integer_columns_take_the_smallest_signed_type(agent_config):
+    assert [_int_type(top) for top in (0, 127, 128, 32767, 32768)] == [
+        np.int8, np.int8, np.int16, np.int16, np.int32]
+    columns = ("arrival", "true_groups", "truth_at", "inferred_groups", "tried", "components",
+               "edges_deleted")
+    horizon = 400
+    for n_cameras, m, cams in ((8, 20, np.int8), (130, 200, np.int16)):
+        world = generate_world(WorldConfig(n_groups=2, n_cameras=n_cameras, dimension=3,
+                                           n_models=m), 1)
+        agent = Agent(agent_config, world, horizon, 7)
+        assert [getattr(agent, name).dtype for name in columns] == [
+            cams, np.int8, np.int8, cams, _int_type(m), cams, cams]
+        # the camera draws are the int64 draws, narrowed
+        arrival = np.random.default_rng(np.random.SeedSequence([7, _ARRIVAL_TAG])).integers(
+            0, n_cameras, size=horizon)
+        assert np.array_equal(agent.arrival, arrival)
+        assert (agent.arrival > 127).any() == (n_cameras > 128)
