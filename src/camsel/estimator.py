@@ -125,9 +125,6 @@ def _solve(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return x
 
 
-_solve_stacked = _solve     # the name the stacked solver's tests import
-
-
 # resolved once per link and once per (zeta, d), not once per solve
 _links = functools.cache(link_callables)
 

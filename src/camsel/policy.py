@@ -9,9 +9,10 @@ deletion rule, then maybe reconnect the graph.
 Randomness is split into keyed streams so paired variants on the same seed
 see the same camera arrivals and the same per-(round, model) payoff draws:
 the payoff of model m at round t is 1 iff u[t, m] < p(camera_t, m), with u a
-uniform table drawn from the seed. Each episode settles these hits, the true
-groups and the true partitions once, before any decision. Stopping earlier or
-later in the cascade therefore never desynchronizes variants.
+uniform table drawn from the seed. A run settles the true partitions its
+seeds share once, and each episode its arrivals, true groups and hits, all
+before any decision. Stopping earlier or later in the cascade therefore never
+desynchronizes variants.
 """
 
 from __future__ import annotations
@@ -199,70 +200,76 @@ def execute_cascade(intended, payoff_source):
     return tried, payoffs
 
 
-def _oracle_tables(world: World, oracle_k: int) -> tuple:
-    """Each group's per-model success probabilities and oracle cascade payoff."""
+def _round_log(world: World, horizon: int, width: int, n_seeds: int = 1) -> dict:
+    """Each round-log column of ``n_seeds`` seeds, (S, T, ...): a round's
+    camera, true group and (M,) payoff hits, settled before any decision,
+    then what it did. Each integer column has the smallest signed type that
+    holds it; the ``width`` tries and their payoffs are padded by -1."""
+    cams, m = _int_type(world.n_cameras), world.n_models
+    columns = (("arrival", (), cams, 0), ("true_groups", (), _int_type(world.n_groups), 0),
+               ("hits", (m,), bool, 0), ("inferred_groups", (), cams, 0),
+               ("tried", (width,), _int_type(m), -1), ("payoffs", (width,), np.int8, -1),
+               ("expected", (), float, 0), ("components", (), cams, 0),
+               ("edges_deleted", (), cams, 0), ("resets", (), bool, 0), ("correct", (), bool, 0))
+    return {name: np.full((n_seeds, horizon, *shape), pad, dtype=dtype)
+            for name, shape, dtype, pad in columns}
+
+
+def _settle(world: World, horizon: int, oracle_k: int,
+            schedule: PerspectiveSchedule | None) -> tuple:
+    """What every seed of a run shares: each group's success probabilities
+    and oracle payoff, the canonically labelled true partitions ``truths``
+    and camera-to-group rows ``groups``, one per run of rounds between
+    events, and each round's run ``truth_at``."""
     probs = np.stack([world.group_success_probs(g) for g in range(world.n_groups)])
     ids, width = np.arange(world.n_models), min(oracle_k, world.n_models)
-    return probs, np.array([expected_cascade_payoff(p[np.lexsort((ids, -p))[:width]])
-                            for p in probs])
+    oracle = np.array([expected_cascade_payoff(p[np.lexsort((ids, -p))[:width]]) for p in probs])
+    events = () if schedule is None else schedule.events
+    if schedule is not None:
+        schedule.validate_against(world)
+    # a run starts at round 1 and at each later round an event is due
+    starts = sorted({1, *(t for t, _, _ in events if 1 < t <= horizon)})
+    assignment, groups, applied = world.camera_groups.astype(_int_type(world.n_groups)), [], 0
+    truth_at = np.zeros(horizon, dtype=_int_type(len(starts)))
+    for run, (start, stop) in enumerate(zip(starts, starts[1:] + [horizon + 1])):
+        # the events due by ``start``, in order, so the last writer wins
+        while applied < len(events) and events[applied][0] <= start:
+            _, cam, grp = events[applied]
+            assignment[cam] = grp
+            applied += 1
+        truth_at[start - 1:stop - 1] = run
+        groups.append(assignment.copy())
+    groups = np.stack(groups)
+    return probs, oracle, np.stack([canonical_labels(g) for g in groups]), truth_at, groups
 
 
 class _Episode:
-    """What a seed fixes before any decision is made, settled once for every
-    loop: camera arrivals, each round's true group as the schedule moves
-    cameras, the canonically labelled true partitions ``truths`` (one per run
-    of rounds between events) with each round's row ``truth_at``, the (T, M)
-    payoff ``hits`` u < p(true group), and each group's success probabilities
-    and oracle payoff. Paired variants build the same episode, so they face
-    the same world. Each round writes one row of the round log: the columns
-    from ``inferred_groups`` to ``correct``, with tries and payoffs padded by
-    -1, each integer column in the smallest signed type that holds it. The run
+    """One seed's run: its ``row`` of a round log, each column an attribute,
+    and the ``facts`` of :func:`_settle`, the same objects for every seed.
+    It draws its arrivals and gathers its true groups and (T, M) payoff
+    hits u < p(true group) into its row before any decision, so paired
+    variants face the same world. The loop writes the rest of the row and
     adds to ``timing``, all but ``harness``, and to ``nonconverged_solves``.
-    ``tables`` and ``hits``, if given, are :func:`_oracle_tables` and the
-    (T, M) bool buffer the hits are drawn into."""
+    Alone, an episode settles its own facts and takes a one-row log."""
 
     def __init__(self, world: World, horizon: int, seed: int, oracle_k: int,
-                 schedule: PerspectiveSchedule | None, tables: tuple | None = None,
-                 hits: np.ndarray | None = None):
-        n, m = world.n_cameras, world.n_models
+                 schedule: PerspectiveSchedule | None, facts: tuple | None = None,
+                 row: dict | None = None):
+        facts = facts or _settle(world, horizon, oracle_k, schedule)
+        row = row or {name: column[0] for name, column in
+                      _round_log(world, horizon, min(oracle_k, world.n_models)).items()}
+        vars(self).update(row)
         self.world = world
+        self.group_probs, self.oracle_expected, self.truths, self.truth_at, groups = facts
         # drawn as int64 and then narrowed: the draws depend on the requested dtype
-        self.arrival = np.random.default_rng(np.random.SeedSequence([seed, _ARRIVAL_TAG])).integers(
-            0, n, size=horizon).astype(_int_type(n))
-        self.group_probs, self.oracle_expected = tables or _oracle_tables(world, oracle_k)
-        events = () if schedule is None else schedule.events
-        if schedule is not None:
-            schedule.validate_against(world)
-        # a run starts at round 1 and at each later round an event is due
-        starts = sorted({1, *(t for t, _, _ in events if 1 < t <= horizon)})
-        assignment, truths, applied = world.camera_groups.copy(), [], 0
-        self.true_groups = np.zeros(horizon, dtype=_int_type(world.n_groups))
-        self.truth_at = np.zeros(horizon, dtype=_int_type(len(starts)))
-        for run, (start, stop) in enumerate(zip(starts, starts[1:] + [horizon + 1])):
-            # the events due by ``start``, in order, so the last writer wins
-            while applied < len(events) and events[applied][0] <= start:
-                _, cam, grp = events[applied]
-                assignment[cam] = grp
-                applied += 1
-            rows = slice(start - 1, stop - 1)
-            self.true_groups[rows], self.truth_at[rows] = assignment[self.arrival[rows]], run
-            truths.append(canonical_labels(assignment))
-        self.truths = np.stack(truths)
+        self.arrival[:] = np.random.default_rng(np.random.SeedSequence([seed, _ARRIVAL_TAG])
+                                                ).integers(0, world.n_cameras, size=horizon)
+        self.true_groups[:] = groups[self.truth_at, self.arrival]
         # the uniforms are drawn and compared in row chunks, the same numbers as one draw
         uniforms = np.random.default_rng(np.random.SeedSequence([seed, _PAYOFF_TAG]))
-        self.hits = np.zeros((horizon, m), dtype=bool) if hits is None else hits
         for lo in range(0, horizon, _HIT_ROWS):
-            chunk, groups = self.hits[lo:lo + _HIT_ROWS], self.true_groups[lo:lo + _HIT_ROWS]
-            np.less(uniforms.random(chunk.shape), self.group_probs[groups], out=chunk)
-        width, cams = min(oracle_k, m), _int_type(n)
-        self.inferred_groups = np.zeros(horizon, dtype=cams)
-        self.tried = np.full((horizon, width), -1, dtype=_int_type(m))
-        self.payoffs = np.full((horizon, width), -1, dtype=np.int8)
-        self.expected = np.zeros(horizon)
-        self.components = np.zeros(horizon, dtype=cams)
-        self.edges_deleted = np.zeros(horizon, dtype=cams)
-        self.resets = np.zeros(horizon, dtype=bool)
-        self.correct = np.zeros(horizon, dtype=bool)   # the partition equals the truth
+            chunk, rows = self.hits[lo:lo + _HIT_ROWS], self.true_groups[lo:lo + _HIT_ROWS]
+            np.less(uniforms.random(chunk.shape), self.group_probs[rows], out=chunk)
         self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
         self.nonconverged_solves = 0
 
@@ -492,40 +499,28 @@ def lockstep_ready(config: AgentConfig) -> bool:
 
 
 class _Lockstep:
-    """A lockstep run of a block of S seeds: their episodes and payoff hits,
-    the learner state of every (seat, block) cell, and the one visit step
-    every loop takes. A block is the seat's one pool under ``pooled`` and a
-    camera otherwise, so a cell is one flat row: its tries, wins and warm
-    start and, kept only under ``graph``, its count, refitted estimate and
-    the memo of its last converged refit (its means and the count it was
-    made at, -1 for none). A graph block fits under its label, the smallest
+    """A lockstep run of a block of S seeds: its one round ``log``, whose
+    rows are the seeds' episodes, the facts they share, settled once, the
+    learner state of every (seat, block) cell, and the one visit step every
+    loop takes. A block is the seat's one pool under ``pooled`` and a camera
+    otherwise, so a cell is one flat row: its tries, wins and warm start
+    and, kept only under ``graph``, its count, refitted estimate and the
+    memo of its last converged refit (its means and the count it was made
+    at, -1 for none). A graph block fits under its label, the smallest
     member's cell. A call works on rows ``visits`` = (seats, rounds), where
-    rounds is one round for every row or one round per row. Each visit's
-    whole ranking goes into its episode's tried column, padded by
-    :meth:`finish`, each unconverged fit is logged at its visit, and the
-    other round-log columns are (S, T) arrays bound to the episodes."""
+    rounds is one round for every row or one per row. A visit's whole
+    ranking goes into the log's tried column, padded by :meth:`finish`; no
+    other per-round array is kept, and unconverged fits count per seat."""
 
     def __init__(self, config: AgentConfig, world: World, horizon: int, seeds, schedule):
         n_seeds, n, m, d = len(seeds), world.n_cameras, world.n_models, world.dimension
         self.cfg, self.seeds, self.k = config, seeds, min(config.k_max, m)
-        self.tables = _oracle_tables(world, config.k_max)
-        # each episode draws its hits into its row of the block's table
-        self.episodes, self.hits = [], np.zeros((n_seeds, horizon, m), dtype=bool)
-        self.ranked_log = np.zeros((n_seeds, horizon, self.k), dtype=_int_type(m))
-        cams = _int_type(n)     # the types of the episodes' own columns
-        self.logs = {name: np.zeros((n_seeds, horizon), dtype=dtype) for name, dtype in (
-            ("inferred_groups", cams), ("components", cams), ("edges_deleted", cams),
-            ("resets", bool), ("correct", bool))}
-        for seat, seed in enumerate(seeds):
-            ep = _Episode(world, horizon, seed, config.k_max, schedule, self.tables,
-                          self.hits[seat])
-            ep.tried = self.ranked_log[seat]
-            for name, log in self.logs.items():
-                setattr(ep, name, log[seat])
-            self.episodes.append(ep)
-        # the truths are the same for every seed
-        self.truths, self.truth_at = self.episodes[0].truths, self.episodes[0].truth_at
-        self.arrival = np.stack([ep.arrival for ep in self.episodes])
+        facts = _settle(world, horizon, config.k_max, schedule)
+        self.group_probs, _, self.truths, self.truth_at, _ = facts
+        self.log = _round_log(world, horizon, self.k, n_seeds)
+        self.episodes = [_Episode(world, horizon, seed, config.k_max, schedule, facts,
+                                  {name: column[seat] for name, column in self.log.items()})
+                         for seat, seed in enumerate(seeds)]
         self.feats, self.feats_t = world.features, world.features.T
         self.outer, self.eye = outer_products(world.features), config.zeta * np.eye(d)
         self.mu = link_callables(config.link)[0]
@@ -544,8 +539,7 @@ class _Lockstep:
         kept = cells if config.grouping == "graph" else 0
         self.memo_means, self.estimates = np.zeros((kept, m)), np.zeros((kept, d))
         self.counts, self.fitted_at = np.zeros(kept), np.full(kept, -1.0)
-        self.unconverged = np.zeros((n_seeds, horizon), dtype=np.int8)
-        self.tried_log = np.zeros((n_seeds, horizon), dtype=_int_type(self.k))
+        self.unconverged = np.zeros(n_seeds, dtype=int)    # unconverged fits per seat
         self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
 
     def fit(self, visits, tries, wins, start):
@@ -557,7 +551,7 @@ class _Lockstep:
         theta, means, ok = est.theta_hat, est.means, est.converged
         if not ok.all():
             missed = ~ok
-            self.unconverged[visits] += missed     # one row per visit: no index repeats
+            self.unconverged += np.bincount(visits[0][missed], minlength=len(self.seats))
             theta[missed] = start[missed]
             means[missed] = self.mu(np.matmul(self.feats, start[missed][:, :, None])[..., 0])
         return theta, means, ok
@@ -569,9 +563,9 @@ class _Lockstep:
         scores = means + self.cfg.alpha * confidence_widths_stacked(self.feats, gramians)
         ranked = np.lexsort(self.keys(scores), axis=-1)[:, :self.k]
         seats, at = visits
-        paid = self.hits[seats[:, None], at if np.ndim(at) == 0 else at[:, None], ranked]
+        paid = self.log["hits"][seats[:, None], at if np.ndim(at) == 0 else at[:, None], ranked]
         n_tried = np.where(paid.any(axis=1), paid.argmax(axis=1) + 1, self.k)
-        self.ranked_log[visits], self.tried_log[visits] = ranked, n_tried
+        self.log["tried"][visits] = ranked
         return ranked, paid, n_tried
 
     def absorb(self, own, ranked, paid, n_tried):
@@ -626,12 +620,12 @@ class _Lockstep:
         longer than k, longest chains first. With one block per seat, step k
         is round ``i + k`` for every seat, passed as one scalar round. A
         step's gathers count as grouping."""
-        width, logs = stop - i, self.logs
+        width, log = stop - i, self.log
         t1 = time.perf_counter()
-        blocks = logs["inferred_groups"][:, i:stop]
-        blocks[:] = self.partition[self.arrival[:, i:stop]]
-        logs["components"][:, i:stop] = self.n_blocks
-        logs["correct"][:, i:stop] = (self.partition == self.truths[self.truth_at[i:stop]]).all(
+        blocks = log["inferred_groups"][:, i:stop]
+        blocks[:] = self.partition[log["arrival"][:, i:stop]]
+        log["components"][:, i:stop] = self.n_blocks
+        log["correct"][:, i:stop] = (self.partition == self.truths[self.truth_at[i:stop]]).all(
             axis=1)
         if self.n_blocks == 1:
             self.timing["grouping"] += time.perf_counter() - t1
@@ -666,19 +660,25 @@ class _Lockstep:
             self.visit(visits, v, tries, wins, v, False)
 
     def finish(self) -> list[_Episode]:
-        """Each episode's expected payoffs, payoffs, padding and solver count;
-        each episode's timers are the loop's divided by S."""
-        start, n_seeds = time.perf_counter(), len(self.episodes)
-        for ep, n_tried, missed in zip(self.episodes, self.tried_log, self.unconverged):
-            # expected_cascade_payoff's left fold, one column at a time
-            miss = (1.0 - self.tables[0][ep.true_groups[:, None], ep.tried]).T
-            ep.expected[:] = 1.0 - functools.reduce(np.multiply, miss)
-            taken = self.picks < n_tried[:, None]
-            ep.payoffs[:] = np.where(taken, np.take_along_axis(ep.hits, ep.tried, axis=1), -1)
-            ep.tried[~taken] = -1
-            ep.nonconverged_solves = int(missed.sum())
+        """Every episode's expected payoffs, payoffs and padding, in one pass
+        over the block's log: a visit's tries made are its ranking up to its
+        first hit, as in :meth:`rank`. Then each episode's solver count, and
+        its timers, the loop's divided by S."""
+        start, n_seeds, log = time.perf_counter(), len(self.episodes), self.log
+        tried, expected, payoffs = log["tried"], log["expected"], log["payoffs"]
+        # expected_cascade_payoff's left fold, one column at a time
+        expected.fill(1.0)
+        for column in np.moveaxis(tried, -1, 0):
+            expected *= 1.0 - self.group_probs[log["true_groups"], column]
+        np.subtract(1.0, expected, out=expected)
+        payoffs[:] = paid = np.take_along_axis(log["hits"], tried, axis=-1)
+        # as in rank, the tries made stop at the first hit: a later pick is skipped
+        skipped = np.zeros_like(paid)
+        np.logical_or.accumulate(paid[..., :-1], axis=-1, out=skipped[..., 1:])
+        payoffs[skipped] = tried[skipped] = -1
         self.timing["bookkeeping"] += time.perf_counter() - start
-        for ep in self.episodes:
+        for ep, missed in zip(self.episodes, self.unconverged.tolist()):
+            ep.nonconverged_solves = missed
             ep.timing = {key: value / n_seeds for key, value in self.timing.items()}
         return self.episodes
 
@@ -686,17 +686,18 @@ class _Lockstep:
 def run_lockstep(config: AgentConfig, world: World, horizon: int, seeds,
                  schedule: PerspectiveSchedule | None = None) -> list[_Episode]:
     """Run a ``graph``, ``singletons`` or ``pooled`` agent for every seed in
-    one lockstep loop; returns each seed's episode, equal to its
-    :class:`Agent`'s bit for bit. Every visit is one :meth:`_Lockstep.visit`
-    over (rows, ...) arrays: the visiting cells' block tries, wins and warm
-    start, a stacked fit, widths, ranking and cascade, and under ``graph``
-    the camera refits. ``pooled`` and ``singletons`` never change their
-    partition, so the whole horizon runs as one set of chains: step k takes
-    the k-th visit of every (seed, block) chain, which is round k under
-    ``pooled``. Under ``graph`` the rounds run one at a time, with every
-    seed's edge deletions and reconnections, until every seed's graph is
-    edgeless; the rounds up to the next reset then run as chains of
-    (seed, camera) visits."""
+    one lockstep loop; returns each seed's episode, a row of the block's one
+    round log, equal to its :class:`Agent`'s bit for bit. The facts the seeds
+    share, and so the schedule's events, are settled once for the block.
+    Every visit is one :meth:`_Lockstep.visit` over (rows, ...) arrays: the
+    visiting cells' block tries, wins and warm start, a stacked fit, widths,
+    ranking and cascade, and under ``graph`` the camera refits. ``pooled``
+    and ``singletons`` never change their partition, so the whole horizon
+    runs as one set of chains: step k takes the k-th visit of every (seed,
+    block) chain, which is round k under ``pooled``. Under ``graph`` the
+    rounds run one at a time, with every seed's edge deletions and
+    reconnections, until every seed's graph is edgeless; the rounds up to
+    the next reset then run as chains of (seed, camera) visits."""
     if not lockstep_ready(config) or config.k_max > world.n_models:
         raise ConfigError(f"no lockstep run of {config} over {world.n_models} models")
     ls = _Lockstep(config, world, horizon, seeds, schedule)
@@ -720,7 +721,7 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
     which lasts until the next round at which some seed's graph resets. In a
     stretch every camera is its own block, so it runs as :meth:`_Lockstep.chains`.
     The reset round goes back to the round loop."""
-    clock, timing, seats, cfg, logs = time.perf_counter, ls.timing, ls.seats, ls.cfg, ls.logs
+    clock, timing, seats, cfg, log = time.perf_counter, ls.timing, ls.seats, ls.cfg, ls.log
     n, n_seeds = world.n_cameras, len(seats)
     rule, ids = DeletionRule(cfg.beta, cfg.f_id), np.arange(n)
     p0 = np.array([derive_p0(seed) if cfg.p0 is None else cfg.p0 for seed in ls.seeds])
@@ -746,10 +747,10 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
             i = next_reset[i]
             continue
         t1 = clock()
-        cam = ls.arrival[:, i]
+        cam = log["arrival"][:, i]
         label = labels[seats, cam]
         members = labels == label[:, None]
-        logs["inferred_groups"][:, i], logs["components"][:, i] = label, comps
+        log["inferred_groups"][:, i], log["components"][:, i] = label, comps
         block = members[:, None, :].astype(float)
         block_tries, block_wins = np.matmul(block, tries)[:, 0], np.matmul(block, wins)[:, 0]
         stale = np.count_nonzero(members, axis=1) > 1
@@ -768,19 +769,19 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
             adj[live, at] = nbrs & ~drop
             adj[live, :, at] &= ~drop
             edges[live] -= gone
-            logs["edges_deleted"][live, i] = gone
+            log["edges_deleted"][live, i] = gone
             changed[live] |= gone > 0
         reset = resetting[:, i] & (edges < full)
         if reset.any():
             adj[reset], edges[reset] = complete, full
-            logs["resets"][:, i] = reset
+            log["resets"][:, i] = reset
         for seat in np.flatnonzero(changed | reset):
             labels[seat] = _min_labels(adj[seat])
             comps[seat] = np.count_nonzero(labels[seat] == ids)
 
         t3 = clock()
         timing["grouping"] += t3 - t2
-        logs["correct"][:, i] = (labels == ls.truths[ls.truth_at[i]]).all(axis=1)
+        log["correct"][:, i] = (labels == ls.truths[ls.truth_at[i]]).all(axis=1)
         timing["bookkeeping"] += clock() - t3
         i += 1
 

@@ -13,7 +13,7 @@ import camsel.estimator as estimator
 import camsel.policy as policy
 from camsel.core import LINK_KINDS, LinkFunctionSpec, link_callables, link_eval
 from camsel.estimator import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_HALVINGS, GroupStats,
-                              SufficientStats, _newton, _solve, _solve_stacked, aggregate_group,
+                              SufficientStats, _newton, _solve, aggregate_group,
                               confidence_width,
                               confidence_widths, confidence_widths_stacked, outer_products,
                               solve_mle, solve_mle_stacked, solve_mle_weighted, update_stats)
@@ -632,14 +632,14 @@ def test_stacked_solve_equals_numpy_solve_and_raises_on_singular(rng):
         systems = np.eye(d) + np.matmul(half, half.transpose(0, 2, 1))
         for rhs in (rng.normal(size=(seeds, d, 1)), rng.normal(size=(seeds, d, m)),
                     rng.normal(size=(d, m))):
-            assert np.array_equal(_solve_stacked(systems, rhs), np.linalg.solve(systems, rhs))
+            assert np.array_equal(_solve(systems, rhs), np.linalg.solve(systems, rhs))
         out = np.empty((seeds, m, d)).transpose(0, 2, 1)
         rhs = rng.normal(size=(d, m))
-        assert _solve_stacked(systems, rhs, out=out) is out
+        assert _solve(systems, rhs, out=out) is out
         assert np.array_equal(out, np.linalg.solve(systems, rhs))
     singular = np.stack([np.eye(d), np.zeros((d, d))])
     with pytest.raises(np.linalg.LinAlgError):
-        _solve_stacked(singular, np.ones((2, d, 1)))
+        _solve(singular, np.ones((2, d, 1)))
 
 
 def _spd_systems(rng, d, count):

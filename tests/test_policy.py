@@ -860,18 +860,41 @@ def test_canonical_block_runs_most_visits_in_stretches(world, agent_config, monk
     assert rows >= 0.9 * len(seeds) * horizon and pattern.count("s") < 60, pattern
 
 
-def test_block_episodes_draw_their_hits_into_the_block_table(world, agent_config):
+def test_block_episodes_are_rows_of_one_round_log(world, agent_config, monkeypatch):
+    """A block's episodes are rows of its one round log and share one set of
+    settled facts, settled once per block; before any round each row equals
+    a lone episode's columns, in values and type."""
     import camsel.policy as policy
 
     seeds, horizon = (3, 4, 9), 2 * policy._HIT_ROWS + 5
-    ls = policy._Lockstep(agent_config, world, horizon, seeds, None)
+    # an event at round 1, two in one round and one past the horizon
+    schedule = PerspectiveSchedule(((1, 0, 1), (40, 2, 1), (40, 0, 0), (horizon + 1, 3, 1)))
+    ls = policy._Lockstep(agent_config, world, horizon, seeds, schedule)
+    first = ls.episodes[0]
+    assert first.truth_at.tolist() == [0] * 39 + [1] * (horizon - 39)
     for seat, (seed, ep) in enumerate(zip(seeds, ls.episodes)):
-        assert ep.hits.base is ls.hits and np.shares_memory(ep.hits, ls.hits[seat])
-        alone = _Episode(world, horizon, seed, agent_config.k_max, None)
-        assert np.array_equal(ls.hits[seat], alone.hits)
-        buffer = np.ones_like(alone.hits)
-        assert _Episode(world, horizon, seed, agent_config.k_max, None, hits=buffer).hits is buffer
-        assert np.array_equal(buffer, alone.hits)
+        alone = _Episode(world, horizon, seed, agent_config.k_max, schedule)
+        for name, column in ls.log.items():
+            ours, theirs = getattr(ep, name), getattr(alone, name)
+            assert ours.base is column and np.shares_memory(ours, column[seat]), name
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+        assert ep.truths is first.truths and ep.truth_at is first.truth_at
+        assert np.array_equal(ep.truths, alone.truths)
+        assert np.array_equal(ep.truth_at, alone.truth_at)
+        moved = (ep.arrival == 0) & (np.arange(horizon) < 39)
+        assert moved.any() and (ep.true_groups[moved] == 1).all()
+    assert set(ls.log) >= set(_LOG_COLUMNS) | {"hits"}
+    settled, real_settle = [], policy._settle
+
+    def settle(*args):
+        settled.append(args)
+        return real_settle(*args)
+
+    monkeypatch.setattr(policy, "_settle", settle)
+    for grouping in ("pooled", "singletons", "graph"):
+        policy.run_lockstep(replace(agent_config, grouping=grouping), world, 60, seeds, schedule)
+        assert len(settled) == 1, grouping
+        settled.clear()
 
 
 def test_round_log_integer_columns_take_the_smallest_signed_type(agent_config):

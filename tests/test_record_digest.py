@@ -69,6 +69,24 @@ def test_blocks_mode_prints_the_default_lines(capsys, monkeypatch):
     assert blocks == [(v, 10) for v in blocked] + [("default", 1), ("default", 4)]
 
 
+def test_blocks_mode_with_shapes_prints_the_shapes_lines(capsys, monkeypatch):
+    # each shape's pairs of one variant form a block: default and tier-first
+    # run in the engine, set-based and greedy through run_pair
+    import camsel.harness as harness
+
+    tool, blocks, run_block = _load_tool(), [], harness.run_block
+
+    def counted(variant, seeds, *args, **kwargs):
+        blocks.append((variant, len(seeds)))
+        return run_block(variant, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_block", counted)
+    assert tool.main(["--blocks", "--shapes"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "overall edf2eaecff79e2aabe952e2b39191e576b82a34456f89ac5df602729cd2296a4")
+    assert blocks == [(v, 1) for _ in tool.SHAPES for v in ("default", "tier-first")]
+
+
 def test_bench_pairs_are_the_canonical_workloads_pairs():
     tool = _load_tool()
     workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py").WORKLOADS

@@ -5,7 +5,7 @@ Usage (from the repository root):
     PYTHONPATH=src python3 tools/record_digest.py [--horizon 2000] > digests.txt
     PYTHONPATH=src python3 tools/record_digest.py --bench > bench-digests.txt
     PYTHONPATH=src python3 tools/record_digest.py --shapes > shape-digests.txt
-    PYTHONPATH=src python3 tools/record_digest.py --blocks [--horizon 2000] > digests.txt
+    PYTHONPATH=src python3 tools/record_digest.py --blocks [--horizon 2000 | --bench | --shapes] > digests.txt
 
 Each line names one (variant, seed) pair and the sha256 of its round records
 (``dataclasses.astuple``, every float by its exact bits), its per-round
@@ -28,13 +28,14 @@ mean bit-identical records.
 Every pair runs through ``camsel.harness.run_pair``, the per-seed agent. A
 sweep runs every agent variant but ``set-based`` and ``no-combining`` in
 blocks of seeds through ``run_block``, the lockstep engine, instead.
-``--blocks`` fingerprints the default mode's pairs that way: the seeds of
-each lockstep-ready variant's pairs run as one block, and ``set-based``,
+``--blocks`` fingerprints the chosen mode's pairs that way: consecutive pairs
+of one lockstep-ready variant that differ only in the seed (same world, agent
+config, horizon and schedule) run as one block, and ``set-based``,
 ``no-combining`` and ``greedy`` run through ``run_pair`` as before. Its lines
-must equal the default mode's. ``tests/test_record_digest.py`` also pins
-that blocks give these same digests: ``no-perspective``, ``no-grouping``,
-``default`` and ``tier-first`` on every shape, both ``--bench`` variants,
-and ``f1``..``f6`` on the canonical world.
+must equal the chosen mode's without it. ``tests/test_record_digest.py``
+also pins that blocks give these same digests: ``no-perspective``,
+``no-grouping``, ``default`` and ``tier-first`` on every shape, both
+``--bench`` variants, and ``f1``..``f6`` on the canonical world.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import numbers
 import sys
 
@@ -150,15 +150,29 @@ def shape_pairs():
                    (variant, SHAPE_RUN_SEED, world, agent, SHAPE_HORIZON, events))
 
 
+def _runs(chosen):
+    """The chosen pairs in runs of consecutive pairs that differ only in the
+    seed: the same variant, world object, agent config, horizon and schedule."""
+    run = []
+    for pair in chosen:
+        if run:
+            (variant, _, world, *rest), (other, _, other_world, *other_rest) = run[0][1], pair[1]
+            if not (variant == other and world is other_world and rest == other_rest):
+                yield run
+                run = []
+        run.append(pair)
+    if run:
+        yield run
+
+
 def results(chosen, blocks: bool = False):
-    """(name, result) of every chosen pair, in order. With ``blocks``, the
-    pairs whose names differ only in the seed run as one ``run_block`` when
-    their variant is lockstep-ready."""
+    """(name, result) of every chosen pair, in order. With ``blocks``, each
+    run of pairs that differ only in the seed runs as one ``run_block`` when
+    its variant is lockstep-ready."""
     from camsel.harness import run_block, run_pair, variant_agent_config
     from camsel.policy import lockstep_ready
 
-    for _, group in itertools.groupby(chosen, key=lambda pair: pair[0].rsplit("/", 1)[0]):
-        group = list(group)
+    for group in _runs(chosen):
         variant, _, world, agent, horizon, events = group[0][1]
         if blocks and variant != "greedy" and lockstep_ready(variant_agent_config(agent, variant)):
             seeds = [seed for _, (_, seed, *_rest) in group]
@@ -180,8 +194,8 @@ def main(argv=None) -> int:
                       help="fingerprint the benchmark's 800 canonical pairs instead")
     mode.add_argument("--shapes", action="store_true",
                       help="fingerprint the 40 pairs on small generated worlds instead")
-    mode.add_argument("--blocks", action="store_true",
-                      help="run the default pairs of lockstep-ready variants in blocks of seeds")
+    parser.add_argument("--blocks", action="store_true",
+                        help="run the pairs of lockstep-ready variants in blocks of seeds")
     args = parser.parse_args(argv)
 
     overall = hashlib.sha256()
