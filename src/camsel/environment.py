@@ -17,7 +17,6 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import LinkFunctionSpec, link_eval
 from .errors import ConfigError, GenerationError, ScheduleError, typed
@@ -134,6 +133,10 @@ class World:
             return mu
         if self.noise_sigma == 0.0:
             return (mu >= self.accuracy_threshold).astype(float)
+        # imported here: scipy.special takes about 0.2 s and 25 MB to load,
+        # and only this payoff mode needs it
+        from scipy.special import ndtr
+
         return ndtr((mu - self.accuracy_threshold) / self.noise_sigma)
 
     def success_probs(self, camera: int) -> np.ndarray:

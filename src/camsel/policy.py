@@ -330,6 +330,10 @@ class Agent(_Episode):
         self.camera_theta = np.zeros((n, d))
         self._theta0 = np.zeros(d)
         self._warm = {}         # label -> last converged theta fitted under it
+        # beside each warm start: its scores F theta and their means, as its
+        # solve left them, so the next solve need not evaluate them again
+        cold = self.features.dot(self._theta0)
+        self._cold_scores, self._warm_scores = (cold, self._mu(cold)), {}
         self._ids = np.arange(n)
         self.graph = CameraGraph.complete(n) if config.grouping == "graph" else None
         self._use_partition(
@@ -389,9 +393,10 @@ class Agent(_Episode):
         A block's members are fixed and its counts only grow, so while its
         count has not moved its last converged fit stands. Otherwise the
         solve warm-starts from the last converged theta fitted under
-        ``label`` (the cold start before the first). A fit that stops short
-        of tolerance is not used, for its own round or as a warm start: the
-        round takes the warm start instead, with no means.
+        ``label`` (the cold start before the first), with the scores and
+        means that fit left. A fit that stops short of tolerance is not
+        used, for its own round or as a warm start: the round takes the warm
+        start instead, with no means.
         """
         fit = block.fit
         if fit is not None and fit[1].count == block.count:
@@ -400,12 +405,13 @@ class Agent(_Episode):
         gs = GroupStats(gramian_reg=self._eye + (self._features_t * tries).dot(self.features),
                         count=block.count, zeta=self.zeta)
         start = self._warm.get(label, self._theta0)
+        z0, m0 = self._warm_scores.get(label, self._cold_scores)
         est = solve_mle_weighted(gs, self.cfg.link, self.features, tries, block.wins,
-                                 theta0=start, outer=self._outer)
+                                 theta0=start, outer=self._outer, z0=z0, m0=m0)
         if not est.converged:
             self.nonconverged_solves += 1
             return start, gs, None
-        self._warm[label] = est.theta_hat
+        self._warm[label], self._warm_scores[label] = est.theta_hat, (est.z, est.means)
         block.fit = (est.theta_hat, gs, est.means)
         return block.fit
 
@@ -504,6 +510,7 @@ class _Lockstep:
     learner state of every (seat, block) cell, and the one visit step every
     loop takes. A block is the seat's one pool under ``pooled`` and a camera
     otherwise, so a cell is one flat row: its tries, wins and warm start
+    (theta, its scores F theta and their means, as its solve left them)
     and, kept only under ``graph``, its count, refitted estimate and the
     memo of its last converged refit (its means and the count it was made
     at, -1 for none). A graph block fits under its label, the smallest
@@ -523,7 +530,6 @@ class _Lockstep:
                          for seat, seed in enumerate(seeds)]
         self.feats, self.feats_t = world.features, world.features.T
         self.outer, self.eye = outer_products(world.features), config.zeta * np.eye(d)
-        self.mu = link_callables(config.link)[0]
         # a visit's sort keys; lexsort is stable, so the last tie-break, the
         # lower id, needs no key. A step ranks up to one row per seed and camera
         tiers = np.broadcast_to((world.tiers == "cloud").astype(int), (n_seeds * n, m))
@@ -534,7 +540,14 @@ class _Lockstep:
         self.partition, self.n_blocks = ((np.zeros(n, dtype=int), 1)
                                          if config.grouping == "pooled" else (np.arange(n), n))
         cells = n_seeds * self.n_blocks
-        self.tries, self.wins, self.warm = (np.zeros((cells, k)) for k in (m, m, d))
+        self.tries, self.wins = np.zeros((cells, m)), np.zeros((cells, m))
+        # a warm start's row holds theta, z and mu(z) side by side, so a fit
+        # gathers and stores it in one step; the cold start's z and mu(z) are
+        # made as the stacked solve makes them
+        cold = np.matmul(self.feats, np.zeros((cells, d, 1)))
+        self.warm = np.concatenate((np.zeros((cells, d)), cold[..., 0],
+                                    link_callables(config.link)[0](cold)[..., 0]), axis=1)
+        self.dim = d
         self.flat_tries, self.flat_wins, self.n_models = self.tries.ravel(), self.wins.ravel(), m
         kept = cells if config.grouping == "graph" else 0
         self.memo_means, self.estimates = np.zeros((kept, m)), np.zeros((kept, d))
@@ -542,19 +555,21 @@ class _Lockstep:
         self.unconverged = np.zeros(n_seeds, dtype=int)    # unconverged fits per seat
         self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
 
-    def fit(self, visits, tries, wins, start):
-        """(theta, means, converged) of one stacked fit of ``visits``.
-        A row short of tolerance takes its warm start and mu of it and counts
-        as unconverged, as in ``Agent._fit``."""
-        est = solve_mle_stacked(self.feats, tries, wins, self.cfg.zeta, self.cfg.link, start,
-                                outer=self.outer)
-        theta, means, ok = est.theta_hat, est.means, est.converged
+    def fit(self, visits, tries, wins, at):
+        """(theta, means, converged) of one stacked fit of ``visits``, which
+        starts from the warm starts of cells ``at`` and leaves its own there.
+        A row short of tolerance keeps its warm start and counts as
+        unconverged, as in ``Agent._fit``."""
+        start, d, m = self.warm[at], self.dim, self.dim + self.n_models
+        est = solve_mle_stacked(self.feats, tries, wins, self.cfg.zeta, self.cfg.link,
+                                start[:, :d], outer=self.outer, z0=start[:, d:m], m0=start[:, m:])
+        found, ok = np.concatenate((est.theta_hat, est.z, est.means), axis=1), est.converged
         if not ok.all():
             missed = ~ok
             self.unconverged += np.bincount(visits[0][missed], minlength=len(self.seats))
-            theta[missed] = start[missed]
-            means[missed] = self.mu(np.matmul(self.feats, start[missed][:, :, None])[..., 0])
-        return theta, means, ok
+            found[missed] = start[missed]
+        self.warm[at] = found
+        return found[:, :d], found[:, m:], ok
 
     def rank(self, visits, means, tries):
         """(ranked, paid, tries made) of the cascades of ``visits``, scored
@@ -586,14 +601,12 @@ class _Lockstep:
         # only graph refits, so no other grouping has a memo to hit
         miss = stale | (self.fitted_at[own] != self.counts[own]) if graph else None
         if miss is None or miss.all():
-            self.warm[block], means, _ = self.fit(visits, tries, wins, self.warm[block])
+            means = self.fit(visits, tries, wins, block)[1]
         else:
             means, miss = self.memo_means[own], np.flatnonzero(miss)
             if miss.size:
-                at = block[miss]
-                self.warm[at], means[miss], _ = self.fit(
-                    tuple(a[miss] if np.ndim(a) else a for a in visits), tries[miss],
-                    wins[miss], self.warm[at])
+                means[miss] = self.fit(tuple(a[miss] if np.ndim(a) else a for a in visits),
+                                       tries[miss], wins[miss], block[miss])[1]
 
         t1 = clock()
         timing["estimation"] += t1 - t0
@@ -607,8 +620,7 @@ class _Lockstep:
         timing["bookkeeping"] += t3 - t2
         if graph:
             self.counts[own] += n_tried
-            theta, means, ok = self.fit(visits, self.tries[own], self.wins[own], self.warm[own])
-            self.warm[own] = self.estimates[own] = theta
+            self.estimates[own], means, ok = self.fit(visits, self.tries[own], self.wins[own], own)
             own = own[ok]
             self.fitted_at[own], self.memo_means[own] = self.counts[own], means[ok]
             timing["estimation"] += clock() - t3
@@ -660,22 +672,24 @@ class _Lockstep:
             self.visit(visits, v, tries, wins, v, False)
 
     def finish(self) -> list[_Episode]:
-        """Every episode's expected payoffs, payoffs and padding, in one pass
-        over the block's log: a visit's tries made are its ranking up to its
-        first hit, as in :meth:`rank`. Then each episode's solver count, and
-        its timers, the loop's divided by S."""
-        start, n_seeds, log = time.perf_counter(), len(self.episodes), self.log
-        tried, expected, payoffs = log["tried"], log["expected"], log["payoffs"]
-        # expected_cascade_payoff's left fold, one column at a time
-        expected.fill(1.0)
-        for column in np.moveaxis(tried, -1, 0):
-            expected *= 1.0 - self.group_probs[log["true_groups"], column]
-        np.subtract(1.0, expected, out=expected)
-        payoffs[:] = paid = np.take_along_axis(log["hits"], tried, axis=-1)
-        # as in rank, the tries made stop at the first hit: a later pick is skipped
-        skipped = np.zeros_like(paid)
-        np.logical_or.accumulate(paid[..., :-1], axis=-1, out=skipped[..., 1:])
-        payoffs[skipped] = tried[skipped] = -1
+        """Every episode's expected payoffs, payoffs and padding, one
+        episode's row at a time, so the temporaries scale with T, not S x T:
+        a visit's tries made are its ranking up to its first hit, as in
+        :meth:`rank`. Then each episode's solver count, and its timers, the
+        loop's divided by S."""
+        start, n_seeds = time.perf_counter(), len(self.episodes)
+        for ep in self.episodes:
+            tried, expected, payoffs = ep.tried, ep.expected, ep.payoffs
+            # expected_cascade_payoff's left fold, one column at a time
+            expected.fill(1.0)
+            for column in tried.T:
+                expected *= 1.0 - self.group_probs[ep.true_groups, column]
+            np.subtract(1.0, expected, out=expected)
+            payoffs[:] = paid = np.take_along_axis(ep.hits, tried, axis=-1)
+            # as in rank, the tries made stop at the first hit: a later pick is skipped
+            skipped = np.zeros_like(paid)
+            np.logical_or.accumulate(paid[:, :-1], axis=-1, out=skipped[:, 1:])
+            payoffs[skipped] = tried[skipped] = -1
         self.timing["bookkeeping"] += time.perf_counter() - start
         for ep, missed in zip(self.episodes, self.unconverged.tolist()):
             ep.nonconverged_solves = missed
@@ -724,11 +738,13 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
     clock, timing, seats, cfg, log = time.perf_counter, ls.timing, ls.seats, ls.cfg, ls.log
     n, n_seeds = world.n_cameras, len(seats)
     rule, ids = DeletionRule(cfg.beta, cfg.f_id), np.arange(n)
-    p0 = np.array([derive_p0(seed) if cfg.p0 is None else cfg.p0 for seed in ls.seeds])
-    draws = np.stack([np.random.default_rng(np.random.SeedSequence([seed, _AGENT_TAG]))
-                      .random(horizon) for seed in ls.seeds])
     rounds_sq = np.arange(1, horizon + 1, dtype=float) ** 2
-    resetting = draws < np.minimum(1.0, p0[:, None] / rounds_sq)
+    # one seed at a time, so only one seed's T uniforms are ever held
+    resetting = np.empty((n_seeds, horizon), dtype=bool)
+    for row, seed in zip(resetting, ls.seeds):
+        p0 = derive_p0(seed) if cfg.p0 is None else cfg.p0
+        np.less(np.random.default_rng(np.random.SeedSequence([seed, _AGENT_TAG])).random(horizon),
+                np.minimum(1.0, p0 / rounds_sq), out=row)
     full = n * (n - 1) // 2
     complete = ~np.eye(n, dtype=bool)
     adj, edges = np.tile(complete, (n_seeds, 1, 1)), np.full(n_seeds, full)

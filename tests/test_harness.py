@@ -521,15 +521,19 @@ def test_unwritable_trace_path_fails_only_its_own_pair(tmp_path, world, agent_co
 
 
 def test_runs_never_load_scipy_linalg_and_one_process_never_loads_a_pool():
-    """Each step prints the watched modules loaded so far: no step loads
-    ``scipy.linalg``, and only the 2-worker sweep loads the process pool."""
+    """Each step prints the watched modules loaded so far: on a Bernoulli
+    world no step loads any ``scipy`` module, and only the 2-worker sweep
+    loads the process pool. A thresholded-Gaussian world loads
+    ``scipy.special`` at its first success probabilities, which equal
+    ``ndtr`` of ``expit``'s means bit for bit."""
     code = """
 import sys
 from dataclasses import replace
 def loaded():
-    print([m for m in ('scipy.linalg', 'concurrent.futures.process') if m in sys.modules])
+    print([m for m in sys.modules if m.partition('.')[0] == 'scipy'
+           or m == 'concurrent.futures.process'])
 import camsel
-from camsel.environment import WorldConfig
+from camsel.environment import WorldConfig, generate_world
 from camsel.harness import ExperimentConfig, run_block, run_experiment, run_pair
 from camsel.presets import canonical_agent_config, canonical_world
 loaded()
@@ -545,8 +549,16 @@ run_experiment(cfg)
 loaded()
 run_experiment(replace(cfg, workers=2))
 loaded()
+gauss = generate_world(WorldConfig(payoff_mode='thresholded-gaussian'), 0)
+print('scipy.special' in sys.modules)
+probs = gauss.group_success_probs(1)
+print('scipy.special' in sys.modules)
+from scipy.special import expit, ndtr
+mu = expit(gauss.features @ gauss.group_thetas[1])
+print(probs.tobytes() == ndtr((mu - gauss.accuracy_threshold) / gauss.noise_sigma).tobytes())
 """
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.splitlines() == ["[]"] * 4 + ["['concurrent.futures.process']"]
+    assert out.stdout.splitlines() == (["[]"] * 4 + ["['concurrent.futures.process']"]
+                                       + ["False", "True", "True"])

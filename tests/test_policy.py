@@ -914,3 +914,63 @@ def test_round_log_integer_columns_take_the_smallest_signed_type(agent_config):
             0, n_cameras, size=horizon)
         assert np.array_equal(agent.arrival, arrival)
         assert (agent.arrival > 127).any() == (n_cameras > 128)
+
+
+class _FirstVisit(Exception):
+    pass
+
+
+def test_graph_loop_holds_no_seed_by_round_float_table(world, agent_config):
+    """At T = 20,000 the graph loop derives each seed's reset rounds from
+    its T uniforms one seed at a time: from the block's set-up to its first
+    visit, neither the traced peak nor what stays allocated reaches half of
+    one (S, T) float64 table."""
+    import tracemalloc
+
+    import camsel.policy as policy
+
+    seeds, horizon = tuple(range(40)), 20_000
+    ls = policy._Lockstep(agent_config, world, horizon, seeds, None)
+    held = []
+
+    def visit(*args):
+        held.append(tracemalloc.get_traced_memory())
+        raise _FirstVisit
+
+    ls.visit = visit
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FirstVisit):
+            policy._graph_rounds(ls, world, horizon)
+    finally:
+        tracemalloc.stop()
+    (current, peak), = held
+    table = len(seeds) * horizon * 8
+    assert current < table / 2 and peak < table / 2, (current, peak)
+
+
+@pytest.mark.parametrize("grouping", ["pooled", "graph"])
+def test_finish_temporaries_scale_with_the_horizon_not_the_block(world, agent_config,
+                                                                 grouping):
+    """``_Lockstep.finish`` folds and gathers one episode at a time: its
+    traced peak stays below one (S, T) float64 table, and its episodes
+    equal the per-seed agents'."""
+    import tracemalloc
+
+    import camsel.policy as policy
+
+    cfg, seeds, horizon = replace(agent_config, grouping=grouping), tuple(range(40)), 300
+    ls = policy._Lockstep(cfg, world, horizon, seeds, None)
+    if grouping == "graph":
+        policy._graph_rounds(ls, world, horizon)
+    else:
+        ls.chains(0, horizon)
+    tracemalloc.start()
+    try:
+        episodes = ls.finish()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(seeds) * horizon * 8, peak
+    _assert_same_episodes(episodes[:3], [Agent(cfg, world, horizon, seed).run()
+                                         for seed in seeds[:3]])

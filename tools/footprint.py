@@ -20,8 +20,9 @@ For each stage it prints ``wall_s``, the stage process's wall seconds from
 before camsel is imported to the end of its stage; ``maxrss_mb``, its
 ``ru_maxrss``; ``children_mb``, the largest ``ru_maxrss`` of its reaped child
 processes (the sweep's pool workers; 0 for the others); and which of
-``scipy.linalg``, ``scipy.integrate`` and ``concurrent.futures.process`` the
-stage process has loaded. The figures depend on the machine and its load.
+``scipy``, ``scipy.special``, ``scipy.linalg``, ``scipy.integrate`` and
+``concurrent.futures.process`` the stage process has loaded. The figures
+depend on the machine and its load.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import time
 START = time.perf_counter()
 
 STAGES = ("import", "agent", "block", "sweep")
-WATCHED = ("scipy.linalg", "scipy.integrate", "concurrent.futures.process")
+WATCHED = ("scipy", "scipy.special", "scipy.linalg", "scipy.integrate",
+           "concurrent.futures.process")
 SEEDS = 40
 
 
