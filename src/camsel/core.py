@@ -7,7 +7,6 @@ the same shape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +14,6 @@ import numpy as np
 from .errors import ConfigError
 
 LINK_KINDS = ("sigmoid", "identity", "clipped-linear")
-# Past this argument glibc's cexp rescales, and cexp(x + i0) drifts from exp(x)
-# in the last bit (on 30% of draws in (709, 709.8]).
-_CEXP_EXACT = 709.0
 
 
 @dataclass(frozen=True)
@@ -54,40 +50,29 @@ class LinkConstants:
             )
 
 
+@np.errstate(over="ignore")     # exp(-z) past 709.78 is inf, as in expit
 def sigmoid(z):
-    """The logistic 1 / (1 + exp(-z)), equal to ``scipy.special.expit`` for
-    every float64, +-0, +-inf and NaN included, without a RuntimeWarning; a
-    scalar or 0-d argument gives a numpy float64, an array one of its shape.
+    """The logistic 1 / (1 + exp(-z)), equal to ``scipy.special.expit`` bit
+    for bit for every float64, +-0, +-inf and NaN included, without a
+    RuntimeWarning; a scalar or 0-d argument gives a numpy float64, an array
+    one of its shape.
 
-    exp(-z) is the real part of numpy's complex exp, which calls the C
-    library's cexp, and C99 Annex G gives cexp(x + i0) = exp(x) + i0: the
-    C library's exp, which expit calls. numpy's real exp is its own SIMD
-    code and parts from it in the last bit on some arguments. An argument
-    below -709 goes through ``math.exp``, the C library's exp, instead.
-    A call takes about 3x expit's time on 800 values and 7x on 20, where
-    its five numpy calls against expit's one dominate."""
-    if np.count_nonzero(np.less(z, -_CEXP_EXACT)):
-        return _sigmoid_far(z)
-    e = np.exp(np.negative(z, dtype=complex)).real
+    expit calls the C library's exp. numpy's exp of a contiguous float64
+    array is its own SIMD code on AVX-512 machines and parts from it in the
+    last bit on a few percent of arguments; but when exactly one of its
+    operands runs backwards, numpy takes its scalar loop, which calls the C
+    library's exp. So -z is written reversed and read back reversed. That
+    dispatch is a property of numpy (2.4 on x86-64), not of any
+    standard: ``tests/test_core.py`` compares every bit with expit and with
+    ``math.exp``. Its four ufunc calls under errstate against expit's one
+    cost a few microseconds a call: several times expit's time on tens of
+    values, about half as much again on hundreds (README, Performance)."""
+    z = np.asarray(z)
+    backwards = np.negative(z.ravel()[::-1])
+    e = np.exp(backwards[::-1])
     e += 1.0
-    return np.reciprocal(e)
-
-
-def _far_one(x: float) -> float:
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:   # exp(-x) is inf in C, and 1 / inf is 0
-        return 0.0
-
-
-def _sigmoid_far(z):
-    """:func:`sigmoid` of arguments some of which lie below -709."""
-    z = np.asarray(z, dtype=float)
-    far = z < -_CEXP_EXACT
-    out = np.empty_like(z)
-    out[~far] = sigmoid(z[~far])
-    out[far] = [_far_one(x) for x in z[far].tolist()]
-    return out[()]      # a 0-d result as a float64 scalar
+    np.reciprocal(e, out=e)
+    return e.reshape(z.shape)[()]   # a 0-d result as a float64 scalar
 
 
 def _check_finite(z):

@@ -63,16 +63,14 @@ class GroupStats:
 @dataclass(frozen=True)
 class Estimate:
     """A solve's last point: ``theta_hat``, whether its score norm
-    ``gradient_norm`` met the tolerance, the Newton steps taken, and the
-    scores ``z`` = x_i.theta_hat and ``means`` = mu(z) per row as the solve
-    last evaluated them. A later solve warm-started from ``theta_hat`` may
-    take ``z`` and ``means`` as its ``z0`` and ``m0``."""
+    ``gradient_norm`` met the tolerance, the Newton steps taken, and
+    ``means`` = mu(x_i.theta_hat) per row as the solve last evaluated it, so
+    a caller ranking by the means need not evaluate the link again."""
     theta_hat: np.ndarray
     converged: bool
     iterations: int
     gradient_norm: float
     means: np.ndarray | None = None
-    z: np.ndarray | None = None
 
 
 def update_stats(stats: SufficientStats, x: np.ndarray, r) -> SufficientStats:
@@ -148,15 +146,12 @@ def outer_products(feats) -> np.ndarray:
     return (feats[:, :, None] * feats[:, None, :]).reshape(len(feats), feats.shape[1] ** 2)
 
 
-def _newton(feats, weights, resp_sums, zeta, link, theta0, tol, max_iter, outer=None,
-            z0=None, m0=None):
+def _newton(feats, weights, resp_sums, zeta, link, theta0, tol, max_iter, outer=None):
     """Damped Newton on the penalized score. ``resp_sums`` holds w_i * rbar_i.
 
     Each point is evaluated once: the accepted candidate's z = F theta and
-    mu(z) give both its score and the next Hessian, and ``z0``, ``m0`` may
-    hand in those of ``theta0``, as an earlier solve's :class:`Estimate`
-    left them. Products call the ndarray ``dot`` method: the BLAS calls of
-    ``@`` without its dispatch.
+    mu(z) give both its score and the next Hessian. Products call the
+    ndarray ``dot`` method: the BLAS calls of ``@`` without its dispatch.
     """
     d = feats.shape[1]
     outer = outer_products(feats) if outer is None else outer
@@ -164,10 +159,8 @@ def _newton(feats, weights, resp_sums, zeta, link, theta0, tol, max_iter, outer=
     mu, mu_prime = _links(link)
     ridge = _ridge(zeta, d)
     feats_t = feats.T
-    if z0 is None:
-        z0 = feats.dot(theta)
-        m0 = mu(z0)
-    z, m = z0, m0
+    z = feats.dot(theta)
+    m = mu(z)
     g = feats_t.dot(resp_sums - weights * m) - zeta * theta
     gnorm = math.sqrt(g.dot(g))
     iters = 0
@@ -192,19 +185,19 @@ def _newton(feats, weights, resp_sums, zeta, link, theta0, tol, max_iter, outer=
     # non-finite theta has
     if iters and not np.isfinite(theta).all():
         raise NumericError("Newton iterate became non-finite")
-    return Estimate(theta, gnorm <= tol, iters, gnorm, m, z)
+    return Estimate(theta, gnorm <= tol, iters, gnorm, m)
 
 
 def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
                       tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                      outer=None, z0=None, m0=None) -> Estimate:
+                      outer=None) -> Estimate:
     """:func:`solve_mle_weighted` for S problems sharing the catalog, ``zeta``
-    and link: ``counts``, ``successes`` are (S, M), ``theta0`` is (S, d),
-    ``z0`` and ``m0``, if given, (S, M), and each estimate field gains a
-    leading seed axis. Row s equals the per-seed solve bit for bit: stacked
-    ``np.matmul``, :func:`_solve` of the stack and ``np.sqrt`` match the
-    per-seed ``dot``, one-system solve and ``math.sqrt(g.dot(g))``, and each
-    row takes its own steps and halvings, stopping when ``_newton`` would.
+    and link: ``counts``, ``successes`` are (S, M), ``theta0`` is (S, d), and
+    each estimate field gains a leading seed axis. Row s equals the per-seed
+    solve bit for bit: stacked ``np.matmul``, :func:`_solve` of the stack and
+    ``np.sqrt`` match the per-seed ``dot``, one-system solve and
+    ``math.sqrt(g.dot(g))``, and each row takes its own steps and halvings,
+    stopping when ``_newton`` would.
 
     The state is kept in column shape, theta as (S, d, 1) and z, mu(z) as
     (S, M, 1), so every product reads and writes it without reshaping. A
@@ -218,20 +211,16 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
     outer = outer_products(feats) if outer is None else outer
     (mu, mu_prime), ridge = _links(link), _ridge(zeta, d)
 
-    def score(weights, resp_sums, theta, z=None, m=None):
-        if z is None:
-            z = np.matmul(feats, theta)
-            m = mu(z)
+    def score(weights, resp_sums, theta):
+        z = np.matmul(feats, theta)
+        m = mu(z)
         g = np.matmul(feats_t, resp_sums - weights * m) - zeta * theta
         return z, m, g, np.sqrt(np.matmul(g[:, None, :, 0], g))
 
     weights, resp_sums = counts[:, :, None], successes[:, :, None]
     theta = np.array(theta0, dtype=float)[:, :, None]
-    # copies, as theta's: each row's results are written into them as it stops
-    start = () if z0 is None else (np.array(z0, dtype=float)[:, :, None],
-                                   np.array(m0, dtype=float)[:, :, None])
-    state = [theta, *score(weights, resp_sums, theta, *start)]
-    theta, z, m, _, gnorm = state      # each row's estimate, as it stops
+    state = [theta, *score(weights, resp_sums, theta)]
+    theta, _, m, _, gnorm = state      # each row's estimate, as it stops
     iters = np.zeros(len(theta), dtype=int)
     live = (gnorm > tol).ravel()
     rows = None     # the working set's rows; None while it holds every row
@@ -275,11 +264,11 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
         if not n_stop:
             continue
         if rows is None and n_stop == len(stop):    # every row stops together
-            theta, z, m, gnorm = new[0], new[1], new[2], new[4]
+            theta, m, gnorm = new[0], new[2], new[4]
             iters[:] = n_iter
         else:
             out = stop if rows is None else rows[stop]
-            for a, b in zip((theta, z, m, gnorm), (new[0], new[1], new[2], new[4])):
+            for a, b in zip((theta, m, gnorm), (new[0], new[2], new[4])):
                 a[out] = b[stop]
             iters[out] = n_iter
         if pending is not None:
@@ -294,7 +283,7 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
     theta, gnorm = theta[..., 0], gnorm.ravel()
     if not np.isfinite(theta[iters > 0]).all():
         raise NumericError("Newton iterate became non-finite")
-    return Estimate(theta, gnorm <= tol, iters, gnorm, m[..., 0], z[..., 0])
+    return Estimate(theta, gnorm <= tol, iters, gnorm, m[..., 0])
 
 
 def solve_mle(gs: GroupStats, link: LinkFunctionSpec, X, r,
@@ -316,22 +305,20 @@ def solve_mle(gs: GroupStats, link: LinkFunctionSpec, X, r,
 
 def solve_mle_weighted(gs: GroupStats, link: LinkFunctionSpec, feats, counts, successes,
                        tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                       theta0=None, outer=None, z0=None, m0=None) -> Estimate:
+                       theta0=None, outer=None) -> Estimate:
     """Penalized MLE from per-model aggregates; unobserved rows add exact zeros.
 
     ``counts[m]`` observations of model m's feature row with ``successes[m]``
     total payoff is likelihood-equivalent to the raw pair history and keeps
     each Newton pass O(catalog) instead of O(rounds). ``outer`` may hand in
-    :func:`outer_products` of ``feats`` when many solves share the catalog,
-    and ``z0``, ``m0`` the scores ``feats . theta0`` and their means when an
-    earlier solve's :class:`Estimate` holds them.
+    :func:`outer_products` of ``feats`` when many solves share the catalog.
     """
     feats = np.asarray(feats, dtype=float)
     counts = np.asarray(counts, dtype=float)
     successes = np.asarray(successes, dtype=float)
     if round(float(counts.sum())) != gs.count:
         raise ValueError(f"aggregates hold {counts.sum():.0f} observations but stats count {gs.count}")
-    return _newton(feats, counts, successes, gs.zeta, link, theta0, tol, max_iter, outer, z0, m0)
+    return _newton(feats, counts, successes, gs.zeta, link, theta0, tol, max_iter, outer)
 
 
 def confidence_width(x: np.ndarray, gs: GroupStats) -> float:

@@ -330,10 +330,6 @@ class Agent(_Episode):
         self.camera_theta = np.zeros((n, d))
         self._theta0 = np.zeros(d)
         self._warm = {}         # label -> last converged theta fitted under it
-        # beside each warm start: its scores F theta and their means, as its
-        # solve left them, so the next solve need not evaluate them again
-        cold = self.features.dot(self._theta0)
-        self._cold_scores, self._warm_scores = (cold, self._mu(cold)), {}
         self._ids = np.arange(n)
         self.graph = CameraGraph.complete(n) if config.grouping == "graph" else None
         self._use_partition(
@@ -393,10 +389,9 @@ class Agent(_Episode):
         A block's members are fixed and its counts only grow, so while its
         count has not moved its last converged fit stands. Otherwise the
         solve warm-starts from the last converged theta fitted under
-        ``label`` (the cold start before the first), with the scores and
-        means that fit left. A fit that stops short of tolerance is not
-        used, for its own round or as a warm start: the round takes the warm
-        start instead, with no means.
+        ``label`` (the cold start before the first). A fit that stops short
+        of tolerance is not used, for its own round or as a warm start: the
+        round takes the warm start instead, with no means.
         """
         fit = block.fit
         if fit is not None and fit[1].count == block.count:
@@ -405,13 +400,12 @@ class Agent(_Episode):
         gs = GroupStats(gramian_reg=self._eye + (self._features_t * tries).dot(self.features),
                         count=block.count, zeta=self.zeta)
         start = self._warm.get(label, self._theta0)
-        z0, m0 = self._warm_scores.get(label, self._cold_scores)
         est = solve_mle_weighted(gs, self.cfg.link, self.features, tries, block.wins,
-                                 theta0=start, outer=self._outer, z0=z0, m0=m0)
+                                 theta0=start, outer=self._outer)
         if not est.converged:
             self.nonconverged_solves += 1
             return start, gs, None
-        self._warm[label], self._warm_scores[label] = est.theta_hat, (est.z, est.means)
+        self._warm[label] = est.theta_hat
         block.fit = (est.theta_hat, gs, est.means)
         return block.fit
 
@@ -510,7 +504,6 @@ class _Lockstep:
     learner state of every (seat, block) cell, and the one visit step every
     loop takes. A block is the seat's one pool under ``pooled`` and a camera
     otherwise, so a cell is one flat row: its tries, wins and warm start
-    (theta, its scores F theta and their means, as its solve left them)
     and, kept only under ``graph``, its count, refitted estimate and the
     memo of its last converged refit (its means and the count it was made
     at, -1 for none). A graph block fits under its label, the smallest
@@ -530,6 +523,7 @@ class _Lockstep:
                          for seat, seed in enumerate(seeds)]
         self.feats, self.feats_t = world.features, world.features.T
         self.outer, self.eye = outer_products(world.features), config.zeta * np.eye(d)
+        self.mu = link_callables(config.link)[0]
         # a visit's sort keys; lexsort is stable, so the last tie-break, the
         # lower id, needs no key. A step ranks up to one row per seed and camera
         tiers = np.broadcast_to((world.tiers == "cloud").astype(int), (n_seeds * n, m))
@@ -540,14 +534,7 @@ class _Lockstep:
         self.partition, self.n_blocks = ((np.zeros(n, dtype=int), 1)
                                          if config.grouping == "pooled" else (np.arange(n), n))
         cells = n_seeds * self.n_blocks
-        self.tries, self.wins = np.zeros((cells, m)), np.zeros((cells, m))
-        # a warm start's row holds theta, z and mu(z) side by side, so a fit
-        # gathers and stores it in one step; the cold start's z and mu(z) are
-        # made as the stacked solve makes them
-        cold = np.matmul(self.feats, np.zeros((cells, d, 1)))
-        self.warm = np.concatenate((np.zeros((cells, d)), cold[..., 0],
-                                    link_callables(config.link)[0](cold)[..., 0]), axis=1)
-        self.dim = d
+        self.tries, self.wins, self.warm = (np.zeros((cells, k)) for k in (m, m, d))
         self.flat_tries, self.flat_wins, self.n_models = self.tries.ravel(), self.wins.ravel(), m
         kept = cells if config.grouping == "graph" else 0
         self.memo_means, self.estimates = np.zeros((kept, m)), np.zeros((kept, d))
@@ -555,21 +542,19 @@ class _Lockstep:
         self.unconverged = np.zeros(n_seeds, dtype=int)    # unconverged fits per seat
         self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
 
-    def fit(self, visits, tries, wins, at):
-        """(theta, means, converged) of one stacked fit of ``visits``, which
-        starts from the warm starts of cells ``at`` and leaves its own there.
-        A row short of tolerance keeps its warm start and counts as
-        unconverged, as in ``Agent._fit``."""
-        start, d, m = self.warm[at], self.dim, self.dim + self.n_models
-        est = solve_mle_stacked(self.feats, tries, wins, self.cfg.zeta, self.cfg.link,
-                                start[:, :d], outer=self.outer, z0=start[:, d:m], m0=start[:, m:])
-        found, ok = np.concatenate((est.theta_hat, est.z, est.means), axis=1), est.converged
+    def fit(self, visits, tries, wins, start):
+        """(theta, means, converged) of one stacked fit of ``visits``.
+        A row short of tolerance takes its warm start and mu of it and counts
+        as unconverged, as in ``Agent._fit``."""
+        est = solve_mle_stacked(self.feats, tries, wins, self.cfg.zeta, self.cfg.link, start,
+                                outer=self.outer)
+        theta, means, ok = est.theta_hat, est.means, est.converged
         if not ok.all():
             missed = ~ok
             self.unconverged += np.bincount(visits[0][missed], minlength=len(self.seats))
-            found[missed] = start[missed]
-        self.warm[at] = found
-        return found[:, :d], found[:, m:], ok
+            theta[missed] = start[missed]
+            means[missed] = self.mu(np.matmul(self.feats, start[missed][:, :, None])[..., 0])
+        return theta, means, ok
 
     def rank(self, visits, means, tries):
         """(ranked, paid, tries made) of the cascades of ``visits``, scored
@@ -601,12 +586,14 @@ class _Lockstep:
         # only graph refits, so no other grouping has a memo to hit
         miss = stale | (self.fitted_at[own] != self.counts[own]) if graph else None
         if miss is None or miss.all():
-            means = self.fit(visits, tries, wins, block)[1]
+            self.warm[block], means, _ = self.fit(visits, tries, wins, self.warm[block])
         else:
             means, miss = self.memo_means[own], np.flatnonzero(miss)
             if miss.size:
-                means[miss] = self.fit(tuple(a[miss] if np.ndim(a) else a for a in visits),
-                                       tries[miss], wins[miss], block[miss])[1]
+                at = block[miss]
+                self.warm[at], means[miss], _ = self.fit(
+                    tuple(a[miss] if np.ndim(a) else a for a in visits), tries[miss],
+                    wins[miss], self.warm[at])
 
         t1 = clock()
         timing["estimation"] += t1 - t0
@@ -620,7 +607,8 @@ class _Lockstep:
         timing["bookkeeping"] += t3 - t2
         if graph:
             self.counts[own] += n_tried
-            self.estimates[own], means, ok = self.fit(visits, self.tries[own], self.wins[own], own)
+            theta, means, ok = self.fit(visits, self.tries[own], self.wins[own], self.warm[own])
+            self.warm[own] = self.estimates[own] = theta
             own = own[ok]
             self.fitted_at[own], self.memo_means[own] = self.counts[own], means[ok]
             timing["estimation"] += clock() - t3

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -403,14 +403,10 @@ def test_newton_bit_identical_on_agent_problems(world, agent_config, monkeypatch
     problems = []
     real = policy.solve_mle_weighted
 
-    def captured(gs, link, feats, counts, successes, theta0=None, outer=None, z0=None, m0=None):
+    def captured(gs, link, feats, counts, successes, theta0=None, outer=None):
         problems.append((feats, counts.copy(), successes.copy(), gs.zeta, link,
                          np.array(theta0)))
-        # the scores carried beside the warm start are its fresh ones, bit for bit
-        z = feats.dot(theta0)
-        assert z0.tobytes() == z.tobytes()
-        assert m0.tobytes() == link_callables(link)[0](z).tobytes()
-        return real(gs, link, feats, counts, successes, theta0=theta0, outer=outer, z0=z0, m0=m0)
+        return real(gs, link, feats, counts, successes, theta0=theta0, outer=outer)
 
     monkeypatch.setattr(policy, "solve_mle_weighted", captured)
     Agent(replace(agent_config, grouping=grouping), world, 300, seed=0).run()
@@ -488,20 +484,11 @@ def test_stacked_newton_matches_per_seed_newton_row_by_row(kind, problem):
     feats, counts, succ, zeta, theta0 = problem
     link = LinkFunctionSpec(kind)
     stacked = solve_mle_stacked(feats, counts, succ, zeta, link, theta0)
-    # handed the start's scores, as a warm start carries them, the solve is the same
-    z0 = np.matmul(feats, theta0[:, :, None])[..., 0]
-    m0 = link_callables(link)[0](z0)
-    inputs = z0.copy(), m0.copy()
-    carried = solve_mle_stacked(feats, counts, succ, zeta, link, theta0, z0=z0, m0=m0)
-    for ours, theirs in zip(astuple(carried), astuple(stacked)):
-        assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
-    assert np.array_equal(z0, inputs[0]) and np.array_equal(m0, inputs[1])
     for s in range(len(counts)):
         est = _newton(feats, counts[s], succ[s], zeta, link, theta0[s], DEFAULT_TOL,
                       DEFAULT_MAX_ITER)
         assert np.array_equal(stacked.theta_hat[s], est.theta_hat)
         assert np.array_equal(stacked.means[s], est.means)
-        assert np.array_equal(stacked.z[s], est.z)
         assert (bool(stacked.converged[s]), int(stacked.iterations[s]),
                 float(stacked.gradient_norm[s])) == (est.converged, est.iterations,
                                                      est.gradient_norm)
