@@ -1,8 +1,9 @@
 """Synthetic camera/model worlds: generation, payoff sampling, ground-truth oracle.
 
-A ``World`` is immutable once built (its arrays are write-protected); schedule
-shifts produce new ``World`` objects that share the catalog. Payoffs come in
-two modes:
+A ``World`` is immutable once built (its arrays are write-protected). A
+perspective schedule leaves it as it is: a run settles the true group of each
+camera at each round from the world and the schedule's events once
+(``policy._settle``). Payoffs come in two modes:
 
 * ``bernoulli`` - the binary payoff is 1 with probability mu(x.theta).
 * ``thresholded-gaussian`` - a noisy accuracy mu(x.theta) + N(0, sigma^2) is
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .errors import ConfigError, GenerationError, ScheduleError, typed
 PAYOFF_MODES = ("bernoulli", "thresholded-gaussian")
 TIERS = ("edge", "cloud")
 WORLD_SCHEMA_VERSION = 1
+# the most draws of group weights ``generate_world`` makes to meet gamma
+MAX_REDRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -143,9 +146,6 @@ class World:
         """True per-model success probabilities for this camera."""
         return self.group_success_probs(int(self.camera_groups[camera]))
 
-    def with_camera_groups(self, assignment: np.ndarray) -> "World":
-        return replace(self, camera_groups=np.asarray(assignment, dtype=int))
-
 
 @dataclass(frozen=True)
 class PerspectiveSchedule:
@@ -176,16 +176,14 @@ class WorldConfig:
     dimension: int = 5
     gamma: float = 0.5
     n_models: int = 20
-    group_sizes: tuple | None = None
     unit_norm_features: bool = False
     payoff_mode: str = "bernoulli"
     accuracy_threshold: float = 0.8
     noise_sigma: float = 0.1
     link: LinkFunctionSpec = field(default_factory=LinkFunctionSpec)
-    max_rejections: int = 10_000
 
     def __post_init__(self):
-        for name in ("n_groups", "n_cameras", "dimension", "n_models", "max_rejections"):
+        for name in ("n_groups", "n_cameras", "dimension", "n_models"):
             typed(name, getattr(self, name))
         typed("unit_norm_features", self.unit_norm_features, bool, "a bool")
         for name in ("gamma", "accuracy_threshold", "noise_sigma"):
@@ -196,13 +194,6 @@ class WorldConfig:
             raise ConfigError("dimension must be at least 2")
         if self.n_cameras < 1 or self.n_models < 1:
             raise ConfigError("need at least one camera and one model")
-        if self.group_sizes is not None:
-            sizes = tuple(typed("group_sizes", s) for s in self.group_sizes)
-            if len(sizes) != self.n_groups or sum(sizes) != self.n_cameras or min(sizes) < 1:
-                raise ConfigError(
-                    f"group_sizes {sizes} must be {self.n_groups} positive sizes summing "
-                    f"to {self.n_cameras}")
-            object.__setattr__(self, "group_sizes", sizes)
 
 
 def _uniform_ball(rng, count: int, dim: int) -> np.ndarray:
@@ -216,10 +207,11 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     """Deterministic world from (config, seed).
 
     Group weight vectors are drawn uniformly in the unit ball and redrawn
-    until every pair is at least gamma apart; model features are uniform on
-    the sphere with a per-model magnitude in [0.5, 1] (or exactly 1 when
-    ``unit_norm_features``); cameras fill balanced contiguous blocks unless
-    explicit group sizes are given.
+    until every pair is at least gamma apart, at most ``MAX_REDRAWS`` times;
+    model features are uniform on the sphere with a per-model magnitude in
+    [0.5, 1] (or exactly 1 when ``unit_norm_features``); cameras fill
+    contiguous blocks of balanced sizes, the first ``n_cameras % n_groups``
+    groups one camera larger.
     """
     if seed < 0:
         raise ConfigError(f"world_seed must be nonnegative, got {seed}")
@@ -230,7 +222,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
             f"gamma {config.gamma} exceeds the unit-ball diameter; "
             f"{g * (g - 1) // 2} pairs can never satisfy it")
     thetas = None
-    for _ in range(config.max_rejections):
+    for _ in range(MAX_REDRAWS):
         cand = _uniform_ball(rng, g, d)
         if g == 1:
             thetas = cand
@@ -243,7 +235,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     if thetas is None:
         raise GenerationError(
             f"could not satisfy dispersion gamma={config.gamma} for {g} groups after "
-            f"{config.max_rejections} attempts ({bad} pairs violated it in the last draw)")
+            f"{MAX_REDRAWS} attempts ({bad} pairs violated it in the last draw)")
 
     directions = rng.standard_normal((config.n_models, d))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -264,12 +256,9 @@ def generate_world(config: WorldConfig, seed: int) -> World:
         catalog.append(VisualModel(id=m, features=feats[m], tier=str(tier_assignment[m]),
                                    bandwidth_cost=float(bw), latency_cost=float(lat)))
 
-    if config.group_sizes is not None:
-        sizes = np.array(config.group_sizes)
-    else:
-        base, extra = divmod(config.n_cameras, g)
-        sizes = np.full(g, base)
-        sizes[:extra] += 1
+    base, extra = divmod(config.n_cameras, g)
+    sizes = np.full(g, base)
+    sizes[:extra] += 1
     assignment = np.repeat(np.arange(g), sizes)
 
     return World(

@@ -83,9 +83,6 @@ class CameraGraph:
     def edge_count(self) -> int:
         return self._edges
 
-    def neighbors(self, camera: int) -> np.ndarray:
-        return self.adj[camera].nonzero()[0]
-
     def _invalidate(self):
         """Recount the edges and drop the cached components."""
         self._edges = int(np.count_nonzero(self.adj)) // 2
@@ -163,7 +160,7 @@ def delete_edges(graph: CameraGraph, camera: int, estimates: np.ndarray,
         raise ValueError(
             f"need an estimate and count for each of {graph.n} cameras, "
             f"got {estimates.shape[0]} estimates and {counts.shape[0]} counts")
-    nbrs = graph.neighbors(camera)
+    nbrs = graph.adj[camera].nonzero()[0]
     if nbrs.size == 0:
         return graph
     dist = np.linalg.norm(estimates[nbrs] - estimates[camera], axis=1)

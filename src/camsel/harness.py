@@ -5,20 +5,19 @@ Variants sharing a seed consume identical camera-arrival and payoff streams
 ablation delta is a paired comparison. Each (variant, seed) pair runs
 independently; failures abort only that pair and are recorded in the summary.
 
-Every agent variant but ``set-based`` and ``no-combining`` runs its seeds in
-``min(workers, seeds)`` contiguous blocks through ``run_block``, one lockstep
-loop per block holding S x T x M bools of payoff hits, with ``run_pair``'s
-results bit for bit. A block of one seed runs through ``run_pair``, and so
-does each seed of a block that raises; ``set-based``, ``no-combining`` and
-``greedy`` run one pair per job. The loop runs each (seed, block) chain of
-visits on its own rows: ``no-grouping`` and ``no-perspective`` for the whole
-horizon, graph grouping once every seed's graph in a block is edgeless and
-until the next graph reset (see ``policy.run_lockstep``).
-A blocked pair's timer buckets and wall are the block's divided by S;
-``harness`` is the rest of that share. A block's trace files are written in
-one pass over its episodes' round logs (``write_traces``), which formats each
-column's distinct values once; ``run_pair`` writes the one-trace case, and a
-pair builds ``RoundRecord``s only for ``keep_records``.
+Every agent variant but ``set-based`` runs its seeds in ``min(workers, seeds)``
+contiguous blocks through ``run_block``, one lockstep loop per block holding
+S x T x M bools of payoff hits, with ``run_pair``'s results bit for bit. A
+block of one seed runs through ``run_pair``, and so does each seed of a block
+that raises; ``set-based`` and ``greedy`` run one pair per job. The loop runs
+each (seed, block) chain of visits on its own rows: ``no-grouping`` and
+``no-perspective`` for the whole horizon, graph grouping once every seed's
+graph in a block is edgeless and until the next graph reset (see
+``policy.run_lockstep``). A blocked pair's timer buckets and wall are the
+block's divided by S; ``harness`` is the rest of that share. A block's trace
+files are written in one pass over its episodes' round logs (``write_traces``),
+which formats each column's distinct values once; ``run_pair`` writes the
+one-trace case, and a pair builds ``RoundRecord``s only for ``keep_records``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ AGENT_VARIANTS = {
     "default": {},
     "no-grouping": {"grouping": "singletons"},
     "no-perspective": {"grouping": "pooled"},
-    "no-combining": {"no_combining": True},
+    "no-combining": {"cascade_order": "ucb-then-random"},
     "set-based": {"grouping": "set"},
     "tier-first": {"cascade_order": "tier-then-ucb"},
     "f1": {"f_id": "f1"},

@@ -32,7 +32,7 @@ from .estimator import (GroupStats, confidence_widths, confidence_widths_stacked
 from .grouping import (CameraGraph, DeletionRule, ReconnectPolicy, _min_labels, delete_edges,
                        deletion_threshold, reconnect, set_based_groups)
 
-CASCADE_ORDERS = ("ucb-desc", "tier-then-ucb")
+CASCADE_ORDERS = ("ucb-desc", "tier-then-ucb", "ucb-then-random")
 # How cameras share statistics: graph components, from-scratch set-based
 # components, every camera alone, or all cameras in one pool.
 GROUPINGS = ("graph", "set", "singletons", "pooled")
@@ -81,11 +81,9 @@ class AgentConfig:
     f_id: str = "f1"
     cascade_order: str = "ucb-desc"
     grouping: str = "graph"
-    no_combining: bool = False
 
     def __post_init__(self):
         typed("k_max", self.k_max)
-        typed("no_combining", self.no_combining, bool, "a bool")
         for name in ("alpha", "beta", "zeta"):
             typed(name, getattr(self, name), numbers.Real, "a real number")
         typed("p0", self.p0, (numbers.Real, type(None)), "a real number or null")
@@ -160,30 +158,24 @@ def _arange(n: int) -> np.ndarray:
 
 
 def plan_cascade(scores: np.ndarray, tier_ranks: np.ndarray, k_max: int, order: str,
-                 rng=None, random_after_first: bool = False) -> np.ndarray:
+                 rng=None) -> np.ndarray:
     """Ranked model ids this round commits to trying, best first.
 
     ``ucb-desc`` sorts by score with (edge tier, lower id) tie-breaks;
-    ``tier-then-ucb`` puts all edge models ahead of cloud ones. With
-    ``random_after_first`` only the leader keeps its rank and the remaining
-    slots are drawn uniformly without replacement.
+    ``tier-then-ucb`` puts all edge models ahead of cloud ones;
+    ``ucb-then-random`` keeps ``ucb-desc``'s leader and draws the remaining
+    slots from ``rng`` uniformly without replacement.
     """
     n_models = scores.shape[0]
     ids = _arange(n_models)
-    if order == "ucb-desc":
-        ranked = np.lexsort((ids, tier_ranks, -scores))
-    elif order == "tier-then-ucb":
-        ranked = np.lexsort((ids, -scores, tier_ranks))
-    else:
+    if order not in CASCADE_ORDERS:
         raise ConfigError(f"unknown cascade order {order!r}")
+    ranked = np.lexsort((ids, -scores, tier_ranks) if order == "tier-then-ucb"
+                        else (ids, tier_ranks, -scores))
     k = min(k_max, n_models)
-    if random_after_first and k > 1:
-        if rng is None:
-            raise ValueError("random_after_first needs an rng")
-        first = ranked[0]
-        rest = ids[ids != first]
-        tail = rng.choice(rest, size=k - 1, replace=False)
-        return np.concatenate(([first], tail))
+    if order == "ucb-then-random" and k > 1:
+        rest = ids[ids != ranked[0]]
+        return np.concatenate((ranked[:1], rng.choice(rest, size=k - 1, replace=False)))
     return ranked[:k]
 
 
@@ -438,7 +430,7 @@ class Agent(_Episode):
             means = self._mu(self.features.dot(theta))
         scores = means + cfg.alpha * confidence_widths(self.features, gs)
         intended = plan_cascade(scores, self.tier_ranks, cfg.k_max, cfg.cascade_order,
-                                rng=self.rng, random_after_first=cfg.no_combining).tolist()
+                                self.rng).tolist()
         tried, payoffs = execute_cascade(intended, self.hits[i].tolist().__getitem__)
 
         t4 = clock()
@@ -493,9 +485,33 @@ class Agent(_Episode):
 
 
 def lockstep_ready(config: AgentConfig) -> bool:
-    """Whether :func:`run_lockstep` runs this agent: any grouping but ``set``,
-    and no rng draws in the cascade."""
-    return config.grouping != "set" and not config.no_combining
+    """Whether :func:`run_lockstep` runs this agent: any grouping but ``set``."""
+    return config.grouping != "set"
+
+
+def _agent_draws(config: AgentConfig, seeds, horizon: int, n_models: int, k: int) -> tuple:
+    """(tails, resetting): each seed's agent stream in :class:`Agent`'s order,
+    one seed at a time. Per round, under ``ucb-then-random`` with k > 1, the
+    k - 1 random picks as indices into the models but the leader; then,
+    under ``graph``, whether the reconnect uniform resets the graph, or None."""
+    random, graph = config.cascade_order == "ucb-then-random" and k > 1, config.grouping == "graph"
+    tails = np.empty((len(seeds), horizon, k - 1), _int_type(n_models)) if random else None
+    resetting = np.empty((len(seeds), horizon), dtype=bool) if graph else None
+    uniforms, rounds_sq = np.empty(horizon), np.arange(1, horizon + 1, dtype=float) ** 2
+    for seat, seed in enumerate(seeds if random or graph else ()):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _AGENT_TAG]))
+        if random:
+            # the indices into rest that Agent's rng.choice(rest, ...) draws
+            for t in range(horizon):
+                tails[seat, t] = rng.choice(n_models - 1, k - 1, replace=False)
+                if graph:
+                    uniforms[t] = rng.random()
+        elif graph:
+            rng.random(out=uniforms)
+        if graph:
+            p0 = derive_p0(seed) if config.p0 is None else config.p0
+            np.less(uniforms, np.minimum(1.0, p0 / rounds_sq), out=resetting[seat])
+    return tails, resetting
 
 
 class _Lockstep:
@@ -514,7 +530,7 @@ class _Lockstep:
 
     def __init__(self, config: AgentConfig, world: World, horizon: int, seeds, schedule):
         n_seeds, n, m, d = len(seeds), world.n_cameras, world.n_models, world.dimension
-        self.cfg, self.seeds, self.k = config, seeds, min(config.k_max, m)
+        self.cfg, self.k = config, min(config.k_max, m)
         facts = _settle(world, horizon, config.k_max, schedule)
         self.group_probs, _, self.truths, self.truth_at, _ = facts
         self.log = _round_log(world, horizon, self.k, n_seeds)
@@ -527,9 +543,10 @@ class _Lockstep:
         # a visit's sort keys; lexsort is stable, so the last tie-break, the
         # lower id, needs no key. A step ranks up to one row per seed and camera
         tiers = np.broadcast_to((world.tiers == "cloud").astype(int), (n_seeds * n, m))
-        self.keys = ((lambda scores: (tiers[:len(scores)], -scores))
-                     if config.cascade_order == "ucb-desc"
-                     else (lambda scores: (-scores, tiers[:len(scores)])))
+        self.keys = ((lambda scores: (-scores, tiers[:len(scores)]))
+                     if config.cascade_order == "tier-then-ucb"
+                     else (lambda scores: (tiers[:len(scores)], -scores)))
+        self.tails, self.resetting = _agent_draws(config, seeds, horizon, m, self.k)
         self.seats, self.picks = np.arange(n_seeds), np.arange(self.k)
         self.partition, self.n_blocks = ((np.zeros(n, dtype=int), 1)
                                          if config.grouping == "pooled" else (np.arange(n), n))
@@ -558,10 +575,14 @@ class _Lockstep:
 
     def rank(self, visits, means, tries):
         """(ranked, paid, tries made) of the cascades of ``visits``, scored
-        under the stacked Gramians of the fitted blocks' ``tries``."""
+        under the stacked Gramians of the fitted blocks' ``tries``. A random
+        tail follows its row's leader, mapped past it into model ids."""
         gramians = self.eye + np.matmul(self.feats_t * tries[:, None, :], self.feats)
         scores = means + self.cfg.alpha * confidence_widths_stacked(self.feats, gramians)
         ranked = np.lexsort(self.keys(scores), axis=-1)[:, :self.k]
+        if self.tails is not None:
+            tail = self.tails[visits]
+            ranked[:, 1:] = tail + (tail >= ranked[:, :1])
         seats, at = visits
         paid = self.log["hits"][seats[:, None], at if np.ndim(at) == 0 else at[:, None], ranked]
         n_tried = np.where(paid.any(axis=1), paid.argmax(axis=1) + 1, self.k)
@@ -716,23 +737,16 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
     masked sum of its members' rows (integer-valued floats, so exact in any
     order). The fit memo is kept per camera: a multi-camera block's count
     grows each time it is fitted, so only a camera alone, unchanged since its
-    last converged refit, reuses a fit. Each seed's reconnect uniforms, one
-    per round, are drawn up front from its agent stream.
+    last converged refit, reuses a fit. Whether a round resets each seed's
+    graph was drawn at set-up (``ls.resetting``).
 
     A round that starts with every seed's graph edgeless begins a stretch,
     which lasts until the next round at which some seed's graph resets. In a
     stretch every camera is its own block, so it runs as :meth:`_Lockstep.chains`.
     The reset round goes back to the round loop."""
     clock, timing, seats, cfg, log = time.perf_counter, ls.timing, ls.seats, ls.cfg, ls.log
-    n, n_seeds = world.n_cameras, len(seats)
+    n, n_seeds, resetting = world.n_cameras, len(seats), ls.resetting
     rule, ids = DeletionRule(cfg.beta, cfg.f_id), np.arange(n)
-    rounds_sq = np.arange(1, horizon + 1, dtype=float) ** 2
-    # one seed at a time, so only one seed's T uniforms are ever held
-    resetting = np.empty((n_seeds, horizon), dtype=bool)
-    for row, seed in zip(resetting, ls.seeds):
-        p0 = derive_p0(seed) if cfg.p0 is None else cfg.p0
-        np.less(np.random.default_rng(np.random.SeedSequence([seed, _AGENT_TAG])).random(horizon),
-                np.minimum(1.0, p0 / rounds_sq), out=row)
     full = n * (n - 1) // 2
     complete = ~np.eye(n, dtype=bool)
     adj, edges = np.tile(complete, (n_seeds, 1, 1)), np.full(n_seeds, full)

@@ -135,7 +135,8 @@ def test_override_applies(tmp_path, capsys):
 # a misspelling, then the keys that were removed from the schema
 @pytest.mark.parametrize("item", ["agent.alhpa=0.5", "agent.reconnect_mode=per-edge",
                                   "agent.regret_oracle_k=2", "experiment.eta=0.5",
-                                  "world.edge_fraction=0.5"])
+                                  "world.edge_fraction=0.5", "agent.no_combining=true",
+                                  "world.group_sizes=[4, 4]", "world.max_rejections=50"])
 @pytest.mark.parametrize("given_by", ["set", "file"])
 def test_override_unknown_key_rejected(tmp_path, capsys, item, given_by):
     path, value = item.split("=")
@@ -162,9 +163,9 @@ MISTYPED = [("experiment", "variants", "no-grouping"), ("experiment", "seeds", 3
             ("experiment", "seeds", "12"), ("experiment", "horizon", 30.7),
             ("experiment", "horizon", True), ("experiment", "target", "0.8"),
             ("experiment", "workers", "2"), ("experiment", "output_dir", 4),
-            ("agent", "k_max", 2.5), ("agent", "no_combining", "false"),
+            ("agent", "k_max", 2.5), ("agent", "zeta", "1.0"),
             ("agent", "alpha", "0.25"), ("agent", "p0", True),
-            ("world", "n_cameras", 4.5), ("world", "group_sizes", [2.5, 2]),
+            ("world", "n_cameras", 4.5), ("world", "dimension", 2.5),
             ("world", "unit_norm_features", "false"), ("world", "gamma", None),
             (None, "world_path", 4)]
 
@@ -191,7 +192,7 @@ def test_known_paths_name_every_dataclass_field():
     for section, cls in (("world", WorldConfig), ("agent", AgentConfig)):
         assert {f"{section}.{f.name}" for f in fields(cls)} <= KNOWN_PATHS
         assert {f"{section}.link.{f.name}" for f in fields(LinkFunctionSpec)} <= KNOWN_PATHS
-    assert len(KNOWN_PATHS) == 41
+    assert len(KNOWN_PATHS) == 38
 
 
 def test_agent_section_written_by_asdict_loads_back_equal(tmp_path):

@@ -34,10 +34,12 @@ def test_generate_infeasible_gamma_errors():
                                    n_models=3), seed=0)
 
 
-def test_generate_exhaustion_errors():
-    cfg = WorldConfig(n_groups=6, n_cameras=6, dimension=2, gamma=1.9, n_models=3,
-                      max_rejections=50)
-    with pytest.raises(GenerationError):
+def test_generate_exhaustion_errors(monkeypatch):
+    import camsel.environment as environment
+
+    monkeypatch.setattr(environment, "MAX_REDRAWS", 50)
+    cfg = WorldConfig(n_groups=6, n_cameras=6, dimension=2, gamma=1.9, n_models=3)
+    with pytest.raises(GenerationError, match="after 50 attempts"):
         generate_world(cfg, seed=0)
 
 
@@ -59,15 +61,6 @@ def test_generated_norms_and_dispersion():
         dists = [np.linalg.norm(w.group_thetas[a] - w.group_thetas[b])
                  for a, b in itertools.combinations(range(3), 2)]
         assert min(dists) >= 0.4
-
-
-def test_group_sizes_override():
-    cfg = WorldConfig(n_groups=2, n_cameras=5, dimension=3, gamma=0.3, n_models=4,
-                      group_sizes=(2, 3))
-    w = generate_world(cfg, 0)
-    assert np.array_equal(w.camera_groups, [0, 0, 1, 1, 1])
-    with pytest.raises(ConfigError):
-        WorldConfig(n_groups=2, n_cameras=5, group_sizes=(2, 2))
 
 
 def test_unit_norm_features_flag():

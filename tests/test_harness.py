@@ -334,7 +334,7 @@ def test_correct_column_matches_hand_stepped_agent(variant):
     # beta = 1 both groupings match the true partition before and after the
     # move on seed 0, so the column holds both values.
     events = ((100, 0, 1), (200, 5, 0))
-    world = canonical_world().with_camera_groups(np.zeros(8, dtype=int))
+    world = replace(canonical_world(), camera_groups=np.zeros(8, dtype=int))
     base = replace(canonical_agent_config(), beta=1.0)
     res = run_pair(variant, 0, world, base, 300, schedule_events=events)
     agent = Agent(variant_agent_config(base, variant), world, 300, 0,

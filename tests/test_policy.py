@@ -41,7 +41,7 @@ def test_plan_cascade_random_tail(rng):
     tiers = np.zeros(4, dtype=int)
     seen_tails = set()
     for _ in range(40):
-        order = plan_cascade(scores, tiers, 3, "ucb-desc", rng=rng, random_after_first=True)
+        order = plan_cascade(scores, tiers, 3, "ucb-then-random", rng=rng)
         assert order[0] == 1
         assert len(set(order.tolist())) == 3
         seen_tails.add(tuple(order.tolist()[1:]))
@@ -255,7 +255,7 @@ def test_ablation_flags_change_grouping_fields(world):
 
 
 def test_no_combining_randomizes_tail(world):
-    records = run_agent(AgentConfig(no_combining=True), world, 400, seed=1)
+    records = run_agent(AgentConfig(cascade_order="ucb-then-random"), world, 400, seed=1)
     default = run_agent(AgentConfig(), world, 400, seed=1)
     # same camera stream, same first picks driven by the same scores
     assert all(a.camera == b.camera for a, b in zip(records, default))
@@ -579,15 +579,25 @@ def test_lockstep_episodes_equal_agents(world, agent_config, grouping, order):
                           [Agent(cfg, world, 200, seed, schedule).run() for seed in seeds])
 
 
-def test_lockstep_runs_every_grouping_but_set_and_only_the_ranked_cascade(world, agent_config):
+def test_lockstep_runs_every_grouping_but_set_under_every_cascade_order(world, agent_config):
+    """``set`` stays with the per-seed agent; the random cascade tail runs in
+    lockstep under each other grouping, k = 1 (no tail drawn) and k = M
+    included, and equals the per-seed agents'."""
     import camsel.policy as policy
 
-    assert agent_config.grouping == "graph" and policy.lockstep_ready(agent_config)
-    for cfg in (replace(agent_config, grouping="set"), replace(agent_config, no_combining=True),
-                replace(agent_config, grouping="pooled", no_combining=True)):
+    for cfg in (replace(agent_config, grouping="set"),
+                replace(agent_config, grouping="set", cascade_order="ucb-then-random")):
         assert not policy.lockstep_ready(cfg)
         with pytest.raises(ConfigError):
             policy.run_lockstep(cfg, world, 10, (0, 1))
+    schedule, seeds = PerspectiveSchedule(((50, 0, 1), (120, 5, 0))), (4, 0, 9)
+    for grouping in ("graph", "pooled", "singletons"):
+        for k_max in (1, 3, world.n_models):
+            cfg = replace(agent_config, grouping=grouping, cascade_order="ucb-then-random",
+                          k_max=k_max)
+            assert policy.lockstep_ready(cfg)
+            _assert_same_episodes(policy.run_lockstep(cfg, world, 150, seeds, schedule),
+                                  [Agent(cfg, world, 150, seed, schedule).run() for seed in seeds])
 
 
 @pytest.mark.parametrize("grouping", ["pooled", "singletons"])
@@ -921,32 +931,32 @@ class _FirstVisit(Exception):
 
 
 def test_graph_loop_holds_no_seed_by_round_float_table(world, agent_config):
-    """At T = 20,000 the graph loop derives each seed's reset rounds from
-    its T uniforms one seed at a time: from the block's set-up to its first
-    visit, neither the traced peak nor what stays allocated reaches half of
-    one (S, T) float64 table."""
+    """At T = 20,000 a graph block's set-up derives each seed's reset rounds
+    from its T uniforms one seed at a time: from the start of the set-up to
+    the first visit, neither the traced peak nor what stays allocated
+    reaches half of one (S, T) float64 table beyond the block's round log."""
     import tracemalloc
 
     import camsel.policy as policy
 
     seeds, horizon = tuple(range(40)), 20_000
-    ls = policy._Lockstep(agent_config, world, horizon, seeds, None)
     held = []
 
     def visit(*args):
         held.append(tracemalloc.get_traced_memory())
         raise _FirstVisit
 
-    ls.visit = visit
     tracemalloc.start()
     try:
+        ls = policy._Lockstep(agent_config, world, horizon, seeds, None)
+        ls.visit = visit
         with pytest.raises(_FirstVisit):
             policy._graph_rounds(ls, world, horizon)
     finally:
         tracemalloc.stop()
     (current, peak), = held
-    table = len(seeds) * horizon * 8
-    assert current < table / 2 and peak < table / 2, (current, peak)
+    table, log = len(seeds) * horizon * 8, sum(column.nbytes for column in ls.log.values())
+    assert current - log < table / 2 and peak - log < table / 2, (current, peak, log)
 
 
 @pytest.mark.parametrize("grouping", ["pooled", "graph"])

@@ -2,10 +2,12 @@
 
 Hypothesis draws worlds with both links and both payoff modes, zeta, k_max
 from 1 to M (M = 1 and N = 1 included), d from 2, a perspective schedule and
-each variant, and runs one short pair twice with a trace file each time.
+each variant, and runs one short pair twice with a trace file each time. On
+the same worlds, a lockstep block of seeds equals the per-seed agents.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camsel.core import LinkFunctionSpec, expected_cascade_payoff
-from camsel.environment import PAYOFF_MODES, WorldConfig, generate_world
+from camsel.environment import PAYOFF_MODES, PerspectiveSchedule, WorldConfig, generate_world
 from camsel.harness import VARIANTS, read_trace, run_pair
-from camsel.policy import AgentConfig
+from camsel.policy import CASCADE_ORDERS, Agent, AgentConfig, run_lockstep
 
 
 @st.composite
@@ -85,3 +87,21 @@ def test_every_round_record_keeps_its_invariants(variant, pair):
     assert result.cum_regret.tolist() == np.cumsum(
         [r.instantaneous_regret for r in result.records]).tolist()
     _assert_record_invariants(result.records, variant, world, agent, events)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=pairs(), grouping=st.sampled_from(("graph", "pooled", "singletons")),
+       order=st.sampled_from(CASCADE_ORDERS),
+       seeds=st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True))
+def test_lockstep_block_equals_per_seed_agents(pair, grouping, order, seeds):
+    _, world, agent, horizon, events = pair
+    cfg = replace(agent, grouping=grouping, cascade_order=order)
+    schedule = PerspectiveSchedule(events) if events else None
+    episodes = run_lockstep(cfg, world, horizon, seeds, schedule)
+    for seed, ours in zip(seeds, episodes, strict=True):
+        theirs = Agent(cfg, world, horizon, seed, schedule).run()
+        for name in ("arrival", "true_groups", "hits", "inferred_groups", "tried", "payoffs",
+                     "expected", "components", "edges_deleted", "resets", "correct"):
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (seed, name)
+        assert ours.nonconverged_solves == theirs.nonconverged_solves, seed

@@ -26,16 +26,16 @@ pointing at each checkout's ``src/`` and compare the outputs: equal lines
 mean bit-identical records.
 
 Every pair runs through ``camsel.harness.run_pair``, the per-seed agent. A
-sweep runs every agent variant but ``set-based`` and ``no-combining`` in
-blocks of seeds through ``run_block``, the lockstep engine, instead.
-``--blocks`` fingerprints the chosen mode's pairs that way: consecutive pairs
-of one lockstep-ready variant that differ only in the seed (same world, agent
-config, horizon and schedule) run as one block, and ``set-based``,
-``no-combining`` and ``greedy`` run through ``run_pair`` as before. Its lines
-must equal the chosen mode's without it. ``tests/test_record_digest.py``
-also pins that blocks give these same digests: ``no-perspective``,
-``no-grouping``, ``default`` and ``tier-first`` on every shape, both
-``--bench`` variants, and ``f1``..``f6`` on the canonical world.
+sweep runs every agent variant but ``set-based`` in blocks of seeds through
+``run_block``, the lockstep engine, instead. ``--blocks`` fingerprints the
+chosen mode's pairs that way: consecutive pairs of one lockstep-ready variant
+that differ only in the seed (same world, agent config, horizon and
+schedule) run as one block, and only ``set-based`` and ``greedy`` run through
+``run_pair`` as before. Its lines must equal the chosen mode's without it.
+``tests/test_record_digest.py`` also pins that blocks give these same
+digests: ``no-perspective``, ``no-grouping``, ``default`` and ``tier-first``
+on every shape, both ``--bench`` variants, and ``f1``..``f6`` on the
+canonical world.
 """
 
 from __future__ import annotations
