@@ -192,16 +192,18 @@ def set_based_groups(estimates: np.ndarray, counts: np.ndarray, rule: DeletionRu
         raise ValueError(f"need one count for each of {estimates.shape[0]} cameras, "
                          f"got counts of shape {counts.shape}")
     sq = np.sum(estimates ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (estimates @ estimates.T)
-    np.clip(d2, 0.0, None, out=d2)
-    if fixed_threshold is not None:
-        thr = float(fixed_threshold)
-        adj = d2 <= thr * thr
-    else:
-        f = F_FUNCTIONS[rule.f_id]
-        fx = f(counts)
-        thr = rule.beta * (fx[:, None] + fx[None, :])
-        adj = d2 <= thr * thr
+    gram = estimates @ estimates.T
+    fx = F_FUNCTIONS[rule.f_id](counts) if fixed_threshold is None else None
+    adj = np.empty(gram.shape, dtype=bool)
+    # rows in blocks of about 8k cells: the Gram matrix is the one N x N float array
+    step = max(1, 8192 // max(len(sq), 1))
+    for lo in range(0, len(sq), step):
+        rows = slice(lo, lo + step)
+        d2 = np.add.outer(sq[rows], sq)
+        d2 -= 2.0 * gram[rows]
+        np.clip(d2, 0.0, None, out=d2)
+        thr = float(fixed_threshold) if fx is None else rule.beta * np.add.outer(fx[rows], fx)
+        np.less_equal(d2, thr * thr, out=adj[rows])
     np.fill_diagonal(adj, False)
     return _min_labels(adj)
 

@@ -5,19 +5,20 @@ Variants sharing a seed consume identical camera-arrival and payoff streams
 ablation delta is a paired comparison. Each (variant, seed) pair runs
 independently; failures abort only that pair and are recorded in the summary.
 
-Every agent variant but ``set-based`` runs its seeds in ``min(workers, seeds)``
-contiguous blocks through ``run_block``, one lockstep loop per block holding
-S x T x M bools of payoff hits, with ``run_pair``'s results bit for bit. A
-block of one seed runs through ``run_pair``, and so does each seed of a block
-that raises; ``set-based`` and ``greedy`` run one pair per job. The loop runs
-each (seed, block) chain of visits on its own rows: ``no-grouping`` and
-``no-perspective`` for the whole horizon, graph grouping once every seed's
-graph in a block is edgeless and until the next graph reset (see
-``policy.run_lockstep``). A blocked pair's timer buckets and wall are the
-block's divided by S; ``harness`` is the rest of that share. A block's trace
-files are written in one pass over its episodes' round logs (``write_traces``),
-which formats each column's distinct values once; ``run_pair`` writes the
-one-trace case, and a pair builds ``RoundRecord``s only for ``keep_records``.
+Every variant's seeds split into ``min(workers, seeds)`` contiguous spans,
+one job each. A span of two or more seeds of an agent variant runs as one
+block through ``run_block``, one lockstep loop holding S x T x M bools of
+payoff hits, with ``run_pair``'s results bit for bit; one seed, ``greedy``
+and each seed of a block that raises run pair by pair through ``run_pair``.
+The loop runs each (seed, block) chain of visits on its own rows:
+``no-grouping`` and ``no-perspective`` for the whole horizon, graph grouping
+once every seed's graph in a block is edgeless and until the next graph
+reset; ``set-based`` runs round by round (see ``policy.run_lockstep``). A
+blocked pair's timer buckets and wall are the block's divided by S;
+``harness`` is the rest of that share. A block's trace files are written in
+one pass over its episodes' round logs (``write_traces``), which formats
+each column's distinct values once; ``run_pair`` writes the one-trace case,
+and a pair builds ``RoundRecord``s only for ``keep_records``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .environment import PerspectiveSchedule, World, WorldConfig, generate_world
 from .errors import ConfigError, typed
 from .policy import (TIMING_BUCKETS, Agent, AgentConfig, RoundRecord, baseline_greedy,
                      canonical_labels,  # noqa: F401 - canonical_labels is re-exported
-                     lockstep_ready, run_lockstep)
+                     run_lockstep)
 
 log = logging.getLogger(__name__)
 
@@ -171,8 +172,8 @@ def run_pair(variant: str, seed: int, world: World, base_agent: AgentConfig,
 
 def run_block(variant: str, seeds, world: World, base_agent: AgentConfig, horizon: int,
               schedule_events=(), trace_paths=None, keep_records: bool = False) -> list:
-    """``run_pair`` for a block of seeds of a ``policy.lockstep_ready`` variant,
-    in one round loop; each pair's buckets and wall are the block's over S."""
+    """``run_pair`` for a block of seeds of an agent variant, in one round
+    loop; each pair's buckets and wall are the block's over S."""
     schedule = PerspectiveSchedule(schedule_events) if schedule_events else None
     started = time.perf_counter()
     episodes = run_lockstep(variant_agent_config(base_agent, variant), world, horizon, seeds,
@@ -210,10 +211,11 @@ def _run_pair_job(args):
 
 
 def _run_job(job):
-    """(result, error) of each pair of one job, in seed order. If a block
-    raises, its pairs rerun one by one, so a failure aborts only its own pair."""
+    """(result, error) of each pair of one job, in seed order: two or more
+    seeds of an agent variant run as one block, else pair by pair. A block
+    that raises reruns its pairs alone, so a failure aborts only its pair."""
     variant, seeds, world, agent, horizon, events, profile_rounds, paths, keep = job
-    if len(seeds) > 1:
+    if len(seeds) > 1 and variant in AGENT_VARIANTS:
         try:
             return [(result, None) for result in
                     run_block(variant, seeds, world, agent, horizon, events, paths, keep)]
@@ -422,10 +424,7 @@ def run_experiment(cfg: ExperimentConfig, keep_records: bool = False) -> Experim
 
     jobs = []
     for variant in cfg.variants:
-        blocked = variant in AGENT_VARIANTS and lockstep_ready(
-            variant_agent_config(cfg.agent, variant))
-        for span in np.array_split(cfg.seeds, min(cfg.workers, len(cfg.seeds)) if blocked
-                                   else len(cfg.seeds)):
+        for span in np.array_split(cfg.seeds, min(cfg.workers, len(cfg.seeds))):
             seeds = tuple(span.tolist())
             paths = tuple(str(out_dir / variant / f"{seed}.csv") for seed in seeds) \
                 if out_dir else None

@@ -484,11 +484,6 @@ class Agent(_Episode):
         return self
 
 
-def lockstep_ready(config: AgentConfig) -> bool:
-    """Whether :func:`run_lockstep` runs this agent: any grouping but ``set``."""
-    return config.grouping != "set"
-
-
 def _agent_draws(config: AgentConfig, seeds, horizon: int, n_models: int, k: int) -> tuple:
     """(tails, resetting): each seed's agent stream in :class:`Agent`'s order,
     one seed at a time. Per round, under ``ucb-then-random`` with k > 1, the
@@ -520,13 +515,14 @@ class _Lockstep:
     learner state of every (seat, block) cell, and the one visit step every
     loop takes. A block is the seat's one pool under ``pooled`` and a camera
     otherwise, so a cell is one flat row: its tries, wins and warm start
-    and, kept only under ``graph``, its count, refitted estimate and the
-    memo of its last converged refit (its means and the count it was made
-    at, -1 for none). A graph block fits under its label, the smallest
-    member's cell. A call works on rows ``visits`` = (seats, rounds), where
-    rounds is one round for every row or one per row. A visit's whole
-    ranking goes into the log's tried column, padded by :meth:`finish`; no
-    other per-round array is kept, and unconverged fits count per seat."""
+    and, kept only where visits ``refit`` (``graph``, ``set``), its count,
+    estimate and the memo of its last converged refit (its means and the
+    count it was made at, -1 for none); a block there fits under its label,
+    the smallest member's cell. A call works on rows ``visits`` = (seats,
+    rounds), where rounds is one round for every row or one per row. A
+    visit's whole ranking goes into the log's tried column, padded by
+    :meth:`finish`; no other per-round array is kept, and unconverged fits
+    count per seat."""
 
     def __init__(self, config: AgentConfig, world: World, horizon: int, seeds, schedule):
         n_seeds, n, m, d = len(seeds), world.n_cameras, world.n_models, world.dimension
@@ -553,7 +549,8 @@ class _Lockstep:
         cells = n_seeds * self.n_blocks
         self.tries, self.wins, self.warm = (np.zeros((cells, k)) for k in (m, m, d))
         self.flat_tries, self.flat_wins, self.n_models = self.tries.ravel(), self.wins.ravel(), m
-        kept = cells if config.grouping == "graph" else 0
+        self.refit = config.grouping in ("graph", "set")
+        kept = cells if self.refit else 0
         self.memo_means, self.estimates = np.zeros((kept, m)), np.zeros((kept, d))
         self.counts, self.fitted_at = np.zeros(kept), np.full(kept, -1.0)
         self.unconverged = np.zeros(n_seeds, dtype=int)    # unconverged fits per seat
@@ -600,12 +597,11 @@ class _Lockstep:
         """One visit of each row, from cell ``own``, whose block has ``tries``
         and ``wins`` and keeps its warm start in cell ``block``: fit the block
         where it is ``stale`` or ``own``'s memo missed, rank, absorb into
-        ``own`` and, under ``graph``, refit ``own`` and memoize a converged
-        refit. No cell repeats in one call."""
-        clock, timing, graph = time.perf_counter, self.timing, self.cfg.grouping == "graph"
+        ``own`` and, under ``graph`` and ``set``, refit ``own`` and memoize
+        a converged refit. No cell repeats in one call."""
+        clock, timing, refit = time.perf_counter, self.timing, self.refit
         t0 = clock()
-        # only graph refits, so no other grouping has a memo to hit
-        miss = stale | (self.fitted_at[own] != self.counts[own]) if graph else None
+        miss = stale | (self.fitted_at[own] != self.counts[own]) if refit else None
         if miss is None or miss.all():
             self.warm[block], means, _ = self.fit(visits, tries, wins, self.warm[block])
         else:
@@ -626,7 +622,7 @@ class _Lockstep:
 
         t3 = clock()
         timing["bookkeeping"] += t3 - t2
-        if graph:
+        if refit:
             self.counts[own] += n_tried
             theta, means, ok = self.fit(visits, self.tries[own], self.wins[own], self.warm[own])
             self.warm[own] = self.estimates[own] = theta
@@ -708,23 +704,21 @@ class _Lockstep:
 
 def run_lockstep(config: AgentConfig, world: World, horizon: int, seeds,
                  schedule: PerspectiveSchedule | None = None) -> list[_Episode]:
-    """Run a ``graph``, ``singletons`` or ``pooled`` agent for every seed in
-    one lockstep loop; returns each seed's episode, a row of the block's one
-    round log, equal to its :class:`Agent`'s bit for bit. The facts the seeds
-    share, and so the schedule's events, are settled once for the block.
-    Every visit is one :meth:`_Lockstep.visit` over (rows, ...) arrays: the
-    visiting cells' block tries, wins and warm start, a stacked fit, widths,
-    ranking and cascade, and under ``graph`` the camera refits. ``pooled``
+    """Run an agent of any grouping for every seed in one lockstep loop;
+    returns each seed's episode, a row of the block's one round log, equal
+    to its :class:`Agent`'s bit for bit. The facts the seeds share, and so
+    the schedule's events, are settled once for the block. Every visit is
+    one :meth:`_Lockstep.visit` over (rows, ...) arrays: the visiting cells'
+    block tries, wins and warm start, a stacked fit, widths, ranking and
+    cascade, and under ``graph`` and ``set`` the camera refits. ``pooled``
     and ``singletons`` never change their partition, so the whole horizon
     runs as one set of chains: step k takes the k-th visit of every (seed,
-    block) chain, which is round k under ``pooled``. Under ``graph`` the
-    rounds run one at a time, with every seed's edge deletions and
-    reconnections, until every seed's graph is edgeless; the rounds up to
-    the next reset then run as chains of (seed, camera) visits."""
-    if not lockstep_ready(config) or config.k_max > world.n_models:
+    block) chain, which is round k under ``pooled``. ``graph`` and ``set``
+    regroup every round, so they run in :func:`_graph_rounds`."""
+    if config.k_max > world.n_models:
         raise ConfigError(f"no lockstep run of {config} over {world.n_models} models")
     ls = _Lockstep(config, world, horizon, seeds, schedule)
-    if config.grouping == "graph":
+    if ls.refit:
         _graph_rounds(ls, world, horizon)
     else:
         ls.chains(0, horizon)
@@ -732,25 +726,29 @@ def run_lockstep(config: AgentConfig, world: World, horizon: int, seeds,
 
 
 def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
-    """The rounds of graph grouping. Per seed: the adjacency and its edge
-    count and the labels, beside ``ls``'s cells. A block's tries are the
-    masked sum of its members' rows (integer-valued floats, so exact in any
-    order). The fit memo is kept per camera: a multi-camera block's count
-    grows each time it is fitted, so only a camera alone, unchanged since its
-    last converged refit, reuses a fit. Whether a round resets each seed's
-    graph was drawn at set-up (``ls.resetting``).
+    """The rounds of graph and set grouping. Per seed: the adjacency and its
+    edge count and the labels, beside ``ls``'s cells. A block's tries are
+    the masked sum of its members' rows (integer-valued floats, so exact in
+    any order). The fit memo is kept per camera: a multi-camera block's
+    count grows each time it is fitted, so only a camera alone, unchanged
+    since its last converged refit, reuses a fit. Under ``graph``, whether
+    a round resets each seed's graph was drawn at set-up (``ls.resetting``).
+    ``set`` has no edges, resets or stretches: each seed's labels are the
+    ``set_based_groups`` of its estimates and counts, of zeros at first,
+    then after each visit.
 
-    A round that starts with every seed's graph edgeless begins a stretch,
-    which lasts until the next round at which some seed's graph resets. In a
-    stretch every camera is its own block, so it runs as :meth:`_Lockstep.chains`.
-    The reset round goes back to the round loop."""
+    A graph round that starts with every seed's graph edgeless begins a
+    stretch, which lasts until the next round at which some seed's graph
+    resets. In a stretch every camera is its own block, so it runs as
+    :meth:`_Lockstep.chains`. The reset round goes back to the round loop."""
     clock, timing, seats, cfg, log = time.perf_counter, ls.timing, ls.seats, ls.cfg, ls.log
-    n, n_seeds, resetting = world.n_cameras, len(seats), ls.resetting
+    n, n_seeds, graph = world.n_cameras, len(seats), cfg.grouping == "graph"
     rule, ids = DeletionRule(cfg.beta, cfg.f_id), np.arange(n)
-    full = n * (n - 1) // 2
-    complete = ~np.eye(n, dtype=bool)
-    adj, edges = np.tile(complete, (n_seeds, 1, 1)), np.full(n_seeds, full)
-    labels = np.tile(_min_labels(complete), (n_seeds, 1))
+    full, complete = n * (n - 1) // 2, ~np.eye(n, dtype=bool)
+    adj, edges = np.tile(complete, (n_seeds, 1, 1)), np.full(n_seeds, full if graph else 0)
+    resetting = ls.resetting if graph else np.zeros((n_seeds, horizon), dtype=bool)
+    labels = np.tile(_min_labels(complete) if graph else set_based_groups(
+        np.zeros((n, world.dimension)), np.zeros(n), rule), (n_seeds, 1))
     comps = np.count_nonzero(labels == ids, axis=1)
     # the first round from each on at which some seed's edgeless graph resets
     fires = np.where(resetting.any(axis=0) & (full > 0), np.arange(horizon), horizon)
@@ -760,7 +758,7 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
     counts, estimates = ls.counts.reshape(n_seeds, n), ls.estimates.reshape(n_seeds, n, -1)
     i = 0
     while i < horizon:
-        if not edges.any() and next_reset[i] > i:
+        if graph and not edges.any() and next_reset[i] > i:
             ls.chains(i, next_reset[i])
             i = next_reset[i]
             continue
@@ -793,8 +791,9 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
         if reset.any():
             adj[reset], edges[reset] = complete, full
             log["resets"][:, i] = reset
-        for seat in np.flatnonzero(changed | reset):
-            labels[seat] = _min_labels(adj[seat])
+        for seat in np.flatnonzero(changed | reset) if graph else seats:
+            labels[seat] = (_min_labels(adj[seat]) if graph
+                            else set_based_groups(estimates[seat], counts[seat], rule))
             comps[seat] = np.count_nonzero(labels[seat] == ids)
 
         t3 = clock()

@@ -20,7 +20,7 @@ def test_block_curve_covers_every_grouping_and_size(capsys):
     assert tool.main(["--sizes", "1", "2", "--horizon", str(horizon), "--repeats", "1",
                       "--json"]) == 0
     curve = json.loads(capsys.readouterr().out)
-    assert sorted(curve) == ["graph", "pooled", "singletons"]
+    assert sorted(curve) == ["graph", "pooled", "set", "singletons"]
     for grouping, rows in curve.items():
         assert sorted(rows) == ["1", "2"]
         for row in rows.values():

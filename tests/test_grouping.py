@@ -224,6 +224,40 @@ def test_set_based_matches_pairwise_oracle(rng):
     assert np.array_equal(labels, g.component_labels())
 
 
+def test_set_based_groups_row_blocks_equal_one_pass(rng, monkeypatch):
+    """Row blocks give the one-pass adjacency bit for bit, over one block and
+    over many, and a call's only N x N float array is its Gram matrix."""
+    import tracemalloc
+
+    import camsel.grouping as grouping
+
+    seen, f = [], F_FUNCTIONS[RULE.f_id]
+    monkeypatch.setattr(grouping, "_min_labels",
+                        lambda adj: seen.append(adj.copy()) or _min_labels(adj))
+    for n in (1, 27, 308, 1100):
+        est, counts = rng.standard_normal((n, 5)) * 0.05, rng.integers(0, 400, n).astype(float)
+        sq = np.sum(est ** 2, axis=1)
+        d2 = np.clip(sq[:, None] + sq[None, :] - 2.0 * (est @ est.T), 0.0, None)
+        for fixed in (None, 0.1):
+            thr = RULE.beta * (f(counts)[:, None] + f(counts)[None, :]) if fixed is None else fixed
+            expected = d2 <= thr * thr
+            np.fill_diagonal(expected, False)
+            seen.clear()
+            set_based_groups(est, counts, RULE, fixed)
+            assert np.array_equal(seen[0], expected), (n, fixed)
+            if n >= 308:    # some pairs joined and some split, so a wrong block shows
+                assert 0 < np.count_nonzero(expected) < n * (n - 1)
+    monkeypatch.undo()
+    est, counts = rng.standard_normal((308, 5)), rng.integers(0, 50, 308).astype(float)
+    tracemalloc.start()
+    try:
+        set_based_groups(est, counts, RULE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 308 * 308 * 8
+
+
 def test_soundness_constructed_estimates(rng):
     # ground truth dispersion gamma, estimates inside gamma/4 balls, fixed
     # gamma/2 threshold: exact recovery

@@ -360,13 +360,15 @@ def test_canonical_labels():
 
 
 def test_parallel_workers_match_sequential(tmp_path):
-    base = _cfg(variants=("default",), horizon=150, seeds=(0, 1))
+    # set-based and greedy split their four seeds into two jobs, as default does
+    base = _cfg(variants=("default", "set-based", "greedy"), horizon=150, seeds=(0, 1, 2, 3))
     seq = run_experiment(base)
     par = run_experiment(ExperimentConfig(
         agent=base.agent, world=base.world, world_seed=base.world_seed,
         variants=base.variants, horizon=base.horizon, seeds=base.seeds, workers=2))
-    assert seq.summary["variants"]["default"]["cum_regret_mean"] == \
-        par.summary["variants"]["default"]["cum_regret_mean"]
+    for variant in base.variants:
+        assert seq.summary["variants"][variant]["cum_regret_mean"] == \
+            par.summary["variants"][variant]["cum_regret_mean"], variant
 
 
 def test_schedule_passes_through():
@@ -506,18 +508,22 @@ def test_failed_block_reruns_its_pairs_alone(monkeypatch, tmp_path, world, agent
 @pytest.mark.parametrize("workers", [1, 2])
 def test_unwritable_trace_path_fails_only_its_own_pair(tmp_path, world, agent_config, workers):
     # a block writes its traces together; one that cannot be written fails its
-    # block, whose pairs then rerun alone, so only that pair fails
-    out = tmp_path / "out"
-    (out / "default" / "2.csv").mkdir(parents=True)
-    cfg = _canonical_cfg(tmp_path, world, agent_config, variants=("default",), horizon=100,
+    # block, whose pairs then rerun alone, so only that pair fails; a greedy
+    # job of several seeds runs pair by pair, so it fails only that pair too
+    out, variants = tmp_path / "out", ("default", "set-based", "greedy")
+    for variant in variants:
+        (out / variant / "2.csv").mkdir(parents=True)
+    cfg = _canonical_cfg(tmp_path, world, agent_config, variants=variants, horizon=100,
                          seeds=(0, 1, 2, 3), workers=workers, output_dir=str(out))
-    block = run_experiment(cfg).summary["variants"]["default"]
-    assert list(block["failed"]) == ["2"] and "2.csv" in block["failed"]["2"]
-    assert block["seeds"] == [0, 1, 3]
-    for seed in (0, 1, 3):
-        run_pair("default", seed, world, agent_config, 100, trace_path=tmp_path / "pair.csv")
-        assert (out / "default" / f"{seed}.csv").read_bytes() == \
-            (tmp_path / "pair.csv").read_bytes(), seed
+    summary = run_experiment(cfg).summary
+    for variant in variants:
+        block = summary["variants"][variant]
+        assert list(block["failed"]) == ["2"] and "2.csv" in block["failed"]["2"], variant
+        assert block["seeds"] == [0, 1, 3], variant
+        for seed in (0, 1, 3):
+            run_pair(variant, seed, world, agent_config, 100, trace_path=tmp_path / "pair.csv")
+            assert (out / variant / f"{seed}.csv").read_bytes() == \
+                (tmp_path / "pair.csv").read_bytes(), (variant, seed)
 
 
 def test_runs_never_load_scipy_linalg_and_one_process_never_loads_a_pool():

@@ -566,7 +566,7 @@ def _assert_same_episodes(lockstep, agents):
         assert ours.records() == theirs.records()
 
 
-@pytest.mark.parametrize("grouping", ["pooled", "singletons", "graph"])
+@pytest.mark.parametrize("grouping", ["pooled", "singletons", "graph", "set"])
 @pytest.mark.parametrize("order", ["ucb-desc", "tier-then-ucb"])
 def test_lockstep_episodes_equal_agents(world, agent_config, grouping, order):
     import camsel.policy as policy
@@ -574,28 +574,20 @@ def test_lockstep_episodes_equal_agents(world, agent_config, grouping, order):
     cfg = replace(agent_config, grouping=grouping, cascade_order=order)
     schedule = PerspectiveSchedule(((50, 0, 1), (120, 5, 0), (120, 0, 0)))
     seeds = (4, 0, 9, 2, 7)
-    assert policy.lockstep_ready(cfg)
     _assert_same_episodes(policy.run_lockstep(cfg, world, 200, seeds, schedule),
                           [Agent(cfg, world, 200, seed, schedule).run() for seed in seeds])
 
 
-def test_lockstep_runs_every_grouping_but_set_under_every_cascade_order(world, agent_config):
-    """``set`` stays with the per-seed agent; the random cascade tail runs in
-    lockstep under each other grouping, k = 1 (no tail drawn) and k = M
-    included, and equals the per-seed agents'."""
+def test_lockstep_runs_every_grouping_under_every_cascade_order(world, agent_config):
+    """The random cascade tail runs in lockstep under every grouping, k = 1
+    (no tail drawn) and k = M included, and equals the per-seed agents'."""
     import camsel.policy as policy
 
-    for cfg in (replace(agent_config, grouping="set"),
-                replace(agent_config, grouping="set", cascade_order="ucb-then-random")):
-        assert not policy.lockstep_ready(cfg)
-        with pytest.raises(ConfigError):
-            policy.run_lockstep(cfg, world, 10, (0, 1))
     schedule, seeds = PerspectiveSchedule(((50, 0, 1), (120, 5, 0))), (4, 0, 9)
-    for grouping in ("graph", "pooled", "singletons"):
+    for grouping in ("graph", "set", "pooled", "singletons"):
         for k_max in (1, 3, world.n_models):
             cfg = replace(agent_config, grouping=grouping, cascade_order="ucb-then-random",
                           k_max=k_max)
-            assert policy.lockstep_ready(cfg)
             _assert_same_episodes(policy.run_lockstep(cfg, world, 150, seeds, schedule),
                                   [Agent(cfg, world, 150, seed, schedule).run() for seed in seeds])
 
@@ -741,6 +733,25 @@ def test_graph_lockstep_forced_nonconvergence_matches_agent(world, agent_config,
     assert sorted(key for key, _, _ in stacked) == sorted(made)
     # rounds 77 and 120 fall in a stretch: its memo-miss block fits and its refits
     assert {kind for (_, t, kind), _, stretch in stacked if stretch} == {"block", "camera"}
+    _assert_same_episodes(episodes, agents)
+
+
+def test_set_lockstep_forced_nonconvergence_matches_agent(world, agent_config, monkeypatch):
+    """Under ``set``, chosen (seed, round) block fits and camera refits
+    report non-convergence in the stacked solves and in the matching
+    per-seed ones; an unconverged refit leaves the camera its warm start,
+    which the round's from-scratch partition then reads."""
+    cfg = replace(agent_config, grouping="set")
+    seeds, horizon = (0, 1, 2), 90
+    forced = {(seed, t, kind) for seed in seeds for kind in ("block", "camera")
+              for t in (1, 2, 5 + seed, 40, 41, 90)}
+    episodes, stacked = _forced_lockstep(monkeypatch, cfg, world, horizon, seeds, forced)
+    agents, made = _forced_agents(monkeypatch, cfg, world, horizon, seeds, forced)
+    kinds = [kind for _, _, kind in made]
+    assert kinds.count("block") >= 3 and kinds.count("camera") == 3 * 6, made
+    assert sum(a.nonconverged_solves for a in agents) == len(made)
+    assert sorted(key for key, _, _ in stacked) == sorted(made)
+    assert not any(stretch for _, _, stretch in stacked)
     _assert_same_episodes(episodes, agents)
 
 

@@ -12,7 +12,7 @@ from camsel.harness import (VARIANTS, ExperimentConfig, run_block, run_experimen
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "record_digest.py"
 # the variants a sweep runs in lockstep blocks on every shape's world
-LOCKSTEP_VARIANTS = ("no-perspective", "no-grouping", "default", "tier-first")
+LOCKSTEP_VARIANTS = ("no-perspective", "no-grouping", "default", "tier-first", "set-based")
 
 
 def _load(name, path):
@@ -50,7 +50,7 @@ def test_digest_covers_every_variant_and_repeats(capsys):
 
 
 def test_blocks_mode_prints_the_default_lines(capsys, monkeypatch):
-    # --blocks runs each lockstep-ready variant's seeds in one block of the engine
+    # --blocks runs each agent variant's seeds in one block of the engine
     import camsel.harness as harness
 
     tool, blocks, run_block = _load_tool(), [], harness.run_block
@@ -63,15 +63,16 @@ def test_blocks_mode_prints_the_default_lines(capsys, monkeypatch):
     assert tool.main(["--horizon", "30", "--blocks"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
         "overall 9b2b1ac263349863cf971b867af6356bca9b11baf78f338dd6674e660594815f")
-    # the canonical variants' ten seeds, the schedule's default pair and the fleet's graph seeds
-    blocked = [v for v in VARIANTS if v not in ("set-based", "greedy")]
-    assert len(blocked) == 11 and "no-combining" in blocked
-    assert blocks == [(v, 10) for v in blocked] + [("default", 1), ("default", 4)]
+    # the canonical variants' ten seeds, the schedule's agent pairs and both fleets' seeds
+    blocked = [v for v in VARIANTS if v != "greedy"]
+    assert len(blocked) == 12 and {"no-combining", "set-based"} <= set(blocked)
+    assert blocks == [(v, 10) for v in blocked] + [("default", 1), ("set-based", 1),
+                                                   ("default", 4), ("set-based", 3)]
 
 
 def test_blocks_mode_with_shapes_prints_the_shapes_lines(capsys, monkeypatch):
-    # each shape's pairs of one variant form a block: default and tier-first
-    # run in the engine, set-based and greedy through run_pair
+    # each shape's pairs of one variant form a block: default, tier-first and
+    # set-based run in the engine, greedy through run_pair
     import camsel.harness as harness
 
     tool, blocks, run_block = _load_tool(), [], harness.run_block
@@ -84,7 +85,7 @@ def test_blocks_mode_with_shapes_prints_the_shapes_lines(capsys, monkeypatch):
     assert tool.main(["--blocks", "--shapes"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
         "overall edf2eaecff79e2aabe952e2b39191e576b82a34456f89ac5df602729cd2296a4")
-    assert blocks == [(v, 1) for _ in tool.SHAPES for v in ("default", "tier-first")]
+    assert blocks == [(v, 1) for _ in tool.SHAPES for v in ("default", "tier-first", "set-based")]
 
 
 def test_bench_pairs_are_the_canonical_workloads_pairs():

@@ -90,7 +90,7 @@ def test_every_round_record_keeps_its_invariants(variant, pair):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(pair=pairs(), grouping=st.sampled_from(("graph", "pooled", "singletons")),
+@given(pair=pairs(), grouping=st.sampled_from(("graph", "set", "pooled", "singletons")),
        order=st.sampled_from(CASCADE_ORDERS),
        seeds=st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True))
 def test_lockstep_block_equals_per_seed_agents(pair, grouping, order, seeds):

@@ -3,7 +3,7 @@
 Usage (from the repository root):
 
     PYTHONPATH=src python3 tools/block_curve.py [--sizes 1 2 5 20 40] [--horizon 300]
-        [--groupings pooled singletons graph] [--repeats 5] [--json]
+        [--groupings pooled singletons graph set] [--repeats 5] [--json]
 
 For each grouping and block size S, on the canonical world and run seeds
 320, 321, ..., it measures one ``run_lockstep`` block of S seeds and the same
@@ -106,8 +106,8 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=[1, 2, 5, 20, 40],
                         help="block sizes S (default 1 2 5 20 40)")
     parser.add_argument("--horizon", type=int, default=300, help="rounds per seed (default 300)")
-    parser.add_argument("--groupings", nargs="+", default=["pooled", "singletons", "graph"],
-                        choices=["pooled", "singletons", "graph"])
+    parser.add_argument("--groupings", nargs="+", default=["pooled", "singletons", "graph", "set"],
+                        choices=["pooled", "singletons", "graph", "set"])
     parser.add_argument("--repeats", type=int, default=5,
                         help="timed runs per figure, the fastest kept (default 5)")
     parser.add_argument("--json", action="store_true", help="print one JSON object")

@@ -26,16 +26,15 @@ pointing at each checkout's ``src/`` and compare the outputs: equal lines
 mean bit-identical records.
 
 Every pair runs through ``camsel.harness.run_pair``, the per-seed agent. A
-sweep runs every agent variant but ``set-based`` in blocks of seeds through
-``run_block``, the lockstep engine, instead. ``--blocks`` fingerprints the
-chosen mode's pairs that way: consecutive pairs of one lockstep-ready variant
-that differ only in the seed (same world, agent config, horizon and
-schedule) run as one block, and only ``set-based`` and ``greedy`` run through
-``run_pair`` as before. Its lines must equal the chosen mode's without it.
-``tests/test_record_digest.py`` also pins that blocks give these same
-digests: ``no-perspective``, ``no-grouping``, ``default`` and ``tier-first``
-on every shape, both ``--bench`` variants, and ``f1``..``f6`` on the
-canonical world.
+sweep runs every agent variant in blocks of seeds through ``run_block``, the
+lockstep engine, instead. ``--blocks`` fingerprints the chosen mode's pairs
+that way: consecutive pairs of one agent variant that differ only in the
+seed (same world, agent config, horizon and schedule) run as one block, and
+only ``greedy`` runs through ``run_pair`` as before. Its lines must equal the
+chosen mode's without it. ``tests/test_record_digest.py`` also pins that
+blocks give these same digests: ``no-perspective``, ``no-grouping``,
+``default``, ``tier-first`` and ``set-based`` on every shape, both
+``--bench`` variants, and ``f1``..``f6`` on the canonical world.
 """
 
 from __future__ import annotations
@@ -168,13 +167,12 @@ def _runs(chosen):
 def results(chosen, blocks: bool = False):
     """(name, result) of every chosen pair, in order. With ``blocks``, each
     run of pairs that differ only in the seed runs as one ``run_block`` when
-    its variant is lockstep-ready."""
-    from camsel.harness import run_block, run_pair, variant_agent_config
-    from camsel.policy import lockstep_ready
+    its variant is an agent's."""
+    from camsel.harness import run_block, run_pair
 
     for group in _runs(chosen):
         variant, _, world, agent, horizon, events = group[0][1]
-        if blocks and variant != "greedy" and lockstep_ready(variant_agent_config(agent, variant)):
+        if blocks and variant != "greedy":
             seeds = [seed for _, (_, seed, *_rest) in group]
             yield from zip([name for name, _ in group],
                            run_block(variant, seeds, world, agent, horizon, events,
@@ -195,7 +193,7 @@ def main(argv=None) -> int:
     mode.add_argument("--shapes", action="store_true",
                       help="fingerprint the 40 pairs on small generated worlds instead")
     parser.add_argument("--blocks", action="store_true",
-                        help="run the pairs of lockstep-ready variants in blocks of seeds")
+                        help="run the pairs of agent variants in blocks of seeds")
     args = parser.parse_args(argv)
 
     overall = hashlib.sha256()
