@@ -204,9 +204,10 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
     step is accepted where its score norm is below the old one, one
     comparison: a NaN norm compares false, and an infinite one is never
     below. Only when some row's full step fails do the failed rows halve.
-    The rows still iterating form a working set: all rows while every row
-    is live, compacted only when some row stops. A row leaves it as soon as
-    a step is not accepted, so all of its rows share one iteration count."""
+    The rows still iterating form a working set, indexed by ``rows``, every
+    row at first. Each pass writes out the rows that stop, at the starting
+    point too, and compacts the set only then. A row leaves it as soon as a
+    step is not accepted, so all of its rows share one iteration count."""
     feats_t, d = feats.T, feats.shape[1]
     outer = outer_products(feats) if outer is None else outer
     (mu, mu_prime), ridge = _links(link), _ridge(zeta, d)
@@ -219,18 +220,30 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
 
     weights, resp_sums = counts[:, :, None], successes[:, :, None]
     theta = np.array(theta0, dtype=float)[:, :, None]
-    state = [theta, *score(weights, resp_sums, theta)]
-    theta, _, m, _, gnorm = state      # each row's estimate, as it stops
+    new = [theta, *score(weights, resp_sums, theta)]
+    theta, _, m, _, gnorm = new      # each row's estimate, as it stops
     iters = np.zeros(len(theta), dtype=int)
-    live = (gnorm > tol).ravel()
-    rows = None     # the working set's rows; None while it holds every row
-    if np.count_nonzero(live) < len(live):
-        rows = live.nonzero()[0]
-        weights, resp_sums = weights[rows], resp_sums[rows]
-        state = [a[rows] for a in state]
-    n_iter = 0
-    while max_iter > 0 and len(state[0]):
-        w_theta, w_z, w_m, w_g, w_gnorm = state
+    rows, pending, n_iter = np.arange(len(theta)), None, 0
+    while rows.size:
+        stop = ~(new[4] > tol).ravel()      # a NaN starting norm stops at once
+        if n_iter >= max_iter:
+            stop[:] = True
+        elif pending is not None:
+            stop[pending] = True
+        if stop.any():
+            out = rows[stop]
+            for a, b in zip((theta, m, gnorm), (new[0], new[2], new[4])):
+                a[out] = b[stop]
+            iters[out] = n_iter
+            if pending is not None:
+                iters[rows[pending]] = n_iter - 1
+            if stop.all():
+                break
+            keep = ~stop
+            rows, weights, resp_sums = rows[keep], weights[keep], resp_sums[keep]
+            # rebinding ``new`` frees the uncompacted arrays now, not in the next iteration
+            new = [a[keep] for a in new]
+        w_theta, w_z, w_m, w_g, w_gnorm = state = new
         system = np.matmul((weights * mu_prime(w_z, w_m))[:, None, :, 0], outer).reshape(-1, d, d)
         system += ridge     # the Hessian's ridge, added in place
         delta = _solve(system, w_g)
@@ -255,31 +268,6 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
             for a, b in zip(new, state):    # their line search ran out: they stop where they were
                 a[pending] = b[pending]
         n_iter += 1
-        stop = (new[4] <= tol).ravel()
-        if n_iter >= max_iter:
-            stop[:] = True
-        elif pending is not None:
-            stop[pending] = True
-        n_stop, state = np.count_nonzero(stop), new
-        if not n_stop:
-            continue
-        if rows is None and n_stop == len(stop):    # every row stops together
-            theta, m, gnorm = new[0], new[2], new[4]
-            iters[:] = n_iter
-        else:
-            out = stop if rows is None else rows[stop]
-            for a, b in zip((theta, m, gnorm), (new[0], new[2], new[4])):
-                a[out] = b[stop]
-            iters[out] = n_iter
-        if pending is not None:
-            iters[pending if rows is None else rows[pending]] = n_iter - 1
-        if n_stop == len(stop):
-            break
-        keep = ~stop
-        rows = keep.nonzero()[0] if rows is None else rows[keep]
-        weights, resp_sums = weights[keep], resp_sums[keep]
-        # rebinding ``new`` too frees the uncompacted arrays now, not in the next iteration
-        state = new = [a[keep] for a in new]
     theta, gnorm = theta[..., 0], gnorm.ravel()
     if not np.isfinite(theta[iters > 0]).all():
         raise NumericError("Newton iterate became non-finite")

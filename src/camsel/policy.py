@@ -515,9 +515,10 @@ class _Lockstep:
     learner state of every (seat, block) cell, and the one visit step every
     loop takes. A block is the seat's one pool under ``pooled`` and a camera
     otherwise, so a cell is one flat row: its tries, wins and warm start
-    and, kept only where visits ``refit`` (``graph``, ``set``), its count,
-    estimate and the memo of its last converged refit (its means and the
-    count it was made at, -1 for none); a block there fits under its label,
+    and, kept only where visits ``refit`` (``graph``, ``set``), its
+    estimate and the memo of its last refit, its means and whether it
+    converged: each absorb there is refitted at once, so a converged refit
+    holds until the cell's next visit. A block there fits under its label,
     the smallest member's cell. A call works on rows ``visits`` = (seats,
     rounds), where rounds is one round for every row or one per row. A
     visit's whole ranking goes into the log's tried column, padded by
@@ -552,7 +553,7 @@ class _Lockstep:
         self.refit = config.grouping in ("graph", "set")
         kept = cells if self.refit else 0
         self.memo_means, self.estimates = np.zeros((kept, m)), np.zeros((kept, d))
-        self.counts, self.fitted_at = np.zeros(kept), np.full(kept, -1.0)
+        self.memo_ok = np.zeros(kept, dtype=bool)
         self.unconverged = np.zeros(n_seeds, dtype=int)    # unconverged fits per seat
         self.timing = dict.fromkeys(TIMING_BUCKETS, 0.0)
 
@@ -601,7 +602,7 @@ class _Lockstep:
         a converged refit. No cell repeats in one call."""
         clock, timing, refit = time.perf_counter, self.timing, self.refit
         t0 = clock()
-        miss = stale | (self.fitted_at[own] != self.counts[own]) if refit else None
+        miss = stale | ~self.memo_ok[own] if refit else None
         if miss is None or miss.all():
             self.warm[block], means, _ = self.fit(visits, tries, wins, self.warm[block])
         else:
@@ -623,11 +624,10 @@ class _Lockstep:
         t3 = clock()
         timing["bookkeeping"] += t3 - t2
         if refit:
-            self.counts[own] += n_tried
             theta, means, ok = self.fit(visits, self.tries[own], self.wins[own], self.warm[own])
             self.warm[own] = self.estimates[own] = theta
-            own = own[ok]
-            self.fitted_at[own], self.memo_means[own] = self.counts[own], means[ok]
+            self.memo_ok[own] = ok
+            self.memo_means[own[ok]] = means[ok]
             timing["estimation"] += clock() - t3
 
     def chains(self, i: int, stop: int):
@@ -729,13 +729,14 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
     """The rounds of graph and set grouping. Per seed: the adjacency and its
     edge count and the labels, beside ``ls``'s cells. A block's tries are
     the masked sum of its members' rows (integer-valued floats, so exact in
-    any order). The fit memo is kept per camera: a multi-camera block's
-    count grows each time it is fitted, so only a camera alone, unchanged
-    since its last converged refit, reuses a fit. Under ``graph``, whether
-    a round resets each seed's graph was drawn at set-up (``ls.resetting``).
-    ``set`` has no edges, resets or stretches: each seed's labels are the
-    ``set_based_groups`` of its estimates and counts, of zeros at first,
-    then after each visit.
+    any order), as are the counts, its cells' row sums. The fit memo is
+    kept per camera: a multi-camera block grows at each visit, so only a
+    camera alone, unchanged since its last converged refit, reuses a fit.
+    Every seed starts with one block, as every f_i(0) = 1 and beta > 0.
+    Under ``graph``, whether a round resets each seed's graph was drawn at
+    set-up (``ls.resetting``). ``set`` has no edges, resets or stretches:
+    each seed's labels are the ``set_based_groups`` of its estimates and
+    counts after each visit.
 
     A graph round that starts with every seed's graph edgeless begins a
     stretch, which lasts until the next round at which some seed's graph
@@ -747,15 +748,12 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
     full, complete = n * (n - 1) // 2, ~np.eye(n, dtype=bool)
     adj, edges = np.tile(complete, (n_seeds, 1, 1)), np.full(n_seeds, full if graph else 0)
     resetting = ls.resetting if graph else np.zeros((n_seeds, horizon), dtype=bool)
-    labels = np.tile(_min_labels(complete) if graph else set_based_groups(
-        np.zeros((n, world.dimension)), np.zeros(n), rule), (n_seeds, 1))
-    comps = np.count_nonzero(labels == ids, axis=1)
+    labels = np.zeros((n_seeds, n), dtype=int)
     # the first round from each on at which some seed's edgeless graph resets
     fires = np.where(resetting.any(axis=0) & (full > 0), np.arange(horizon), horizon)
     next_reset = np.minimum.accumulate(fires[::-1])[::-1]
     # ls's cells, seen per seed
-    tries, wins = ls.tries.reshape(n_seeds, n, -1), ls.wins.reshape(n_seeds, n, -1)
-    counts, estimates = ls.counts.reshape(n_seeds, n), ls.estimates.reshape(n_seeds, n, -1)
+    tries, wins, estimates = (a.reshape(n_seeds, n, -1) for a in (ls.tries, ls.wins, ls.estimates))
     i = 0
     while i < horizon:
         if graph and not edges.any() and next_reset[i] > i:
@@ -766,7 +764,8 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
         cam = log["arrival"][:, i]
         label = labels[seats, cam]
         members = labels == label[:, None]
-        log["inferred_groups"][:, i], log["components"][:, i] = label, comps
+        log["inferred_groups"][:, i] = label
+        log["components"][:, i] = np.count_nonzero(labels == ids, axis=1)
         block = members[:, None, :].astype(float)
         block_tries, block_wins = np.matmul(block, tries)[:, 0], np.matmul(block, wins)[:, 0]
         stale = np.count_nonzero(members, axis=1) > 1
@@ -774,6 +773,7 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
         ls.visit((seats, i), seats * n + cam, block_tries, block_wins, seats * n + label, stale)
 
         t2 = clock()
+        counts = tries.sum(axis=-1)
         live = np.flatnonzero(edges)        # an edgeless graph has nothing to delete
         changed = np.zeros(n_seeds, dtype=bool)
         if live.size:
@@ -794,7 +794,6 @@ def _graph_rounds(ls: _Lockstep, world: World, horizon: int):
         for seat in np.flatnonzero(changed | reset) if graph else seats:
             labels[seat] = (_min_labels(adj[seat]) if graph
                             else set_based_groups(estimates[seat], counts[seat], rule))
-            comps[seat] = np.count_nonzero(labels[seat] == ids)
 
         t3 = clock()
         timing["grouping"] += t3 - t2

@@ -26,6 +26,8 @@ def test_block_curve_covers_every_grouping_and_size(capsys):
         for row in rows.values():
             assert row["lockstep"] > 0 and row["agents"] > 0 and row["peak_mb"] > 0
             assert row["calls/step"] > 0 and row["calls/round"] > 0
+            # the block fits each row its agents solve, in stacks of one row or more
+            assert row["fits/round"] == row["solves/round"] >= 1 and row["rows/fit"] >= 1
             # each step advances every live chain, so no block takes more steps than rounds
             assert 1 <= row["steps"] <= horizon
     # a pooled block ranks each round once, for all its seeds together

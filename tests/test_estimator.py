@@ -338,15 +338,20 @@ def test_lapack_newton_and_widths_match_reference(rng, kind):
     assert iterated >= 40
 
 
+def _warns_invalid_solve():
+    """numpy's warning before a singular solve raises, which the test then owns."""
+    return pytest.warns(RuntimeWarning, match="invalid value encountered in solve")
+
+
 def test_singular_systems_raise():
     gs = GroupStats(np.zeros((2, 2)), 0, 1.0)
-    with pytest.raises(np.linalg.LinAlgError):
+    with _warns_invalid_solve(), pytest.raises(np.linalg.LinAlgError):
         confidence_widths(np.eye(2), gs)
-    with pytest.raises(np.linalg.LinAlgError):
+    with _warns_invalid_solve(), pytest.raises(np.linalg.LinAlgError):
         confidence_width(np.ones(2), gs)
     # zeta = 0 and one observed row leave the Newton system rank one
     unpenalized = GroupStats(np.zeros((2, 2)), 1, 0.0)
-    with pytest.raises(np.linalg.LinAlgError):
+    with _warns_invalid_solve(), pytest.raises(np.linalg.LinAlgError):
         solve_mle_weighted(unpenalized, IDENTITY, np.array([[1.0, 0.0]]), np.ones(1),
                            np.ones(1))
 
@@ -625,6 +630,20 @@ def test_stacked_newton_rows_that_stop_together(world, rng, kind):
     assert stacked.iterations.min() == stacked.iterations.max() > 0
 
 
+def test_stacked_newton_leaves_a_nan_start_where_it_is(world, rng):
+    # a NaN starting norm is not above tolerance, so its row stops before a step,
+    # as the per-seed Newton's loop never starts; the other rows run as alone
+    feats, counts, succ, zeta, theta0 = _agent_like_stack(world, rng, seeds=4)
+    theta0[1] = np.nan
+    stacked = solve_mle_stacked(feats, counts, succ, zeta, SIGMOID, theta0)
+    assert stacked.iterations[1] == 0 and not stacked.converged[1]
+    assert np.isnan(stacked.theta_hat[1]).all() and np.isnan(stacked.gradient_norm[1])
+    rest = [0, 2, 3]
+    alone = _assert_rows_match_newton(feats, counts[rest], succ[rest], zeta, SIGMOID, theta0[rest])
+    assert np.array_equal(stacked.theta_hat[rest], alone.theta_hat)
+    assert np.array_equal(stacked.iterations[rest], alone.iterations) and alone.iterations.all()
+
+
 def test_stacked_solve_equals_numpy_solve_and_raises_on_singular(rng):
     d, m = 5, 20
     for seeds in (1, 3, 40):
@@ -638,7 +657,7 @@ def test_stacked_solve_equals_numpy_solve_and_raises_on_singular(rng):
         assert _solve(systems, rhs, out=out) is out
         assert np.array_equal(out, np.linalg.solve(systems, rhs))
     singular = np.stack([np.eye(d), np.zeros((d, d))])
-    with pytest.raises(np.linalg.LinAlgError):
+    with _warns_invalid_solve(), pytest.raises(np.linalg.LinAlgError):
         _solve(singular, np.ones((2, d, 1)))
 
 

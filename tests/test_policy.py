@@ -566,30 +566,63 @@ def _assert_same_episodes(lockstep, agents):
         assert ours.records() == theirs.records()
 
 
+def _count_fit_work(monkeypatch):
+    """[stacked fit rows, per-seed solves], counted from now on by wrapping
+    the engine's ``solve_mle_stacked`` and the agent's ``solve_mle_weighted``."""
+    import camsel.policy as policy
+
+    work = [0, 0]
+    stacked, weighted = policy.solve_mle_stacked, policy.solve_mle_weighted
+
+    def counted_stacked(feats, counts, *args, **kwargs):
+        work[0] += len(counts)
+        return stacked(feats, counts, *args, **kwargs)
+
+    def counted_weighted(*args, **kwargs):
+        work[1] += 1
+        return weighted(*args, **kwargs)
+
+    monkeypatch.setattr(policy, "solve_mle_stacked", counted_stacked)
+    monkeypatch.setattr(policy, "solve_mle_weighted", counted_weighted)
+    return work
+
+
+def _assert_lockstep_equals_agents(cfg, world, horizon, seeds, schedule, work):
+    """The block's episodes equal its per-seed agents', and the block fits
+    exactly as many rows as the agents make solves (``work``, from
+    :func:`_count_fit_work`): a fit memo that stops hitting leaves the bits
+    as they were, but not the count."""
+    import camsel.policy as policy
+
+    work[:] = [0, 0]
+    lockstep = policy.run_lockstep(cfg, world, horizon, seeds, schedule)
+    rows = work[0]
+    _assert_same_episodes(lockstep,
+                          [Agent(cfg, world, horizon, seed, schedule).run() for seed in seeds])
+    assert rows == work[1] >= len(seeds) * horizon
+
+
 @pytest.mark.parametrize("grouping", ["pooled", "singletons", "graph", "set"])
 @pytest.mark.parametrize("order", ["ucb-desc", "tier-then-ucb"])
-def test_lockstep_episodes_equal_agents(world, agent_config, grouping, order):
-    import camsel.policy as policy
-
+def test_lockstep_episodes_equal_agents(world, agent_config, grouping, order, monkeypatch):
     cfg = replace(agent_config, grouping=grouping, cascade_order=order)
     schedule = PerspectiveSchedule(((50, 0, 1), (120, 5, 0), (120, 0, 0)))
-    seeds = (4, 0, 9, 2, 7)
-    _assert_same_episodes(policy.run_lockstep(cfg, world, 200, seeds, schedule),
-                          [Agent(cfg, world, 200, seed, schedule).run() for seed in seeds])
+    _assert_lockstep_equals_agents(cfg, world, 200, (4, 0, 9, 2, 7), schedule,
+                                   _count_fit_work(monkeypatch))
 
 
-def test_lockstep_runs_every_grouping_under_every_cascade_order(world, agent_config):
+def test_lockstep_runs_every_grouping_under_every_cascade_order(world, agent_config,
+                                                               monkeypatch):
     """The random cascade tail runs in lockstep under every grouping, k = 1
-    (no tail drawn) and k = M included, and equals the per-seed agents'."""
-    import camsel.policy as policy
-
+    (no tail drawn) and k = M included, and equals the per-seed agents',
+    fit rows and solves included."""
     schedule, seeds = PerspectiveSchedule(((50, 0, 1), (120, 5, 0))), (4, 0, 9)
+    work = _count_fit_work(monkeypatch)
     for grouping in ("graph", "set", "pooled", "singletons"):
         for k_max in (1, 3, world.n_models):
             cfg = replace(agent_config, grouping=grouping, cascade_order="ucb-then-random",
                           k_max=k_max)
-            _assert_same_episodes(policy.run_lockstep(cfg, world, 150, seeds, schedule),
-                                  [Agent(cfg, world, 150, seed, schedule).run() for seed in seeds])
+            _assert_lockstep_equals_agents(cfg, world, 150, seeds, schedule, work)
 
 
 @pytest.mark.parametrize("grouping", ["pooled", "singletons"])

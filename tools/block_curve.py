@@ -15,6 +15,12 @@ S seeds run one ``Agent`` at a time:
 - ``calls/step``: cProfile's total function calls of one block over its
   stacked steps (its ``_Lockstep.rank`` calls: one per round-loop round or
   chain-step part), and ``calls/round`` of the agents over their rounds;
+- ``fits/round``: the rows of one block's stacked fits
+  (``solve_mle_stacked``) per seed-round, and ``rows/fit`` per stacked
+  call; ``solves/round``: the agents' ``solve_mle_weighted`` calls per
+  round. The block fits exactly the rows the agents solve, so the first and
+  the last agree; these come from one more run of each, so the wrappers
+  that count them add no calls to the profiles;
 - ``peak_mb``: the tracemalloc peak of one block, after a warm-up block.
 
 ``--json`` prints the same figures as one JSON object keyed by grouping and
@@ -60,6 +66,31 @@ def _profiled(run):
     return sum(calls for _, calls, *_ in stats.values()), ranks
 
 
+def _fit_work(run) -> tuple[int, int, int]:
+    """(stacked fit calls, their rows, per-seed solves) of one ``run()``,
+    counted by wrapping the two solvers that ``camsel.policy`` calls."""
+    import camsel.policy as policy
+
+    work = [0, 0, 0]
+    stacked, weighted = policy.solve_mle_stacked, policy.solve_mle_weighted
+
+    def counted_stacked(feats, counts, *args, **kwargs):
+        work[0] += 1
+        work[1] += len(counts)
+        return stacked(feats, counts, *args, **kwargs)
+
+    def counted_weighted(*args, **kwargs):
+        work[2] += 1
+        return weighted(*args, **kwargs)
+
+    policy.solve_mle_stacked, policy.solve_mle_weighted = counted_stacked, counted_weighted
+    try:
+        run()
+    finally:
+        policy.solve_mle_stacked, policy.solve_mle_weighted = stacked, weighted
+    return tuple(work)
+
+
 def _peak_mb(run) -> float:
     run()
     tracemalloc.start()
@@ -90,6 +121,8 @@ def measure(grouping: str, size: int, horizon: int, repeats: int) -> dict:
     lockstep_s, agents_s = _cpu_seconds((block, agents), repeats)
     calls, steps = _profiled(block)
     agent_calls, _ = _profiled(agents)
+    fits, rows, _ = _fit_work(block)
+    solves = _fit_work(agents)[2]
     return {
         "lockstep": round(rounds / lockstep_s),
         "agents": round(rounds / agents_s),
@@ -97,6 +130,9 @@ def measure(grouping: str, size: int, horizon: int, repeats: int) -> dict:
         "steps": steps,
         "calls/step": round(calls / max(steps, 1), 1),
         "calls/round": round(agent_calls / rounds, 1),
+        "fits/round": round(rows / rounds, 3),
+        "rows/fit": round(rows / max(fits, 1), 2),
+        "solves/round": round(solves / rounds, 3),
         "peak_mb": round(_peak_mb(block), 3),
     }
 
@@ -119,7 +155,8 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps(curve, indent=1))
         return 0
-    columns = ("lockstep", "agents", "speedup", "steps", "calls/step", "calls/round", "peak_mb")
+    columns = ("lockstep", "agents", "speedup", "steps", "calls/step", "calls/round",
+               "fits/round", "rows/fit", "solves/round", "peak_mb")
     print(f"{'grouping':<11}{'S':>4}" + "".join(f"{c:>13}" for c in columns))
     for grouping, rows in curve.items():
         for size, row in rows.items():
