@@ -13,8 +13,7 @@ from .environment import (PerspectiveSchedule, VisualModel, World, WorldConfig,
                           generate_world, load_world, oracle_best_set, sample_camera,
                           sample_payoff, save_world)
 from .errors import ConfigError, GenerationError, NumericError, ScheduleError
-from .estimator import (Estimate, GroupStats, SufficientStats, aggregate_group,
-                        confidence_width, solve_mle, solve_mle_weighted)
+from .estimator import Estimate, GroupStats, solve_mle_weighted
 from .grouping import (CameraGraph, DeletionRule, ReconnectPolicy, delete_edges,
                        deletion_threshold, reconnect, set_based_groups)
 from .harness import (ExperimentConfig, acceleration_ratio, checkpoints, read_trace,

@@ -1,4 +1,4 @@
-"""Sufficient statistics, penalized GLM estimation via damped Newton, confidence widths.
+"""Penalized GLM estimation from per-model aggregates via damped Newton, confidence widths.
 
 The estimating equation solved here is the zeta-penalized score
 
@@ -31,33 +31,13 @@ MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
-class SufficientStats:
-    """Per-camera running sums: Gramian, weighted response, feedback count."""
-
-    gramian: np.ndarray
-    response: np.ndarray
-    count: int
-
-    @classmethod
-    def zeros(cls, dim: int) -> "SufficientStats":
-        return cls(np.zeros((dim, dim)), np.zeros(dim), 0)
-
-    @property
-    def dim(self) -> int:
-        return self.response.shape[0]
-
-
-@dataclass(frozen=True)
 class GroupStats:
-    """Regularized aggregate over a group of cameras: zeta*I + sum of Gramians."""
+    """A group's regularized Gramian zeta*I + F^T diag(tries) F over the catalog F,
+    as ``Agent._fit`` builds it, with the group's observation count."""
 
     gramian_reg: np.ndarray
     count: int
     zeta: float
-
-    @property
-    def dim(self) -> int:
-        return self.gramian_reg.shape[0]
 
 
 @dataclass(frozen=True)
@@ -71,44 +51,6 @@ class Estimate:
     iterations: int
     gradient_norm: float
     means: np.ndarray | None = None
-
-
-def update_stats(stats: SufficientStats, x: np.ndarray, r) -> SufficientStats:
-    """Absorb one (feature, binary payoff) observation; returns new stats."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (stats.dim,):
-        raise ValueError(f"feature dimension {x.shape} does not match stats dimension ({stats.dim},)")
-    return SufficientStats(
-        gramian=stats.gramian + np.outer(x, x),
-        response=stats.response + float(r) * x,
-        count=stats.count + 1,
-    )
-
-
-def aggregate_group(members, zeta: float, dim: int | None = None) -> GroupStats:
-    """Sum member statistics and add the zeta*I regularizer.
-
-    An empty member list is a valid cold-start group, but then ``dim`` must be
-    given explicitly.
-    """
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    members = list(members)
-    if not members:
-        if dim is None:
-            raise ValueError("dim is required to aggregate an empty member list")
-        return GroupStats(zeta * np.eye(dim), 0, zeta)
-    d = members[0].dim
-    if dim is not None and dim != d:
-        raise ValueError(f"dim={dim} does not match member dimension {d}")
-    if any(m.dim != d for m in members):
-        raise ValueError("member statistics have mixed dimensions")
-    gram = zeta * np.eye(d)
-    count = 0
-    for m in members:
-        gram += m.gramian
-        count += m.count
-    return GroupStats(gram, count, zeta)
 
 
 def _solve(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -274,23 +216,6 @@ def solve_mle_stacked(feats, counts, successes, zeta, link, theta0,
     return Estimate(theta, gnorm <= tol, iters, gnorm, m[..., 0])
 
 
-def solve_mle(gs: GroupStats, link: LinkFunctionSpec, X, r,
-              tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-              theta0=None) -> Estimate:
-    """Penalized MLE from raw (x, r) pairs of the group's history.
-
-    ``X`` is (n, d), ``r`` is (n,). The history must account for exactly the
-    observations absorbed into ``gs``.
-    """
-    X = np.asarray(X, dtype=float).reshape(-1, gs.dim)
-    r = np.asarray(r, dtype=float).reshape(-1)
-    if X.shape[0] != r.shape[0]:
-        raise ValueError(f"history mismatch: {X.shape[0]} features vs {r.shape[0]} payoffs")
-    if X.shape[0] != gs.count:
-        raise ValueError(f"history holds {X.shape[0]} observations but stats count {gs.count}")
-    return _newton(X, np.ones(X.shape[0]), r, gs.zeta, link, theta0, tol, max_iter)
-
-
 def solve_mle_weighted(gs: GroupStats, link: LinkFunctionSpec, feats, counts, successes,
                        tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                        theta0=None, outer=None) -> Estimate:
@@ -307,12 +232,6 @@ def solve_mle_weighted(gs: GroupStats, link: LinkFunctionSpec, feats, counts, su
     if round(float(counts.sum())) != gs.count:
         raise ValueError(f"aggregates hold {counts.sum():.0f} observations but stats count {gs.count}")
     return _newton(feats, counts, successes, gs.zeta, link, theta0, tol, max_iter, outer)
-
-
-def confidence_width(x: np.ndarray, gs: GroupStats) -> float:
-    """The norm sqrt(x^T M^{-1} x) under the regularized group Gramian M."""
-    x = np.asarray(x, dtype=float)
-    return float(np.sqrt(x @ _solve(gs.gramian_reg, x)))
 
 
 def confidence_widths(X: np.ndarray, gs: GroupStats) -> np.ndarray:

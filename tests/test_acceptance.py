@@ -26,7 +26,7 @@ import pytest
 
 from camsel.core import LinkFunctionSpec, cascade_payoff, expected_cascade_payoff, link_eval
 from camsel.environment import VisualModel, World, oracle_best_set, save_world
-from camsel.estimator import SufficientStats, aggregate_group, solve_mle, update_stats
+from camsel.estimator import GroupStats, solve_mle_weighted
 from camsel.grouping import DeletionRule, set_based_groups
 from camsel.harness import (ExperimentConfig, acceleration_ratio, checkpoints,
                             read_trace, rounds_to_threshold, run_experiment, run_pair,
@@ -217,16 +217,14 @@ def test_criterion_07_estimator_oracles(rng=None):
         X /= np.maximum(1.0, np.linalg.norm(X, axis=1, keepdims=True))
         r_bin = (rng.random(n) < link_eval(SIGMOID, X @ theta)).astype(float)
 
-        stats = SufficientStats.zeros(d)
-        for x, rv in zip(X, r_bin):
-            stats = update_stats(stats, x, rv)
-        gs = aggregate_group([stats], zeta=1.0)
+        gs = GroupStats(np.eye(d) + X.T @ X, n, 1.0)
+        ones = np.ones(n)
 
-        est_id = solve_mle(gs, identity, X, r_bin)
+        est_id = solve_mle_weighted(gs, identity, X, ones, r_bin)
         closed = np.linalg.solve(np.eye(d) + X.T @ X, X.T @ r_bin)
         ridge_ok += est_id.converged and np.max(np.abs(est_id.theta_hat - closed)) < 1e-10
 
-        est_sig = solve_mle(gs, SIGMOID, X, r_bin)
+        est_sig = solve_mle_weighted(gs, SIGMOID, X, ones, r_bin)
         newton_ok += est_sig.converged and est_sig.gradient_norm < 1e-8
 
     # 2-d penalized-likelihood grid oracle at resolution 1e-3, tolerance 2e-3
@@ -234,10 +232,8 @@ def test_criterion_07_estimator_oracles(rng=None):
     X2 = rng.standard_normal((50, 2))
     X2 /= np.maximum(1.0, np.linalg.norm(X2, axis=1, keepdims=True))
     r2 = (rng.random(50) < link_eval(SIGMOID, X2 @ theta_true)).astype(float)
-    stats2 = SufficientStats.zeros(2)
-    for x, rv in zip(X2, r2):
-        stats2 = update_stats(stats2, x, rv)
-    est2 = solve_mle(aggregate_group([stats2], 1.0), SIGMOID, X2, r2)
+    est2 = solve_mle_weighted(GroupStats(np.eye(2) + X2.T @ X2, 50, 1.0), SIGMOID, X2,
+                              np.ones(50), r2)
     axis = np.arange(-1.0, 1.0 + 1e-12, 1e-3)
     grid_a, grid_b = np.meshgrid(axis, axis, indexing="ij")
     thetas = np.column_stack([grid_a.ravel(), grid_b.ravel()])

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "block_curve.py"
@@ -41,3 +42,19 @@ def test_block_curve_prints_a_table(capsys):
     header, row = capsys.readouterr().out.splitlines()
     assert header.split()[:3] == ["grouping", "S", "lockstep"]
     assert row.split()[:2] == ["singletons", "2"]
+
+
+def test_cpu_seconds_leaves_out_the_first_call():
+    tool = _load_tool()
+    calls = []
+
+    def run():
+        # the first call burns 50 ms of CPU, as a process's one-time warm-up would
+        if not calls:
+            start = time.process_time()
+            while time.process_time() - start < 0.05:
+                pass
+        calls.append(None)
+
+    assert tool._cpu_seconds((run,), 1)[0] < 0.025
+    assert len(calls) == 2

@@ -13,10 +13,8 @@ import camsel.estimator as estimator
 import camsel.policy as policy
 from camsel.core import LINK_KINDS, LinkFunctionSpec, link_callables, link_eval
 from camsel.estimator import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_HALVINGS, GroupStats,
-                              SufficientStats, _newton, _solve, aggregate_group,
-                              confidence_width,
-                              confidence_widths, confidence_widths_stacked, outer_products,
-                              solve_mle, solve_mle_stacked, solve_mle_weighted, update_stats)
+                              _newton, _solve, confidence_widths, confidence_widths_stacked,
+                              outer_products, solve_mle_stacked, solve_mle_weighted)
 from camsel.policy import Agent, catalog_scores
 
 SIGMOID = LinkFunctionSpec("sigmoid")
@@ -24,12 +22,9 @@ IDENTITY = LinkFunctionSpec("identity")
 SIGMOID_MU = link_callables(SIGMOID)[0]
 
 
-def _stats_from(X, r, zeta=1.0):
-    d = X.shape[1]
-    stats = SufficientStats.zeros(d)
-    for x, ri in zip(X, r):
-        stats = update_stats(stats, x, ri)
-    return aggregate_group([stats], zeta)
+def _group_of(X, zeta=1.0):
+    """The regularized Gramian of a raw history X, one row per observation."""
+    return GroupStats(zeta * np.eye(X.shape[1]) + X.T @ X, len(X), zeta)
 
 
 def _random_instance(rng, d, n, link=SIGMOID):
@@ -42,79 +37,34 @@ def _random_instance(rng, d, n, link=SIGMOID):
     return theta, X, r
 
 
-def test_update_stats_rank_one():
-    stats = SufficientStats.zeros(3)
-    e1 = np.array([1.0, 0.0, 0.0])
-    out = update_stats(stats, e1, 1)
-    assert np.array_equal(out.gramian, np.outer(e1, e1))
-    assert np.array_equal(out.response, e1)
-    assert out.count == 1
-    # absorbing r = 0 advances gramian and count but not the response
-    out2 = update_stats(out, np.array([0.0, 1.0, 0.0]), 0)
-    assert np.array_equal(out2.response, e1)
-    assert out2.count == 2
-    assert out2.gramian[1, 1] == 1.0
-
-
-def test_update_stats_order_independent(rng):
-    X = rng.standard_normal((20, 4))
-    r = rng.integers(0, 2, 20)
-    perm = rng.permutation(20)
-    a = SufficientStats.zeros(4)
-    b = SufficientStats.zeros(4)
-    for i in range(20):
-        a = update_stats(a, X[i], r[i])
-        b = update_stats(b, X[perm[i]], r[perm[i]])
-    assert np.allclose(a.gramian, b.gramian)
-    assert np.allclose(a.response, b.response)
-    assert a.count == b.count
-
-
-def test_update_stats_dimension_mismatch():
-    with pytest.raises(ValueError):
-        update_stats(SufficientStats.zeros(3), np.ones(4), 1)
-
-
-def test_aggregate_group():
-    s = update_stats(SufficientStats.zeros(2), np.array([1.0, 0.0]), 1)
-    gs = aggregate_group([s], zeta=1.0)
-    assert np.allclose(gs.gramian_reg, np.eye(2) + s.gramian)
-    two = aggregate_group([s, s], zeta=1.0)
-    assert two.count == 2
-    empty = aggregate_group([], zeta=0.5, dim=3)
-    assert np.allclose(empty.gramian_reg, 0.5 * np.eye(3))
-    assert empty.count == 0
-    with pytest.raises(ValueError):
-        aggregate_group([], zeta=1.0)
-    with pytest.raises(ValueError):
-        aggregate_group([s], zeta=0.0)
-
-
 def test_identity_link_equals_ridge(rng):
     for _ in range(50):
         d = int(rng.integers(2, 8))
         n = int(rng.integers(5, 60))
         _, X, r = _random_instance(rng, d, n, IDENTITY)
-        gs = _stats_from(X, r, zeta=1.0)
-        est = solve_mle(gs, IDENTITY, X, r)
+        gs = _group_of(X, zeta=1.0)
+        est = solve_mle_weighted(gs, IDENTITY, X, np.ones(len(X)), r)
         ridge = np.linalg.solve(np.eye(d) + X.T @ X, X.T @ r)
         assert est.converged
         assert np.max(np.abs(est.theta_hat - ridge)) < 1e-10
 
 
-def test_zero_observations_cold_start():
-    gs = aggregate_group([], zeta=1.0, dim=4)
-    est = solve_mle(gs, SIGMOID, np.zeros((0, 4)), np.zeros(0))
-    assert est.converged
-    assert est.iterations == 0
-    assert np.array_equal(est.theta_hat, np.zeros(4))
-
-
 def test_history_consistency_enforced(rng):
-    _, X, r = _random_instance(rng, 3, 10)
-    gs = _stats_from(X, r)
-    with pytest.raises(ValueError):
-        solve_mle(gs, SIGMOID, X[:-1], r[:-1])
+    feats = rng.standard_normal((6, 3))
+    tries = rng.integers(1, 10, 6).astype(float)
+    wins = np.floor(rng.random(6) * (tries + 1))
+    n = int(tries.sum())
+    gramian = np.eye(3) + (feats.T * tries) @ feats
+    for off in (-1, 1):
+        with pytest.raises(ValueError, match="aggregates hold"):
+            solve_mle_weighted(GroupStats(gramian, n + off, 1.0), SIGMOID, feats, tries, wins)
+    assert solve_mle_weighted(GroupStats(gramian, n, 1.0), SIGMOID, feats, tries, wins).converged
+    # a cold start: all-zero tries stand at theta = 0 with no Newton step
+    cold = solve_mle_weighted(GroupStats(np.eye(3), 0, 1.0), SIGMOID, feats, np.zeros(6),
+                              np.zeros(6))
+    assert cold.converged
+    assert cold.iterations == 0
+    assert np.array_equal(cold.theta_hat, np.zeros(3))
 
 
 def test_sigmoid_mle_matches_grid_oracle(rng):
@@ -123,8 +73,8 @@ def test_sigmoid_mle_matches_grid_oracle(rng):
     X = rng.standard_normal((50, 2))
     X /= np.maximum(1.0, np.linalg.norm(X, axis=1, keepdims=True))
     r = (rng.random(50) < link_eval(SIGMOID, X @ theta_true)).astype(float)
-    gs = _stats_from(X, r)
-    est = solve_mle(gs, SIGMOID, X, r)
+    gs = _group_of(X)
+    est = solve_mle_weighted(gs, SIGMOID, X, np.ones(len(X)), r)
     assert est.converged
 
     axis = np.arange(-1.0, 1.0 + 1e-12, 1e-3)
@@ -150,8 +100,8 @@ def test_newton_convergence_random_instances(rng):
         d = int(rng.integers(2, 11))
         n = int(rng.integers(1, 500))
         _, X, r = _random_instance(rng, d, n)
-        gs = _stats_from(X, r)
-        est = solve_mle(gs, SIGMOID, X, r)
+        gs = _group_of(X)
+        est = solve_mle_weighted(gs, SIGMOID, X, np.ones(len(X)), r)
         assert est.converged
         assert est.gradient_norm < 1e-8
         assert est.iterations <= 100
@@ -160,8 +110,8 @@ def test_newton_convergence_random_instances(rng):
 def test_score_at_solution(rng):
     for _ in range(30):
         _, X, r = _random_instance(rng, 4, 80)
-        gs = _stats_from(X, r)
-        est = solve_mle(gs, SIGMOID, X, r)
+        gs = _group_of(X)
+        est = solve_mle_weighted(gs, SIGMOID, X, np.ones(len(X)), r)
         score = X.T @ (r - link_eval(SIGMOID, X @ est.theta_hat)) - est.theta_hat
         assert np.linalg.norm(score) <= 1e-8
 
@@ -177,64 +127,60 @@ def test_weighted_solve_equals_raw(rng):
             rows.append(feats[m])
             resp.append(1.0 if j < succ[m] else 0.0)
     X, r = np.array(rows), np.array(resp)
-    gs = _stats_from(X, r)
-    raw = solve_mle(gs, SIGMOID, X, r)
+    gs = _group_of(X)
+    raw = solve_mle_weighted(gs, SIGMOID, X, np.ones(len(X)), r)
     agg = solve_mle_weighted(gs, SIGMOID, feats, counts.astype(float), succ)
     assert np.max(np.abs(raw.theta_hat - agg.theta_hat)) < 1e-7
 
 
 def test_warm_start_converges_faster(rng):
     _, X, r = _random_instance(rng, 5, 200)
-    gs = _stats_from(X, r)
-    cold = solve_mle(gs, SIGMOID, X, r)
-    warm = solve_mle(gs, SIGMOID, X, r, theta0=cold.theta_hat)
+    gs = _group_of(X)
+    cold = solve_mle_weighted(gs, SIGMOID, X, np.ones(len(X)), r)
+    warm = solve_mle_weighted(gs, SIGMOID, X, np.ones(len(X)), r, theta0=cold.theta_hat)
     assert warm.converged
     assert warm.iterations == 0
 
 
 def test_confidence_width_isotropic():
-    gs = aggregate_group([], zeta=4.0, dim=3)
+    gs = GroupStats(4.0 * np.eye(3), 0, 4.0)
     x = np.array([1.0, 0.0, 0.0])
-    assert confidence_width(x, gs) == pytest.approx(0.5)  # 1/sqrt(zeta)
+    assert confidence_widths(x[None], gs) == pytest.approx([0.5])  # 1/sqrt(zeta)
 
 
 def test_confidence_width_sherman_morrison():
     # M = I + x x^T with unit x gives width(x) = 1/sqrt(2)
     x = np.array([1.0, 0.0])
-    stats = update_stats(SufficientStats.zeros(2), x, 1)
-    gs = aggregate_group([stats], zeta=1.0)
-    assert confidence_width(x, gs) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    gs = _group_of(x[None])
+    assert confidence_widths(x[None], gs) == pytest.approx([1 / np.sqrt(2)], abs=1e-12)
 
 
 def test_confidence_width_homogeneity(rng):
     _, X, r = _random_instance(rng, 4, 30)
-    gs = _stats_from(X, r)
+    gs = _group_of(X)
     x = rng.standard_normal(4)
-    assert confidence_width(3.0 * x, gs) == pytest.approx(3.0 * confidence_width(x, gs))
+    width, scaled = confidence_widths(np.stack([x, 3.0 * x]), gs)
+    assert scaled == pytest.approx(3.0 * width)
 
 
 def test_widths_shrink_under_updates(rng):
     d = 4
-    stats = SufficientStats.zeros(d)
     x = rng.standard_normal(d)
     x /= np.linalg.norm(x)
-    widths = []
-    for _ in range(10):
-        widths.append(confidence_width(x, aggregate_group([stats], 1.0, dim=d)))
-        stats = update_stats(stats, x, 1)
+    history = np.tile(x, (10, 1))
+    widths = [confidence_widths(x[None], _group_of(history[:k]))[0] for k in range(10)]
     assert all(a > b for a, b in zip(widths, widths[1:]))
     # an orthogonal update direction never increases the width either
     y = np.zeros(d)
     y[0], x0 = 1.0, np.zeros(d)
     x0[1] = 1.0
-    before = confidence_width(y, aggregate_group([stats], 1.0, dim=d))
-    stats = update_stats(stats, x0, 1)
-    after = confidence_width(y, aggregate_group([stats], 1.0, dim=d))
+    before = confidence_widths(y[None], _group_of(history))[0]
+    after = confidence_widths(y[None], _group_of(np.vstack([history, x0])))[0]
     assert after <= before + 1e-12
 
 
 def test_ucb_score_cold_start():
-    gs = aggregate_group([], zeta=1.0, dim=2)
+    gs = GroupStats(np.eye(2), 0, 1.0)
     catalog = np.array([[1.0, 0.0], [0.0, 0.0]])
     theta = np.zeros(2)
     assert catalog_scores(SIGMOID_MU, catalog, theta, gs, 0.25) == pytest.approx([0.75, 0.5])
@@ -244,22 +190,23 @@ def test_ucb_score_cold_start():
 
 def test_ucb_scores_vectorized_consistent(rng):
     _, X, r = _random_instance(rng, 3, 40)
-    gs = _stats_from(X, r)
-    est = solve_mle(gs, SIGMOID, X, r)
+    gs = _group_of(X)
+    est = solve_mle_weighted(gs, SIGMOID, X, np.ones(len(X)), r)
     catalog = rng.standard_normal((7, 3))
     batch = catalog_scores(SIGMOID_MU, catalog, est.theta_hat, gs, 0.25)
-    single = [link_eval(SIGMOID, float(x @ est.theta_hat)) + 0.25 * confidence_width(x, gs)
-              for x in catalog]
+    # each row's width sqrt(x^T M^{-1} x), written plainly
+    widths = [float(np.sqrt(x @ np.linalg.solve(gs.gramian_reg, x))) for x in catalog]
+    single = [link_eval(SIGMOID, float(x @ est.theta_hat)) + 0.25 * w
+              for x, w in zip(catalog, widths)]
     assert np.allclose(batch, single)
-    assert confidence_widths(catalog, gs) == pytest.approx(
-        [confidence_width(x, gs) for x in catalog])
+    assert confidence_widths(catalog, gs) == pytest.approx(widths)
 
 
 def test_argmax_invariance(rng):
     for _ in range(20):
         _, X, r = _random_instance(rng, 3, 40)
-        gs = _stats_from(X, r)
-        est = solve_mle(gs, SIGMOID, X, r)
+        gs = _group_of(X)
+        est = solve_mle_weighted(gs, SIGMOID, X, np.ones(len(X)), r)
         catalog = rng.standard_normal((9, 3))
         scores = catalog_scores(SIGMOID_MU, catalog, est.theta_hat, gs, 0.25)
         assert np.argmax(scores) == np.argmax(2.5 * scores)
@@ -278,8 +225,8 @@ def test_estimation_consistency(rng):
         X = trial_rng.standard_normal((5000, 5))
         X /= np.maximum(1.0, np.linalg.norm(X, axis=1, keepdims=True))
         r = link_eval(SIGMOID, X @ theta) + 0.1 * trial_rng.standard_normal(5000)
-        gs = _stats_from(X, r)
-        est = solve_mle(gs, SIGMOID, X, r)
+        gs = _group_of(X)
+        est = solve_mle_weighted(gs, SIGMOID, X, np.ones(len(X)), r)
         if est.converged and np.linalg.norm(est.theta_hat - theta) < 0.1:
             hits += 1
     assert hits >= 95
@@ -348,7 +295,7 @@ def test_singular_systems_raise():
     with _warns_invalid_solve(), pytest.raises(np.linalg.LinAlgError):
         confidence_widths(np.eye(2), gs)
     with _warns_invalid_solve(), pytest.raises(np.linalg.LinAlgError):
-        confidence_width(np.ones(2), gs)
+        _solve(gs.gramian_reg, np.ones(2))
     # zeta = 0 and one observed row leave the Newton system rank one
     unpenalized = GroupStats(np.zeros((2, 2)), 1, 0.0)
     with _warns_invalid_solve(), pytest.raises(np.linalg.LinAlgError):

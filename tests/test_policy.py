@@ -8,7 +8,7 @@ from camsel.core import LinkFunctionSpec, expected_cascade_payoff, link_callable
 from camsel.environment import (PerspectiveSchedule, VisualModel, World, WorldConfig,
                                 generate_world, oracle_best_set)
 from camsel.errors import ConfigError
-from camsel.estimator import GroupStats, aggregate_group
+from camsel.estimator import GroupStats
 from camsel.harness import canonical_labels
 from camsel.policy import (_ARRIVAL_TAG, _PAYOFF_TAG, GROUPINGS, Agent, AgentConfig, _Episode,
                            _int_type, baseline_greedy, catalog_scores, derive_p0,
@@ -60,7 +60,7 @@ def test_execute_cascade_stops_at_first_success():
 def _plan_and_run(world, k_max, payoff_source):
     """Score a tiny world's catalog at the true theta with alpha = 0, then
     plan and run the cascade the way Agent.step does."""
-    gs = aggregate_group([], zeta=1.0, dim=2)
+    gs = GroupStats(np.eye(2), 0, 1.0)
     mu = link_callables(world.link)[0]
     scores = catalog_scores(mu, world.features, np.array([1.0, 0.0]), gs, 0.0)
     tiers = (world.tiers == "cloud").astype(int)

@@ -11,7 +11,7 @@ S seeds run one ``Agent`` at a time:
 
 - ``lockstep`` and ``agents``: rounds (S x horizon) per CPU second
   (``time.process_time``), the fastest of ``--repeats`` runs of each, taken
-  in turn, and their ratio ``speedup``;
+  in turn after one untimed run of each, and their ratio ``speedup``;
 - ``calls/step``: cProfile's total function calls of one block over its
   stacked steps (its ``_Lockstep.rank`` calls: one per round-loop round or
   chain-step part), and ``calls/round`` of the agents over their rounds;
@@ -46,7 +46,10 @@ FIRST_SEED = 320
 
 def _cpu_seconds(runs, repeats: int) -> list[float]:
     """The fastest of ``repeats`` timings of each of ``runs``, taken in
-    turn, so that a change in the machine's load falls on all of them."""
+    turn, so that a change in the machine's load falls on all of them. Each
+    run is made once untimed first, so no timing holds a one-time warm-up."""
+    for run in runs:
+        run()
     best = [float("inf")] * len(runs)
     for _ in range(repeats):
         for i, run in enumerate(runs):
