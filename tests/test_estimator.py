@@ -49,6 +49,20 @@ def test_identity_link_equals_ridge(rng):
         assert np.max(np.abs(est.theta_hat - ridge)) < 1e-10
 
 
+def test_zero_observations_cold_start(rng):
+    # an empty history, and a catalog whose every model has zero tries, both
+    # stand at theta = 0 with no Newton step
+    empty = solve_mle_weighted(GroupStats(np.eye(4), 0, 1.0), SIGMOID, np.zeros((0, 4)),
+                               np.zeros(0), np.zeros(0))
+    feats = rng.standard_normal((6, 4))
+    untried = solve_mle_weighted(GroupStats(np.eye(4), 0, 1.0), SIGMOID, feats, np.zeros(6),
+                                 np.zeros(6))
+    for est in (empty, untried):
+        assert est.converged
+        assert est.iterations == 0
+        assert np.array_equal(est.theta_hat, np.zeros(4))
+
+
 def test_history_consistency_enforced(rng):
     feats = rng.standard_normal((6, 3))
     tries = rng.integers(1, 10, 6).astype(float)
@@ -59,12 +73,6 @@ def test_history_consistency_enforced(rng):
         with pytest.raises(ValueError, match="aggregates hold"):
             solve_mle_weighted(GroupStats(gramian, n + off, 1.0), SIGMOID, feats, tries, wins)
     assert solve_mle_weighted(GroupStats(gramian, n, 1.0), SIGMOID, feats, tries, wins).converged
-    # a cold start: all-zero tries stand at theta = 0 with no Newton step
-    cold = solve_mle_weighted(GroupStats(np.eye(3), 0, 1.0), SIGMOID, feats, np.zeros(6),
-                              np.zeros(6))
-    assert cold.converged
-    assert cold.iterations == 0
-    assert np.array_equal(cold.theta_hat, np.zeros(3))
 
 
 def test_sigmoid_mle_matches_grid_oracle(rng):
