@@ -8,10 +8,9 @@ and the ablation families on synthetic worlds.
 """
 
 from .core import (LinkConstants, LinkFunctionSpec, cascade_payoff,
-                   expected_cascade_payoff, link_constants, link_derivative, link_eval)
+                   expected_cascade_payoff, link_constants, link_eval)
 from .environment import (PerspectiveSchedule, VisualModel, World, WorldConfig,
-                          generate_world, load_world, oracle_best_set, sample_camera,
-                          sample_payoff, save_world)
+                          generate_world, load_world, oracle_best_set, save_world)
 from .errors import ConfigError, GenerationError, NumericError, ScheduleError
 from .estimator import Estimate, GroupStats, solve_mle_weighted
 from .grouping import (CameraGraph, DeletionRule, ReconnectPolicy, delete_edges,

@@ -75,26 +75,12 @@ def sigmoid(z):
     return e.reshape(z.shape)[()]   # a 0-d result as a float64 scalar
 
 
-def _check_finite(z):
+def link_eval(spec: LinkFunctionSpec, z):
+    """Evaluate mu(z). Sigmoid maps to (0,1); clipped-linear clamps z to [0,1]."""
     arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("link argument must be finite")
-    return arr
-
-
-def link_eval(spec: LinkFunctionSpec, z):
-    """Evaluate mu(z). Sigmoid maps to (0,1); clipped-linear clamps z to [0,1]."""
-    out = link_callables(spec)[0](_check_finite(z))
-    return float(out) if np.isscalar(z) else out
-
-
-def link_derivative(spec: LinkFunctionSpec, z):
-    """Evaluate mu'(z).
-
-    Clipped-linear returns 0 outside its clip interval, which is why it is
-    rejected by :func:`link_constants`.
-    """
-    out = link_callables(spec)[1](_check_finite(z))
+    out = link_callables(spec)[0](arr)
     return float(out) if np.isscalar(z) else out
 
 
@@ -119,7 +105,9 @@ def link_callables(spec: LinkFunctionSpec):
     """Unvalidated (mu, mu_prime) pair for hot loops; callers guarantee
     finite inputs. ``mu_prime(z, m)`` may be handed ``m = mu(z)`` when the
     caller has it, so the sigmoid is not evaluated twice at one point.
-    :func:`link_eval` and :func:`link_derivative` add the finiteness check."""
+    :func:`link_eval` adds the finiteness check to ``mu``. Clipped-linear's
+    ``mu_prime`` is 0 outside its clip interval, which is why
+    :func:`link_constants` rejects it."""
     if spec.kind == "sigmoid":
         mu = sigmoid
 

@@ -1,9 +1,12 @@
-"""Synthetic camera/model worlds: generation, payoff sampling, ground-truth oracle.
+"""Synthetic camera/model worlds: generation, success probabilities, the
+ground-truth oracle's ranking rule and the world file format.
 
 A ``World`` is immutable once built (its arrays are write-protected). A
 perspective schedule leaves it as it is: a run settles the true group of each
 camera at each round from the world and the schedule's events once
-(``policy._settle``). Payoffs come in two modes:
+(``policy._settle``), and each episode draws its uniform camera arrivals and
+its payoff hits before any decision (``policy._Episode``). Payoffs come in two
+modes:
 
 * ``bernoulli`` - the binary payoff is 1 with probability mu(x.theta).
 * ``thresholded-gaussian`` - a noisy accuracy mu(x.theta) + N(0, sigma^2) is
@@ -123,11 +126,6 @@ class World:
                 raise ConfigError(f"group {group}: the {self.link.kind} link gives success "
                                   f"probabilities in [{probs.min():.6g}, {probs.max():.6g}], "
                                   "outside [0, 1], under Bernoulli payoffs")
-
-    def mean_payoffs(self, camera: int) -> np.ndarray:
-        """mu(x_m . theta) for every model, under the camera's current group."""
-        theta = self.group_thetas[self.camera_groups[camera]]
-        return link_eval(self.link, self.features @ theta)
 
     def group_success_probs(self, group: int) -> np.ndarray:
         """True per-model success probabilities for cameras in ``group``."""
@@ -274,29 +272,20 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     )
 
 
-def sample_camera(world: World, rng) -> int:
-    """Uniform camera arrival, independent across rounds."""
-    return int(rng.integers(0, world.n_cameras))
-
-
-def sample_payoff(world: World, camera: int, model: int, rng) -> int:
-    """One binary payoff draw for (camera, model) under the world's payoff mode."""
-    mu = float(world.mean_payoffs(camera)[model])
-    if world.payoff_mode == "bernoulli":
-        return int(rng.random() < mu)
-    accuracy = mu + world.noise_sigma * rng.standard_normal()
-    return int(accuracy >= world.accuracy_threshold)
+def oracle_ranking(probs: np.ndarray) -> np.ndarray:
+    """Model ids by success probability, highest first, ties to the lower
+    model id: the oracle's ranking rule. Its top k are :func:`oracle_best_set`
+    and the set every run's regret is measured against (``policy._settle``)."""
+    return np.lexsort((np.arange(len(probs)), -probs))
 
 
 def oracle_best_set(world: World, camera: int, k: int) -> list[int]:
-    """The k models with the largest expected payoffs, best first, ties to the
-    lower model id. Descending order maximizes the expected aggregate payoff
-    among size-k selections and minimizes expected attempts."""
+    """The camera's first k models by :func:`oracle_ranking`. Descending order
+    maximizes the expected aggregate payoff among size-k selections and
+    minimizes expected attempts."""
     if not 1 <= k <= world.n_models:
         raise ValueError(f"k must lie in 1..{world.n_models}, got {k}")
-    probs = world.success_probs(camera)
-    order = np.lexsort((np.arange(world.n_models), -probs))
-    return [int(m) for m in order[:k]]
+    return oracle_ranking(world.success_probs(camera))[:k].tolist()
 
 
 # ---------------------------------------------------------------------------

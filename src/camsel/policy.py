@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import LinkFunctionSpec, expected_cascade_payoff, link_callables
-from .environment import PerspectiveSchedule, World
+from .environment import PerspectiveSchedule, World, oracle_ranking
 from .errors import ConfigError, typed
 from .estimator import (GroupStats, confidence_widths, confidence_widths_stacked,
                         outer_products, solve_mle_stacked, solve_mle_weighted)
@@ -210,12 +210,13 @@ def _round_log(world: World, horizon: int, width: int, n_seeds: int = 1) -> dict
 def _settle(world: World, horizon: int, oracle_k: int,
             schedule: PerspectiveSchedule | None) -> tuple:
     """What every seed of a run shares: each group's success probabilities
-    and oracle payoff, the canonically labelled true partitions ``truths``
+    and oracle payoff (that of its first ``oracle_k`` models by
+    ``oracle_ranking``), the canonically labelled true partitions ``truths``
     and camera-to-group rows ``groups``, one per run of rounds between
     events, and each round's run ``truth_at``."""
     probs = np.stack([world.group_success_probs(g) for g in range(world.n_groups)])
-    ids, width = np.arange(world.n_models), min(oracle_k, world.n_models)
-    oracle = np.array([expected_cascade_payoff(p[np.lexsort((ids, -p))[:width]]) for p in probs])
+    width = min(oracle_k, world.n_models)
+    oracle = np.array([expected_cascade_payoff(p[oracle_ranking(p)[:width]]) for p in probs])
     events = () if schedule is None else schedule.events
     if schedule is not None:
         schedule.validate_against(world)

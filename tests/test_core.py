@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from camsel.core import (LinkConstants, LinkFunctionSpec, cascade_payoff,
-                         expected_cascade_payoff, link_constants, link_derivative,
-                         link_eval, sigmoid)
+                         expected_cascade_payoff, link_callables, link_constants, link_eval,
+                         sigmoid)
 from camsel.errors import ConfigError
 
 SIGMOID = LinkFunctionSpec("sigmoid")
@@ -87,16 +87,15 @@ def test_link_eval_rejects_nonfinite():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             link_eval(SIGMOID, bad)
-        with pytest.raises(ValueError):
-            link_derivative(IDENTITY, bad)
 
 
 def test_link_derivative_values():
-    assert link_derivative(SIGMOID, 0.0) == 0.25
-    assert link_derivative(IDENTITY, -3.0) == 1.0
-    assert link_derivative(SIGMOID, 2.0) == pytest.approx(SIGMOID_PRIME_AT_2, abs=1e-6)
-    assert link_derivative(CLIPPED, 0.5) == 1.0
-    assert link_derivative(CLIPPED, 1.5) == 0.0
+    # mu', as the Newton solve takes it
+    assert link_callables(SIGMOID)[1](0.0) == 0.25
+    assert link_callables(IDENTITY)[1](-3.0) == 1.0
+    assert link_callables(SIGMOID)[1](2.0) == pytest.approx(SIGMOID_PRIME_AT_2, abs=1e-6)
+    assert link_callables(CLIPPED)[1](0.5) == 1.0
+    assert link_callables(CLIPPED)[1](1.5) == 0.0
 
 
 def test_derivative_matches_finite_differences(rng):
@@ -104,7 +103,7 @@ def test_derivative_matches_finite_differences(rng):
     for spec in (SIGMOID, IDENTITY):
         z = rng.uniform(-2, 2, 1000)
         fd = (link_eval(spec, z + h) - link_eval(spec, z - h)) / (2 * h)
-        assert np.max(np.abs(link_derivative(spec, z) - fd)) < 1e-5
+        assert np.max(np.abs(link_callables(spec)[1](z) - fd)) < 1e-5
 
 
 def test_monotonicity(rng):
@@ -129,7 +128,7 @@ def test_link_constants_sigmoid_default_interval():
     assert consts.m_mu == pytest.approx(SIGMOID_PRIME_AT_2, abs=1e-12)
     # grid-scan oracle over [-2, 2]
     grid = np.arange(-2.0, 2.0 + 1e-9, 1e-4)
-    slopes = link_derivative(SIGMOID, grid)
+    slopes = link_callables(SIGMOID)[1](grid)
     assert consts.lipschitz_L == pytest.approx(float(slopes.max()), abs=1e-8)
     assert consts.m_mu == pytest.approx(float(slopes.min()), abs=1e-8)
 

@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from camsel.core import LinkFunctionSpec, expected_cascade_payoff
+from camsel.core import LinkFunctionSpec, expected_cascade_payoff, link_eval
 from camsel.environment import (PerspectiveSchedule, VisualModel, World, WorldConfig,
-                                generate_world, load_world, oracle_best_set, sample_camera,
-                                sample_payoff, save_world, world_from_dict, world_to_dict)
+                                generate_world, load_world, oracle_best_set, oracle_ranking,
+                                save_world, world_from_dict, world_to_dict)
 from camsel.errors import ConfigError, GenerationError, ScheduleError
-from camsel.policy import _HIT_ROWS, _PAYOFF_TAG, _Episode, canonical_labels
+from camsel.policy import _HIT_ROWS, _PAYOFF_TAG, _Episode, _settle, canonical_labels
 
 
 def test_generate_single_group_trivial_dispersion():
@@ -77,68 +77,62 @@ def test_visual_model_scales_oversized_features():
         VisualModel(id=0, features=np.array([1.0, 0.0]), tier="fog")
 
 
-def test_sample_camera_uniform(world, rng):
+def _one_model_world(theta, **kwargs):
+    """One camera, one model with features (1, 0), one group weighted by ``theta``."""
+    return World(dimension=2, camera_groups=np.array([0]), group_thetas=np.array([theta]),
+                 catalog=[VisualModel(id=0, features=np.array([1.0, 0.0]))],
+                 dispersion_gamma=0.5, **kwargs)
+
+
+# the arrivals and payoff hits a run draws: each episode's, before any decision
+
+
+def test_sample_camera_uniform(world):
     n = 100_000
-    draws = np.array([sample_camera(world, rng) for _ in range(n)])
-    counts = np.bincount(draws, minlength=world.n_cameras)
+    counts = np.bincount(_Episode(world, n, 42, 3, None).arrival, minlength=world.n_cameras)
     # binomial 4-sigma bound at p = 1/8
     sigma = np.sqrt(n * (1 / 8) * (7 / 8))
     assert np.all(np.abs(counts - n / 8) < 4 * sigma)
 
 
-def test_sample_camera_singleton(rng):
+def test_sample_camera_singleton():
     w = generate_world(WorldConfig(n_groups=1, n_cameras=1, dimension=3, gamma=0.3,
                                    n_models=3), 0)
-    assert all(sample_camera(w, rng) == 0 for _ in range(20))
+    assert (_Episode(w, 20, 42, 3, None).arrival == 0).all()
 
 
 def test_sample_camera_deterministic(world):
-    a = [sample_camera(world, np.random.default_rng(9)) for _ in range(50)]
-    b = [sample_camera(world, np.random.default_rng(9)) for _ in range(50)]
-    assert a == b
+    a, b = (_Episode(world, 50, 9, 3, None) for _ in range(2))
+    assert np.array_equal(a.arrival, b.arrival) and np.array_equal(a.hits, b.hits)
 
 
 def test_sample_payoff_certain_identity_link():
-    theta = np.array([1.0, 0.0])
-    model = VisualModel(id=0, features=np.array([1.0, 0.0]))
-    w = World(dimension=2, camera_groups=np.array([0]), group_thetas=theta[None, :],
-              catalog=[model], dispersion_gamma=0.5, payoff_mode="bernoulli",
-              link=LinkFunctionSpec("identity"))
-    rng = np.random.default_rng(0)
-    assert all(sample_payoff(w, 0, 0, rng) == 1 for _ in range(50))
+    w = _one_model_world([1.0, 0.0], link=LinkFunctionSpec("identity"))
+    assert w.success_probs(0)[0] == 1.0
+    assert _Episode(w, 50, 0, 1, None).hits.all()
 
 
-def test_sample_payoff_bernoulli_mean(rng):
-    theta = np.array([0.0, 1.0])
-    model = VisualModel(id=0, features=np.array([1.0, 0.0]))  # x.theta = 0 -> p = 0.5
-    w = World(dimension=2, camera_groups=np.array([0]), group_thetas=theta[None, :],
-              catalog=[model], dispersion_gamma=0.5)
+def test_sample_payoff_bernoulli_mean():
+    w = _one_model_world([0.0, 1.0])    # x.theta = 0 -> p = 0.5
     n = 100_000
-    mean = np.mean([sample_payoff(w, 0, 0, rng) for _ in range(n)])
+    mean = _Episode(w, n, 42, 1, None).hits.mean()
     assert abs(mean - 0.5) < 4 * np.sqrt(0.25 / n)
 
 
 def test_sample_payoff_thresholded_noiseless():
-    theta = np.array([1.0, 0.0])
-    model = VisualModel(id=0, features=np.array([1.0, 0.0]))
-    w = World(dimension=2, camera_groups=np.array([0]), group_thetas=theta[None, :],
-              catalog=[model], dispersion_gamma=0.5, payoff_mode="thresholded-gaussian",
-              accuracy_threshold=0.6, noise_sigma=0.0)
-    rng = np.random.default_rng(0)
+    w = _one_model_world([1.0, 0.0], payoff_mode="thresholded-gaussian",
+                         accuracy_threshold=0.6, noise_sigma=0.0)
     # mu = sigmoid(1) = 0.731 >= 0.6
-    assert all(sample_payoff(w, 0, 0, rng) == 1 for _ in range(20))
     assert w.success_probs(0)[0] == 1.0
+    assert _Episode(w, 20, 0, 1, None).hits.all()
 
 
 def test_thresholded_success_prob_is_gaussian_tail():
     from scipy.special import ndtr
 
-    theta = np.array([1.0, 0.0])
-    model = VisualModel(id=0, features=np.array([1.0, 0.0]))
-    w = World(dimension=2, camera_groups=np.array([0]), group_thetas=theta[None, :],
-              catalog=[model], dispersion_gamma=0.5, payoff_mode="thresholded-gaussian",
-              accuracy_threshold=0.6, noise_sigma=0.1)
-    mu = w.mean_payoffs(0)[0]
+    w = _one_model_world([1.0, 0.0], payoff_mode="thresholded-gaussian",
+                         accuracy_threshold=0.6, noise_sigma=0.1)
+    mu = link_eval(w.link, 1.0)
     assert w.success_probs(0)[0] == pytest.approx(float(ndtr((mu - 0.6) / 0.1)))
 
 
@@ -259,6 +253,31 @@ def test_oracle_best_set_tie_break():
               catalog=[VisualModel(id=i, features=f) for i, f in enumerate(feats)],
               dispersion_gamma=0.5, link=LinkFunctionSpec("identity"))
     assert oracle_best_set(w, 0, 2) == [2, 0]
+
+
+def test_settled_oracle_payoffs_are_the_oracle_rankings_top_k(world):
+    """Every run's regret is measured against ``_settle``'s oracle payoffs:
+    each group's the expected cascade payoff of its first k models by
+    ``oracle_ranking``, which ``oracle_best_set`` returns too."""
+    feats = [np.array([0.5, 0.0]), np.array([0.5, 0.0]), np.array([0.9, 0.0]),
+             np.array([0.2, 0.0])]
+    tie = World(dimension=2, camera_groups=np.array([0]),
+                group_thetas=np.array([[1.0, 0.0]]),
+                catalog=[VisualModel(id=i, features=f) for i, f in enumerate(feats)],
+                dispersion_gamma=0.5, link=LinkFunctionSpec("identity"))
+    gaussian = generate_world(WorldConfig(n_groups=3, n_cameras=6, dimension=4, gamma=0.3,
+                                          n_models=9, payoff_mode="thresholded-gaussian",
+                                          accuracy_threshold=0.6), 2)
+    assert oracle_ranking(tie.group_success_probs(0)).tolist() == [2, 0, 1, 3]
+    for w in (world, tie, gaussian):
+        for k in (1, 2, 3, w.n_models):
+            oracle = _settle(w, 10, k, None)[1]
+            assert oracle.shape == (w.n_groups,)
+            for g in range(w.n_groups):
+                probs = w.group_success_probs(g)
+                assert oracle[g] == expected_cascade_payoff(probs[oracle_ranking(probs)[:k]])
+                camera = int(np.flatnonzero(w.camera_groups == g)[0])
+                assert oracle[g] == expected_cascade_payoff(probs[oracle_best_set(w, camera, k)])
 
 
 def test_world_file_round_trip(world, tmp_path):
